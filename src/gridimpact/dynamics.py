@@ -10,13 +10,15 @@ the network stays linear and each integration stage costs one sparse
 triangular solve.
 
 A scenario is a strictly ordered list of switching events (branch
-openings or whole-substation removals). After every event the island
-pattern is re-detected; islands left without any generating unit are
-dead and get de-energized on the spot (their machines drop out of the
-simulation, their loads disappear). Per-island monitors watch the
-rotor-angle spread and the inertia-weighted island frequency; the run
-halts at the first instability verdict and the remaining events are
-marked skipped.
+openings or whole-substation removals). Parallel circuits switch as one
+endpoint pair: opening 42-49 opens every circuit between buses 42 and
+49, and the network keeps a branch only while its pair is still in
+service. After every event the island pattern is re-detected; islands
+left without any generating unit are dead and get de-energized on the
+spot (their machines drop out of the simulation, their loads
+disappear). Per-island monitors watch the rotor-angle spread and the
+inertia-weighted island frequency; the run halts at the first
+instability verdict and the remaining events are marked skipped.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import GridCase
@@ -62,7 +63,6 @@ __all__ = [
     "DynamicTrace",
     "StabilityVerdict",
     "init_dynamic_state",
-    "compute_coi",
     "run_scenario",
     "detect_instability",
     "trace_to_csv",
@@ -344,16 +344,6 @@ def _aggregate_overall(per_island: dict[int, str]) -> str:
 # --- initialization ----------------------------------------------------------
 
 
-def compute_coi(state: DynamicState, island: Iterable[int]) -> float:
-    """Inertia-weighted mean rotor angle (radians) over an island."""
-    members = set(island)
-    idx = [i for i, b in enumerate(state.machine_buses) if b in members]
-    if not idx:
-        raise ValueError("island contains no machine")
-    w = state.inertia[idx]
-    return float(np.dot(w, state.delta[idx]) / w.sum())
-
-
 def init_dynamic_state(
     case: GridCase,
     pf: PowerFlowSolution,
@@ -564,32 +554,21 @@ class _Engine:
         return len(partition)
 
     def _factorize(self) -> None:
-        # admittance over the full original bus set; out-of-service or
-        # removed branches vanish, de-energized buses get a unit
+        # admittance over the full original bus set: a base branch is on
+        # while its endpoint pair is in service in the current case and
+        # both its ends are energized; de-energized buses get a unit
         # diagonal so the linear system stays regular with V = 0 there
-        status = {}
-        for br in self.current_case.branches:
-            status[(br.from_bus, br.to_bus, br.resistance, br.reactance)] = br.status
-        masked = []
-        for br in self.base_case.branches:
-            key = (br.from_bus, br.to_bus, br.resistance, br.reactance)
-            on = status.get(key, False) and br.status
-            f, t = self.bus_pos[br.from_bus], self.bus_pos[br.to_bus]
-            on = on and self.bus_active[f] and self.bus_active[t]
-            masked.append(replace(br, status=bool(on)))
-        full = self.base_case.with_(branches=tuple(masked))
-        Y = build_admittance(full).matrix.tolil()
-
-        for j in range(self.nb):
-            if self.bus_active[j]:
-                Y[j, j] += self.y_load[j]
-        for i in range(self.nm):
-            if self.mach_active[i]:
-                j = self.mach_bus_pos[i]
-                Y[j, j] += 1.0 / (1j * self.xd_sys[i])
-        for j in range(self.nb):
-            if not self.bus_active[j]:
-                Y[j, j] = 1.0
+        pairs = {br.endpoints for br in self.current_case.branches if br.status}
+        base = self.base_case
+        arr = base.arrays
+        on = np.array([br.endpoints in pairs for br in base.branches], dtype=bool)
+        on &= arr.status & self.bus_active[arr.f] & self.bus_active[arr.t]
+        Y = build_admittance(base, on).matrix
+        diag = Y.diagonal() + self.y_load
+        act = self.mach_active
+        np.add.at(diag, self.mach_bus_pos[act], 1.0 / (1j * self.xd_sys[act]))
+        diag[~self.bus_active] = 1.0
+        Y.setdiag(diag)
         self.lu = spla.splu(Y.tocsc())
 
     def apply_event(self, action: OutageAction) -> tuple[bool, str | None]:

@@ -21,12 +21,15 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Union
 
+import numpy as np
+
 __all__ = [
     "Bus",
     "Branch",
     "Generator",
     "Substation",
     "GridCase",
+    "CaseArrays",
     "CaseSummary",
     "CaseFormatError",
     "CaseValidationError",
@@ -143,6 +146,43 @@ class Substation:
     member_buses: frozenset[int]
 
 
+@dataclass(frozen=True, eq=False)
+class CaseArrays:
+    """A case compiled once into arrays, in its bus and branch order.
+
+    Per bus: load, the summed output and reactive limits of its machines
+    (condensers included), the voltage setpoint (the stored magnitude,
+    overridden by the last machine's setpoint), whether any machine sits
+    there, the nameplate MVA of its generating units (condensers
+    excluded), the stored voltage and the bus kind.
+
+    Per branch: from/to bus positions and the pi-model entries ``yff``,
+    ``yft``, ``ytf``, ``ytt`` (tap on the from side, charging split
+    evenly), rating and status. A zero-impedance branch has NaN entries.
+    """
+
+    load_p: np.ndarray
+    load_q: np.ndarray
+    gen_p: np.ndarray
+    gen_q: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    v_set: np.ndarray
+    has_machine: np.ndarray
+    gen_mva: np.ndarray
+    vm: np.ndarray
+    va: np.ndarray
+    kind: np.ndarray
+    f: np.ndarray
+    t: np.ndarray
+    yff: np.ndarray
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+    rating: np.ndarray
+    status: np.ndarray
+
+
 @dataclass(frozen=True)
 class GridCase:
     """Immutable network case: buses, branches, machines, substations."""
@@ -159,14 +199,69 @@ class GridCase:
         return {b.id: i for i, b in enumerate(self.buses)}
 
     @cached_property
+    def arrays(self) -> CaseArrays:
+        """The case compiled into arrays, built on first use."""
+        buses, idx = self.buses, self.bus_index
+        n = len(buses)
+        gen_p, gen_q, q_min, q_max, gen_mva = (np.zeros(n) for _ in range(5))
+        vm = np.array([b.voltage_magnitude for b in buses], dtype=float)
+        v_set = vm.copy()
+        has_machine = np.zeros(n, dtype=bool)
+        for g in self.generators:
+            k = idx.get(g.bus)
+            if k is None:
+                continue
+            gen_p[k] += g.p_output
+            gen_q[k] += g.q_output
+            q_min[k] += g.q_min
+            q_max[k] += g.q_max
+            v_set[k] = g.v_setpoint
+            has_machine[k] = True
+            if not g.is_condenser:
+                gen_mva[k] += g.mva_base
+
+        # Every layer gathers these entries, so the admittance matrix and
+        # the branch flows share one pi model. They are computed with
+        # scalar complex arithmetic: numpy's array division rounds some of
+        # them differently in the last bit.
+        pi = []
+        for br in self.branches:
+            z = complex(br.resistance, br.reactance)
+            y = 1.0 / z if z else complex("nan")
+            shunt = 0.5j * br.total_charging
+            a = br.tap_ratio
+            pi.append(((y + shunt) / (a * a), -y / a, -y / a, y + shunt))
+        yff, yft, ytf, ytt = np.array(pi, dtype=complex).reshape(-1, 4).T.copy()
+
+        return CaseArrays(
+            load_p=np.array([b.load_p for b in buses], dtype=float),
+            load_q=np.array([b.load_q for b in buses], dtype=float),
+            gen_p=gen_p,
+            gen_q=gen_q,
+            q_min=q_min,
+            q_max=q_max,
+            v_set=v_set,
+            has_machine=has_machine,
+            gen_mva=gen_mva,
+            vm=vm,
+            va=np.array([b.voltage_angle for b in buses], dtype=float),
+            kind=np.array([b.kind for b in buses], dtype=str),
+            f=np.array([idx[br.from_bus] for br in self.branches], dtype=int),
+            t=np.array([idx[br.to_bus] for br in self.branches], dtype=int),
+            yff=yff,
+            yft=yft,
+            ytf=ytf,
+            ytt=ytt,
+            rating=np.array([br.rating for br in self.branches], dtype=float),
+            status=np.array([br.status for br in self.branches], dtype=bool),
+        )
+
+    @cached_property
     def substation_index(self) -> dict[SubstationId, Substation]:
         return {s.id: s for s in self.substations}
 
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index[bus_id]]
-
-    def in_service_branches(self) -> tuple[Branch, ...]:
-        return tuple(br for br in self.branches if br.status)
 
     def machines_at(self, bus_id: int) -> tuple[Generator, ...]:
         return tuple(g for g in self.generators if g.bus == bus_id)

@@ -42,7 +42,7 @@ from .screening import (
     screen_combination,
     screening_report_csv,
 )
-from .topology import OutageAction
+from .topology import OutageAction, apply_substation_outage
 
 __all__ = [
     "CrossCheckRecord",
@@ -319,19 +319,8 @@ def combination_branch_set(
     case: GridCase, combination: OutageCombination
 ) -> tuple[tuple[int, int], ...]:
     """In-service branch endpoints incident to the combination's buses."""
-    index = case.substation_index
-    dead: set[int] = set()
-    for sid in combination.substations:
-        sub = index.get(sid)
-        if sub is None:
-            raise ValueError(f"unknown substation id {sid!r}")
-        dead |= sub.member_buses
-    pairs = {
-        br.endpoints
-        for br in case.branches
-        if br.status and (br.from_bus in dead or br.to_bus in dead)
-    }
-    return tuple(sorted(pairs))
+    _, removed, _ = apply_substation_outage(case, combination.substations)
+    return tuple(sorted({br.endpoints for br in removed}))
 
 
 def cascade_confirm(

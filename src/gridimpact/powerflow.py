@@ -32,8 +32,6 @@ __all__ = [
     "solve_newton",
     "solve_islands",
     "check_violations",
-    "bus_table_csv",
-    "flow_table_csv",
 ]
 
 
@@ -45,38 +43,34 @@ class AdmittanceMatrix:
     matrix: sp.csr_matrix  # n x n complex
 
 
-def build_admittance(case: GridCase) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix (standard pi model).
+def build_admittance(
+    case: GridCase, in_service: np.ndarray | None = None
+) -> AdmittanceMatrix:
+    """Assemble the nodal admittance matrix from the case's pi entries.
 
-    Out-of-service branches contribute nothing. Transformer taps are on
-    the from side. Raises ``ValueError`` for an in-service branch with
-    zero impedance.
+    ``in_service`` is a boolean mask over the case's branches (default:
+    their statuses); masked-out branches contribute nothing. Transformer
+    taps are on the from side. Raises ``ValueError`` for an in-service
+    branch with zero impedance.
     """
+    arr = case.arrays
+    on = arr.status if in_service is None else np.asarray(in_service, dtype=bool)
+    zero = np.flatnonzero(on & np.isnan(arr.yft))
+    if zero.size:
+        br = case.branches[zero[0]]
+        raise ValueError(f"branch {br.from_bus}-{br.to_bus}: zero impedance in service")
     n = len(case.buses)
-    idx = case.bus_index
+    f, t = arr.f[on], arr.t[on]
+    # interleaved from/to ends, branch by branch: the diagonal sums in
+    # branch order, as the element-wise stamp would
+    ends = np.column_stack([f, t]).ravel()
     diag = np.zeros(n, dtype=complex)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for br in case.branches:
-        if not br.status:
-            continue
-        if br.resistance == 0.0 and br.reactance == 0.0:
-            raise ValueError(
-                f"branch {br.from_bus}-{br.to_bus}: zero impedance in service"
-            )
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        y = 1.0 / complex(br.resistance, br.reactance)
-        shunt = 0.5j * br.total_charging
-        a = br.tap_ratio
-        diag[f] += (y + shunt) / (a * a)
-        diag[t] += y + shunt
-        rows += [f, t]
-        cols += [t, f]
-        vals += [-y / a, -y / a]
-    Y = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
-    Y += sp.diags(diag, format="csr", dtype=complex)
-    return AdmittanceMatrix(bus_ids=tuple(b.id for b in case.buses), matrix=Y.tocsr())
+    np.add.at(diag, ends, np.column_stack([arr.yff[on], arr.ytt[on]]).ravel())
+    off = np.column_stack([arr.yft[on], arr.ytf[on]]).ravel()
+    cols = np.column_stack([t, f]).ravel()
+    Y = sp.coo_matrix((off, (ends, cols)), shape=(n, n), dtype=complex).tocsr()
+    Y = Y + sp.diags(diag, format="csr", dtype=complex)
+    return AdmittanceMatrix(bus_ids=tuple(b.id for b in case.buses), matrix=Y)
 
 
 @dataclass(frozen=True)
@@ -140,37 +134,6 @@ class PowerFlowSolution:
         return float(self.va[self.bus_ids.index(bus_id)])
 
 
-def _bus_arrays(case: GridCase, sub_ids: Sequence[int] | None = None):
-    """Vectorized per-bus data (optionally restricted to an island)."""
-    ids = [b.id for b in case.buses] if sub_ids is None else list(sub_ids)
-    pos = {bid: k for k, bid in enumerate(ids)}
-    n = len(ids)
-    pd = np.zeros(n)
-    qd = np.zeros(n)
-    for b in case.buses:
-        k = pos.get(b.id)
-        if k is not None:
-            pd[k] = b.load_p
-            qd[k] = b.load_q
-    pg = np.zeros(n)
-    qg_fixed = np.zeros(n)
-    qmin = np.zeros(n)
-    qmax = np.zeros(n)
-    vset = np.array([case.bus(bid).voltage_magnitude for bid in ids])
-    has_machine = np.zeros(n, dtype=bool)
-    for g in case.generators:
-        k = pos.get(g.bus)
-        if k is None:
-            continue
-        pg[k] += g.p_output
-        qg_fixed[k] += g.q_output
-        qmin[k] += g.q_min
-        qmax[k] += g.q_max
-        vset[k] = g.v_setpoint
-        has_machine[k] = True
-    return ids, pos, pd, qd, pg, qg_fixed, qmin, qmax, vset, has_machine
-
-
 def _dSbus_dV(Y: sp.csr_matrix, V: np.ndarray):
     """Partial derivatives of the injections wrt angle and magnitude."""
     Ibus = Y @ V
@@ -202,53 +165,44 @@ def solve_newton(
         slack_override: Use this bus as the angle/balance reference
             instead of the case slack (island solves).
     """
-    ids, pos, pd, qd, pg, qg_fixed, qmin, qmax, vset, has_machine = _bus_arrays(
-        case, bus_subset
-    )
+    arr = case.arrays
+    ids = [b.id for b in case.buses] if bus_subset is None else list(bus_subset)
+    take = np.array([case.bus_index[b] for b in ids], dtype=int)
     n = len(ids)
     base = case.base_mva
+    pd, qd = arr.load_p[take], arr.load_q[take]
+    pg, qg_fixed = arr.gen_p[take], arr.gen_q[take]
+    qmin, qmax = arr.q_min[take], arr.q_max[take]
+    vset, has_machine = arr.v_set[take], arr.has_machine[take]
+    kind = arr.kind[take]
 
     full = build_admittance(case)
-    if bus_subset is None:
-        Y = full.matrix
-    else:
-        take = np.array([case.bus_index[b] for b in ids])
-        Y = full.matrix[take][:, take].tocsr()
+    Y = full.matrix if bus_subset is None else full.matrix[take][:, take].tocsr()
 
-    kind = {}
-    for bid in ids:
-        kind[bid] = case.bus(bid).kind
-    slack_id = slack_override
-    if slack_id is None:
-        slacks = [bid for bid in ids if kind[bid] == "slack"]
-        if not slacks:
+    if slack_override is not None:
+        islack = ids.index(slack_override)
+    else:
+        slacks = np.flatnonzero(kind == "slack")
+        if not slacks.size:
             return _failed_solution(case, "no_slack")
-        slack_id = slacks[0]
-    islack = pos[slack_id]
+        islack = int(slacks[0])
 
     # A PV bus without any in-service machine cannot hold its setpoint;
     # a former slack bus inside an island keeps PV behaviour when another
     # bus was designated the island slack.
-    is_pv = np.array(
-        [
-            bid != slack_id
-            and kind[bid] in ("PV", "slack")
-            and has_machine[pos[bid]]
-            for bid in ids
-        ],
-        dtype=bool,
-    )
+    is_pv = ((kind == "PV") | (kind == "slack")) & has_machine
+    is_pv[islack] = False
 
     # Working state. Warm start uses the stored voltages; flat start is
     # unity magnitude at PQ buses, setpoints at PV and the slack, with
     # all angles at the slack's stored angle so the reference matches.
-    va_slack = case.bus(slack_id).voltage_angle
+    va_slack = arr.va[take[islack]]
     if options.flat_start:
         vm = np.ones(n)
         va = np.full(n, va_slack)
     else:
-        vm = np.array([case.bus(bid).voltage_magnitude for bid in ids], dtype=float)
-        va = np.array([case.bus(bid).voltage_angle for bid in ids], dtype=float)
+        vm = arr.vm[take]
+        va = arr.va[take]
     vm[is_pv] = vset[is_pv]
     if has_machine[islack]:
         vm[islack] = vset[islack]
@@ -359,33 +313,22 @@ def solve_newton(
     vm_out = np.zeros(len(case.buses))
     va_out = np.zeros(len(case.buses))
     energized = np.zeros(len(case.buses), dtype=bool)
-    for k, bid in enumerate(ids):
-        j = case.bus_index[bid]
-        vm_out[j] = vm[k]
-        va_out[j] = va[k]
-        energized[j] = True
-
-    pf, qf, pt, qt = _branch_flows(case, vm_out, va_out, energized)
+    vm_out[take] = vm
+    va_out[take] = va
+    energized[take] = True
     record = IslandSolve(
         buses=frozenset(ids),
-        slack_bus=slack_id,
+        slack_bus=ids[islack],
         converged=converged,
         iterations=iterations,
         max_mismatch=max_mismatch,
         cause=cause,
     )
-    return PowerFlowSolution(
+    return _solution(
+        case, vm_out, va_out, energized,
         converged=converged,
         iterations=iterations,
         max_mismatch=max_mismatch,
-        bus_ids=tuple(b.id for b in case.buses),
-        vm=vm_out,
-        va=va_out,
-        energized=energized,
-        p_from=pf,
-        q_from=qf,
-        p_to=pt,
-        q_to=qt,
         cause=cause,
         islands=(record,),
     )
@@ -393,53 +336,34 @@ def solve_newton(
 
 def _failed_solution(case, cause) -> PowerFlowSolution:
     nb = len(case.buses)
-    z = np.zeros(nb)
-    zb = np.zeros(len(case.branches))
-    return PowerFlowSolution(
-        converged=False,
-        iterations=0,
-        max_mismatch=np.inf,
-        bus_ids=tuple(b.id for b in case.buses),
-        vm=z.copy(),
-        va=z.copy(),
-        energized=np.zeros(nb, dtype=bool),
-        p_from=zb.copy(),
-        q_from=zb.copy(),
-        p_to=zb.copy(),
-        q_to=zb.copy(),
-        cause=cause,
-        islands=(),
+    return _solution(
+        case, np.zeros(nb), np.zeros(nb), np.zeros(nb, dtype=bool),
+        converged=False, iterations=0, max_mismatch=np.inf, cause=cause,
     )
 
 
-def _branch_flows(case: GridCase, vm, va, energized):
-    """Branch MW/MVAr at both ends from bus voltages (zero when open)."""
-    nb = len(case.branches)
-    pf = np.zeros(nb)
-    qf = np.zeros(nb)
-    pt = np.zeros(nb)
-    qt = np.zeros(nb)
+def _solution(case: GridCase, vm, va, energized, **verdict) -> PowerFlowSolution:
+    """Wrap full-length bus voltages into a solution, adding the branch
+    flows (MW/MVAr at both ends; zero unless in service and energized)."""
+    arr = case.arrays
+    live = np.flatnonzero(arr.status & energized[arr.f] & energized[arr.t])
     V = vm * np.exp(1j * va)
-    idx = case.bus_index
-    base = case.base_mva
-    for k, br in enumerate(case.branches):
-        if not br.status:
-            continue
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        if not (energized[f] and energized[t]):
-            continue
-        y = 1.0 / complex(br.resistance, br.reactance)
-        shunt = 0.5j * br.total_charging
-        a = br.tap_ratio
-        yff = (y + shunt) / (a * a)
-        yft = -y / a
-        ytf = -y / a
-        ytt = y + shunt
-        sf = V[f] * np.conj(yff * V[f] + yft * V[t]) * base
-        st = V[t] * np.conj(ytf * V[f] + ytt * V[t]) * base
-        pf[k], qf[k] = sf.real, sf.imag
-        pt[k], qt[k] = st.real, st.imag
-    return pf, qf, pt, qt
+    Vf, Vt = V[arr.f[live]], V[arr.t[live]]
+    sf = np.zeros(len(case.branches), dtype=complex)
+    st = np.zeros(len(case.branches), dtype=complex)
+    sf[live] = Vf * np.conj(arr.yff[live] * Vf + arr.yft[live] * Vt) * case.base_mva
+    st[live] = Vt * np.conj(arr.ytf[live] * Vf + arr.ytt[live] * Vt) * case.base_mva
+    return PowerFlowSolution(
+        bus_ids=tuple(b.id for b in case.buses),
+        vm=vm,
+        va=va,
+        energized=energized,
+        p_from=sf.real.copy(),
+        q_from=sf.imag.copy(),
+        p_to=st.real.copy(),
+        q_to=st.imag.copy(),
+        **verdict,
+    )
 
 
 def solve_islands(
@@ -462,6 +386,7 @@ def solve_islands(
     """
     if partition is None:
         partition = find_islands(case)
+    arr = case.arrays
     nb = len(case.buses)
     vm = np.zeros(nb)
     va = np.zeros(nb)
@@ -483,56 +408,39 @@ def solve_islands(
                 )
             )
             continue
-        if enforce_capability:
-            load_mw = sum(case.bus(b).load_p for b in isl.buses)
-            cap_mva = sum(
-                g.mva_base
-                for b in isl.buses
-                for g in case.machines_at(b)
-                if not g.is_condenser
-            )
-            if load_mw > cap_mva:
-                records.append(
-                    IslandSolve(
-                        buses=isl.buses,
-                        slack_bus=isl.slack_bus,
-                        converged=False,
-                        iterations=0,
-                        max_mismatch=np.inf,
-                        cause="generation_deficit",
-                    )
-                )
-                all_ok = False
-                worst = np.inf
-                continue
         sub = sorted(isl.buses)
+        take = [case.bus_index[b] for b in sub]
+        if enforce_capability and arr.load_p[take].sum() > arr.gen_mva[take].sum():
+            records.append(
+                IslandSolve(
+                    buses=isl.buses,
+                    slack_bus=isl.slack_bus,
+                    converged=False,
+                    iterations=0,
+                    max_mismatch=np.inf,
+                    cause="generation_deficit",
+                )
+            )
+            all_ok = False
+            worst = np.inf
+            continue
         sol = solve_newton(case, options, bus_subset=sub, slack_override=isl.slack_bus)
         rec = replace(sol.islands[0], buses=isl.buses)
         records.append(rec)
         all_ok &= sol.converged
         iters = max(iters, sol.iterations)
         worst = max(worst, sol.max_mismatch) if np.isfinite(sol.max_mismatch) else np.inf
-        for bid in sub:
-            j = case.bus_index[bid]
-            vm[j] = sol.vm[j]
-            va[j] = sol.va[j]
-            energized[j] = True
+        vm[take] = sol.vm[take]
+        va[take] = sol.va[take]
+        energized[take] = True
     servable = [r for r in records if r.cause != "dead_island"]
     if not servable:
         all_ok = False
-    pf, qf, pt, qt = _branch_flows(case, vm, va, energized)
-    merged = PowerFlowSolution(
+    merged = _solution(
+        case, vm, va, energized,
         converged=all_ok,
         iterations=iters,
         max_mismatch=worst if servable else np.inf,
-        bus_ids=tuple(b.id for b in case.buses),
-        vm=vm,
-        va=va,
-        energized=energized,
-        p_from=pf,
-        q_from=qf,
-        p_to=pt,
-        q_to=qt,
         cause=None if all_ok else "island_divergence" if servable else "dead_system",
         islands=tuple(records),
     )
@@ -557,47 +465,22 @@ def check_violations(
     """
     if not solution.converged:
         raise ValueError("violations are only defined for a converged solution")
+    vm, on = solution.vm, solution.energized
+    low = on & (vm < v_min)
+    high = on & (vm > v_max)
     out: list[Violation] = []
-    for j, bid in enumerate(solution.bus_ids):
-        if not solution.energized[j]:
-            continue
-        v = float(solution.vm[j])
-        if v < v_min:
-            out.append(Violation("undervoltage", str(bid), v, v_min))
-        elif v > v_max:
-            out.append(Violation("overvoltage", str(bid), v, v_max))
-    flagged = []
-    for k, br in enumerate(case.branches):
-        if not br.status or br.rating <= 0:
-            continue
-        s = max(
-            float(np.hypot(solution.p_from[k], solution.q_from[k])),
-            float(np.hypot(solution.p_to[k], solution.q_to[k])),
-        )
-        if s > max_loading * br.rating:
-            flagged.append((br.endpoints, Violation(
-                "branch_overload", f"{br.from_bus}-{br.to_bus}", s, br.rating
-            )))
-    flagged.sort(key=lambda p: p[0])
-    out.extend(v for _, v in flagged)
+    for j in np.flatnonzero(low | high):
+        kind, limit = ("undervoltage", v_min) if low[j] else ("overvoltage", v_max)
+        out.append(Violation(kind, str(solution.bus_ids[j]), float(vm[j]), limit))
+    arr = case.arrays
+    s = np.maximum(
+        np.hypot(solution.p_from, solution.q_from),
+        np.hypot(solution.p_to, solution.q_to),
+    )
+    over = arr.status & (arr.rating > 0) & (s > max_loading * arr.rating)
+    for k in sorted(np.flatnonzero(over), key=lambda k: case.branches[k].endpoints):
+        br = case.branches[k]
+        out.append(Violation(
+            "branch_overload", f"{br.from_bus}-{br.to_bus}", float(s[k]), br.rating
+        ))
     return out
-
-
-def bus_table_csv(solution: PowerFlowSolution) -> str:
-    """Bus results as CSV text: bus, v_pu, angle_deg."""
-    lines = ["bus,v_pu,angle_deg"]
-    for j, bid in enumerate(solution.bus_ids):
-        lines.append(
-            f"{bid},{solution.vm[j]:.6f},{np.degrees(solution.va[j]):.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def flow_table_csv(case: GridCase, solution: PowerFlowSolution) -> str:
-    """Branch results as CSV text: from, to, p_mw, q_mvar (sending end)."""
-    lines = ["from,to,p_mw,q_mvar"]
-    for k, br in enumerate(case.branches):
-        lines.append(
-            f"{br.from_bus},{br.to_bus},{solution.p_from[k]:.4f},{solution.q_from[k]:.4f}"
-        )
-    return "\n".join(lines) + "\n"

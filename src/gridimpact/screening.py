@@ -45,13 +45,14 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker processes for screening sweeps (GRIDIMPACT_WORKERS, default 1)."""
+    """Worker processes for screening sweeps (GRIDIMPACT_WORKERS, default 1),
+    at most ``os.cpu_count()``."""
     raw = os.environ.get("GRIDIMPACT_WORKERS", "1")
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -275,13 +276,17 @@ def run_screening(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     options = options or PowerFlowOptions()
-    nworkers = worker_count() if workers is None else max(1, workers)
+    nworkers = (
+        worker_count() if workers is None else max(1, min(workers, os.cpu_count() or 1))
+    )
     n_universe = len(case.substations) if subset is None else len(subset)
 
     total_enumerable = sum(
         count_combinations(n_universe, k) for k in range(1, k_max + 1)
     )
-    critical_seen: list[OutageCombination] = []
+    # solved critical combinations -> their results, in discovery order;
+    # pruning takes the first one a combination contains
+    critical: dict[OutageCombination, ScreeningResult] = {}
     levels: list[PriorityList] = []
     evaluations = 0
     pruned_count = 0
@@ -294,15 +299,11 @@ def run_screening(
         results: list[ScreeningResult] = []
         to_solve: list[OutageCombination] = []
         pruned_here: list[tuple[OutageCombination, OutageCombination]] = []
-        ancestors = {c: frozenset(c.substations) for c in critical_seen}
         for combo in enumerate_combinations(case, k, subset):
             hit = None
             if prune:
                 cset = set(combo.substations)
-                for anc, aset in ancestors.items():
-                    if aset <= cset:
-                        hit = anc
-                        break
+                hit = next((a for a in critical if cset.issuperset(a.substations)), None)
             if hit is not None:
                 pruned_here.append((combo, hit))
             else:
@@ -327,7 +328,7 @@ def run_screening(
         results.extend(solved)
 
         for combo, anc in pruned_here:
-            anc_result = _ancestor_result(levels, anc)
+            anc_result = critical[anc]
             results.append(
                 ScreeningResult(
                     combination=combo,
@@ -342,9 +343,7 @@ def run_screening(
         pruned_count += len(pruned_here)
         classified += len(solved) + len(pruned_here)
 
-        for r in results:
-            if r.verdict == "critical" and r.critical_by is None:
-                critical_seen.append(r.combination)
+        critical.update((r.combination, r) for r in solved if r.verdict == "critical")
         levels.append(PriorityList.ranked(k, results))
 
     coverage = classified / total_enumerable if total_enumerable else 1.0
@@ -355,15 +354,6 @@ def run_screening(
         budget=budget,
         coverage=coverage,
     )
-
-
-def _ancestor_result(levels: list[PriorityList], anc: OutageCombination) -> ScreeningResult:
-    for pl in levels:
-        if pl.level == anc.level:
-            for r in pl.results:
-                if r.combination == anc:
-                    return r
-    raise KeyError(f"ancestor {anc} not found in earlier levels")
 
 
 def screening_report_csv(run: ScreeningRun) -> str:

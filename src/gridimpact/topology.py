@@ -16,6 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
 from .model import Branch, GridCase, SubstationId
 
 __all__ = [
@@ -25,7 +29,6 @@ __all__ = [
     "apply_substation_outage",
     "apply_branch_outages",
     "find_islands",
-    "classify_islands",
 ]
 
 
@@ -176,37 +179,22 @@ def find_islands(case: GridCase) -> IslandPartition:
     Connectivity is taken over in-service branches only; a bus with no
     in-service incident branch forms a singleton island. Islands are
     ordered by their smallest member bus id. Classification flags and
-    per-island slack assignment are filled in (see
-    :func:`classify_islands` for the rules).
+    per-island slacks are filled in by :func:`_classify_islands`.
     """
-    adjacency: dict[int, list[int]] = {b.id: [] for b in case.buses}
-    for br in case.branches:
-        if not br.status:
-            continue
-        adjacency[br.from_bus].append(br.to_bus)
-        adjacency[br.to_bus].append(br.from_bus)
-
-    unvisited = set(adjacency)
-    groups: list[set[int]] = []
-    while unvisited:
-        root = min(unvisited)
-        stack = [root]
-        unvisited.discard(root)
-        comp = {root}
-        while stack:
-            node = stack.pop()
-            for nb in adjacency[node]:
-                if nb in unvisited:
-                    unvisited.discard(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        groups.append(comp)
-
-    groups.sort(key=min)
-    return classify_islands(groups, case)
+    arr = case.arrays
+    n = len(case.buses)
+    on = arr.status
+    graph = sp.csr_matrix(
+        (np.ones(int(on.sum())), (arr.f[on], arr.t[on])), shape=(n, n)
+    )
+    _, labels = connected_components(graph, directed=False)
+    groups: dict[int, set[int]] = {}
+    for bus, label in zip(case.buses, labels):
+        groups.setdefault(label, set()).add(bus.id)
+    return _classify_islands(sorted(groups.values(), key=min), case)
 
 
-def classify_islands(groups: Sequence[set[int]], case: GridCase) -> IslandPartition:
+def _classify_islands(groups: Sequence[set[int]], case: GridCase) -> IslandPartition:
     """Label bus groups with viability flags and per-island slacks.
 
     An island is servable when it contains at least one generator

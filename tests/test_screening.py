@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from gridimpact.screening import (
     run_screening,
     screen_combination,
     screening_report_csv,
+    worker_count,
 )
 
 from toys import two_bus_case
@@ -262,6 +264,13 @@ class TestRunScreening:
         assert run.level(1).level == 1
         with pytest.raises(KeyError):
             run.level(3)
+
+    def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
+        # worker_count() only: a pool is never started at this value
+        monkeypatch.setenv("GRIDIMPACT_WORKERS", "100000")
+        assert worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setenv("GRIDIMPACT_WORKERS", "0")
+        assert worker_count() == 1
 
     def test_worker_count_does_not_change_results(self, case118):
         serial = run_screening(case118, k_max=1, subset=SUB_UNIVERSE, workers=1)

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Bus",
@@ -159,6 +160,9 @@ class CaseArrays:
     Per branch: from/to bus positions and the pi-model entries ``yff``,
     ``yft``, ``ytf``, ``ytt`` (tap on the from side, charging split
     evenly), rating and status. A zero-impedance branch has NaN entries.
+
+    ``ybus``, the admittance matrix over the in-service branches, is
+    built on first use and then shared by every solve of the case.
     """
 
     load_p: np.ndarray
@@ -181,6 +185,51 @@ class CaseArrays:
     ytt: np.ndarray
     rating: np.ndarray
     status: np.ndarray
+
+    def admittance(self, on: np.ndarray) -> sp.csr_matrix:
+        """The nodal admittance matrix over the branches where ``on``
+        holds (an incidence sum of the pi entries)."""
+        n = self.load_p.size
+        f, t = self.f[on], self.t[on]
+        # interleaved from/to ends, branch by branch: the diagonal sums in
+        # branch order, as the element-wise stamp would
+        ends = np.column_stack([f, t]).ravel()
+        diag = np.zeros(n, dtype=complex)
+        np.add.at(diag, ends, np.column_stack([self.yff[on], self.ytt[on]]).ravel())
+        off = np.column_stack([self.yft[on], self.ytf[on]]).ravel()
+        cols = np.column_stack([t, f]).ravel()
+        at = np.arange(n)
+        # one coo -> csr pass sums the parallel circuits; sums of exactly
+        # zero are dropped, so only nonzero admittances are stored
+        Y = sp.csr_matrix(
+            (np.concatenate([off, diag]),
+             (np.concatenate([ends, at]), np.concatenate([cols, at]))),
+            shape=(n, n),
+        )
+        Y.eliminate_zeros()
+        return Y
+
+    @cached_property
+    def ybus(self) -> sp.csr_matrix:
+        """``admittance`` over the in-service branches; read-only."""
+        return self.admittance(self.status)
+
+    def restrict(self, keep_bus: np.ndarray, keep_branch: np.ndarray) -> "CaseArrays":
+        """These arrays over the kept buses and branches (boolean masks),
+        branch ends renumbered: what compiling the case that holds only
+        those buses, their machines and those branches gives."""
+        position = np.cumsum(keep_bus) - 1
+        return CaseArrays(
+            **{name: getattr(self, name)[keep_bus] for name in _BUS_FIELDS},
+            **{name: getattr(self, name)[keep_branch] for name in _BRANCH_FIELDS},
+            f=position[self.f[keep_branch]],
+            t=position[self.t[keep_branch]],
+        )
+
+
+_BUS_FIELDS = ("load_p", "load_q", "gen_p", "gen_q", "q_min", "q_max", "v_set",
+               "has_machine", "gen_mva", "vm", "va", "kind")
+_BRANCH_FIELDS = ("yff", "yft", "ytf", "ytt", "rating", "status")
 
 
 @dataclass(frozen=True)

@@ -59,17 +59,7 @@ def build_admittance(
     if zero.size:
         br = case.branches[zero[0]]
         raise ValueError(f"branch {br.from_bus}-{br.to_bus}: zero impedance in service")
-    n = len(case.buses)
-    f, t = arr.f[on], arr.t[on]
-    # interleaved from/to ends, branch by branch: the diagonal sums in
-    # branch order, as the element-wise stamp would
-    ends = np.column_stack([f, t]).ravel()
-    diag = np.zeros(n, dtype=complex)
-    np.add.at(diag, ends, np.column_stack([arr.yff[on], arr.ytt[on]]).ravel())
-    off = np.column_stack([arr.yft[on], arr.ytf[on]]).ravel()
-    cols = np.column_stack([t, f]).ravel()
-    Y = sp.coo_matrix((off, (ends, cols)), shape=(n, n), dtype=complex).tocsr()
-    Y = Y + sp.diags(diag, format="csr", dtype=complex)
+    Y = arr.ybus.copy() if in_service is None else arr.admittance(on)
     return AdmittanceMatrix(bus_ids=tuple(b.id for b in case.buses), matrix=Y)
 
 
@@ -134,15 +124,101 @@ class PowerFlowSolution:
         return float(self.va[self.bus_ids.index(bus_id)])
 
 
-def _dSbus_dV(Y: sp.csr_matrix, V: np.ndarray):
-    """Partial derivatives of the injections wrt angle and magnitude."""
-    Ibus = Y @ V
-    diagV = sp.diags(V).tocsr()
-    diagI = sp.diags(Ibus).tocsr()
-    diagVnorm = sp.diags(V / np.abs(V)).tocsr()
-    dS_dVa = 1j * diagV @ (diagI - Y @ diagV).conjugate()
-    dS_dVm = diagV @ (Y @ diagVnorm).conjugate() + diagI.conjugate() @ diagVnorm
-    return dS_dVa.tocsr(), dS_dVm.tocsr()
+class _Jacobian:
+    """The Newton Jacobian of one network, on a fixed sparsity pattern.
+
+    The pattern is the admittance matrix's, in canonical CSR form with
+    every diagonal entry stored. ``split`` maps it onto the four blocks of
+    the Jacobian for one PV/PQ split; ``fill`` computes the values of
+    dS/dVa and dS/dVm over Y's nonzeros with the scalar expressions of
+    MATPOWER's ``dSbus_dV`` and gathers them into the Jacobian's data.
+    """
+
+    def __init__(self, Y: sp.csr_matrix):
+        n = Y.shape[0]
+        coo = Y.tocoo()
+        diag = np.arange(n)
+        # coo -> csr sums the duplicates and keeps the explicit zeros
+        self.Y = sp.csr_matrix(
+            (np.concatenate([coo.data, np.zeros(n)]),
+             (np.concatenate([coo.row, diag]), np.concatenate([coo.col, diag]))),
+            shape=(n, n),
+        )
+        self.rows = np.repeat(diag, np.diff(self.Y.indptr))
+        self.cols = self.Y.indices
+        self.diag = np.flatnonzero(self.rows == self.cols)  # in row order
+        self.J: sp.csc_matrix | None = None  # set by split
+
+    def split(self, pvpq: np.ndarray, pq: np.ndarray) -> None:
+        """Index the Jacobian's entries for this PV/PQ split.
+
+        Blocks, in the order of ``fill``'s values: Re dS/dVa over
+        (pvpq, pvpq), Re dS/dVm over (pvpq, pq), Im dS/dVa over
+        (pq, pvpq), Im dS/dVm over (pq, pq).
+        """
+        n, nnz, npvpq = self.diag.size, self.cols.size, pvpq.size
+        at_pvpq = np.full(n, -1)
+        at_pvpq[pvpq] = np.arange(npvpq)
+        at_pq = np.full(n, -1)
+        at_pq[pq] = np.arange(pq.size)
+        source, rows, cols = [], [], []
+        blocks = ((at_pvpq, 0, at_pvpq, 0), (at_pvpq, 0, at_pq, npvpq),
+                  (at_pq, npvpq, at_pvpq, 0), (at_pq, npvpq, at_pq, npvpq))
+        for b, (row_at, row0, col_at, col0) in enumerate(blocks):
+            r, c = row_at[self.rows], col_at[self.cols]
+            k = np.flatnonzero((r >= 0) & (c >= 0))
+            source.append(b * nnz + k)
+            rows.append(r[k] + row0)
+            cols.append(c[k] + col0)
+        source, rows, cols = (np.concatenate(a) for a in (source, rows, cols))
+        order = np.lexsort((rows, cols))
+        size = npvpq + pq.size
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
+        self.source = source[order]
+        self.J = sp.csc_matrix(
+            (np.zeros(order.size), rows[order], indptr), shape=(size, size)
+        )
+
+    def fill(self, V: np.ndarray, Ibus: np.ndarray) -> sp.csc_matrix:
+        """The Jacobian at voltages ``V``, with ``Ibus = Y V``."""
+        y, d = self.Y.data, self.diag
+        Vn = V / np.abs(V)
+        Vr = V[self.rows]
+        yv = y * V[self.cols]
+        dVa = (1j * Vr) * np.conj(-yv)
+        dVa[d] = (1j * V) * np.conj(Ibus - yv[d])
+        dVm = Vr * np.conj(y * Vn[self.cols])
+        dVm[d] += np.conj(Ibus) * Vn
+        values = np.concatenate([dVa.real, dVm.real, dVa.imag, dVm.imag])
+        np.take(values, self.source, out=self.J.data)
+        return self.J
+
+
+def _q_limit_pass(qg, vm, vset, qmin, qmax, is_pv, q_mode, switch_count) -> bool:
+    """Latch/unlatch reactive limits in place; True when anything changed.
+
+    A free PV bus whose machine output ``qg`` (MVAr) leaves its limits
+    latches there (``q_mode`` +1 at ``qmax``, -1 at ``qmin``); then a
+    latched bus whose voltage has crossed its setpoint in the releasing
+    direction returns to PV at the setpoint. A bus switches at most three
+    times.
+    """
+    free = is_pv & (q_mode == 0) & (switch_count < 3)
+    up = free & (qg > qmax + 1e-7)
+    down = free & ~up & (qg < qmin - 1e-7)
+    q_mode[up] = 1
+    q_mode[down] = -1
+    switch_count[up | down] += 1
+    # taken after the latching above, so a bus latched in this pass is
+    # already a candidate for release
+    latched = is_pv & (q_mode != 0) & (switch_count < 3)
+    release = latched & (
+        ((q_mode == 1) & (vm > vset + 1e-7)) | ((q_mode == -1) & (vm < vset - 1e-7))
+    )
+    q_mode[release] = 0
+    vm[release] = vset[release]
+    switch_count[release] += 1
+    return bool(up.any() or down.any() or release.any())
 
 
 def solve_newton(
@@ -176,8 +252,9 @@ def solve_newton(
     vset, has_machine = arr.v_set[take], arr.has_machine[take]
     kind = arr.kind[take]
 
-    full = build_admittance(case)
-    Y = full.matrix if bus_subset is None else full.matrix[take][:, take].tocsr()
+    Y = build_admittance(case).matrix
+    if bus_subset is not None:
+        Y = Y[take][:, take]
 
     if slack_override is not None:
         islack = ids.index(slack_override)
@@ -220,68 +297,34 @@ def solve_newton(
     converged = False
     cause: str | None = None
     max_mismatch = np.inf
-
-    def type_masks():
-        pv_mask = is_pv & (q_mode == 0)
-        pq_mask = ~pv_mask
-        pq_mask[islack] = False
-        pv_idx = np.flatnonzero(pv_mask)
-        pq_idx = np.flatnonzero(pq_mask)
-        return pv_idx, pq_idx
-
-    def mismatch(V):
-        S = V * np.conj(Y @ V)
-        q_target = q_spec.copy()
-        at_max = q_mode == 1
-        at_min = q_mode == -1
-        q_target[at_max] = (qmax[at_max] - qd[at_max]) / base
-        q_target[at_min] = (qmin[at_min] - qd[at_min]) / base
-        dP = S.real - p_spec
-        dQ = S.imag - q_target
-        pv_idx, pq_idx = type_masks()
-        F = np.concatenate([dP[np.concatenate([pv_idx, pq_idx])], dQ[pq_idx]])
-        return F, S
-
-    def q_limit_pass(S) -> bool:
-        """Latch/unlatch reactive limits; True when anything changed."""
-        changed = False
-        qg = S.imag * base + qd  # machine reactive output, MVAr
-        pv_now = np.flatnonzero(is_pv & (q_mode == 0))
-        for k in pv_now:
-            if switch_count[k] >= 3:
-                continue
-            if qg[k] > qmax[k] + 1e-7:
-                q_mode[k] = 1
-                switch_count[k] += 1
-                changed = True
-            elif qg[k] < qmin[k] - 1e-7:
-                q_mode[k] = -1
-                switch_count[k] += 1
-                changed = True
-        for k in np.flatnonzero(is_pv & (q_mode != 0)):
-            if switch_count[k] >= 3:
-                continue
-            if q_mode[k] == 1 and vm[k] > vset[k] + 1e-7:
-                q_mode[k] = 0
-                vm[k] = vset[k]
-                switch_count[k] += 1
-                changed = True
-            elif q_mode[k] == -1 and vm[k] < vset[k] - 1e-7:
-                q_mode[k] = 0
-                vm[k] = vset[k]
-                switch_count[k] += 1
-                changed = True
-        return changed
+    jac = _Jacobian(Y)
+    Y = jac.Y  # the same values, every diagonal stored
+    split = True  # the PV/PQ split changed since the Jacobian was indexed
 
     while iterations <= options.max_iterations:
+        if split:
+            pv_mask = is_pv & (q_mode == 0)
+            pq_mask = ~pv_mask
+            pq_mask[islack] = False
+            pq_idx = np.flatnonzero(pq_mask)
+            pvpq = np.concatenate([np.flatnonzero(pv_mask), pq_idx])
+            at_max, at_min = q_mode == 1, q_mode == -1
+            q_target = q_spec.copy()
+            q_target[at_max] = (qmax[at_max] - qd[at_max]) / base
+            q_target[at_min] = (qmin[at_min] - qd[at_min]) / base
         V = vm * np.exp(1j * va)
-        F, S = mismatch(V)
+        Ibus = Y @ V
+        S = V * np.conj(Ibus)
+        F = np.concatenate([S.real[pvpq] - p_spec[pvpq], S.imag[pq_idx] - q_target[pq_idx]])
         max_mismatch = float(np.max(np.abs(F))) if F.size else 0.0
         if not np.isfinite(max_mismatch):
             cause = "numerical_overflow"
             break
         if max_mismatch <= options.tolerance:
-            if options.enforce_q_limits and q_limit_pass(S):
+            if options.enforce_q_limits and _q_limit_pass(
+                S.imag * base + qd, vm, vset, qmin, qmax, is_pv, q_mode, switch_count
+            ):
+                split = True
                 continue  # limits moved; resume with new bus types
             converged = True
             break
@@ -289,16 +332,11 @@ def solve_newton(
             cause = "max_iterations"
             break
 
-        pv_idx, pq_idx = type_masks()
-        pvpq = np.concatenate([pv_idx, pq_idx])
-        dS_dVa, dS_dVm = _dSbus_dV(Y, V)
-        J11 = dS_dVa[pvpq][:, pvpq].real
-        J12 = dS_dVm[pvpq][:, pq_idx].real
-        J21 = dS_dVa[pq_idx][:, pvpq].imag
-        J22 = dS_dVm[pq_idx][:, pq_idx].imag
-        J = sp.bmat([[J11, J12], [J21, J22]], format="csc")
+        if split:
+            jac.split(pvpq, pq_idx)
+            split = False
         try:
-            dx = spla.spsolve(J, -F)
+            dx = spla.spsolve(jac.fill(V, Ibus), -F)
         except RuntimeError:
             cause = "singular_jacobian"
             break
@@ -391,6 +429,7 @@ def solve_islands(
     vm = np.zeros(nb)
     va = np.zeros(nb)
     energized = np.zeros(nb, dtype=bool)
+    flows = np.zeros((4, len(case.branches)))
     records: list[IslandSolve] = []
     all_ok = True
     iters = 0
@@ -433,11 +472,21 @@ def solve_islands(
         vm[take] = sol.vm[take]
         va[take] = sol.va[take]
         energized[take] = True
+        # no branch joins two islands: each island's flows are zero on
+        # the branches of the others
+        flows += (sol.p_from, sol.q_from, sol.p_to, sol.q_to)
     servable = [r for r in records if r.cause != "dead_island"]
     if not servable:
         all_ok = False
-    merged = _solution(
-        case, vm, va, energized,
+    merged = PowerFlowSolution(
+        bus_ids=tuple(b.id for b in case.buses),
+        vm=vm,
+        va=va,
+        energized=energized,
+        p_from=flows[0],
+        q_from=flows[1],
+        p_to=flows[2],
+        q_to=flows[3],
         converged=all_ok,
         iterations=iters,
         max_mismatch=worst if servable else np.inf,

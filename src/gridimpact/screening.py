@@ -251,8 +251,17 @@ def screen_combination(case: GridCase, combo: OutageCombination,
     )
 
 
-def _screen_star(args) -> ScreeningResult:
-    case, combo, options = args
+# (case, options) of a pool worker, set once by its initializer
+_worker_job: tuple[GridCase, PowerFlowOptions] | None = None
+
+
+def _init_worker(case: GridCase, options: PowerFlowOptions) -> None:
+    global _worker_job
+    _worker_job = (case, options)
+
+
+def _screen_in_worker(combo: OutageCombination) -> ScreeningResult:
+    case, options = _worker_job
     return screen_combination(case, combo, options)
 
 
@@ -314,11 +323,13 @@ def run_screening(
             exhausted = True
 
         if nworkers > 1 and len(to_solve) > 1:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=nworkers, initializer=_init_worker, initargs=(case, options)
+            ) as pool:
                 solved = list(
                     pool.map(
-                        _screen_star,
-                        ((case, c, options) for c in to_solve),
+                        _screen_in_worker,
+                        to_solve,
                         chunksize=max(1, len(to_solve) // (8 * nworkers)),
                     )
                 )

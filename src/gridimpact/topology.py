@@ -132,23 +132,26 @@ def apply_substation_outage(
         dead_buses |= sub.member_buses
 
     removed: list[Branch] = []
-    kept_branches: list[Branch] = []
-    for br in case.branches:
+    keep_branch = np.ones(len(case.branches), dtype=bool)
+    for k, br in enumerate(case.branches):
         touches = br.from_bus in dead_buses or br.to_bus in dead_buses
         if touches and br.status:
             removed.append(br)
-        elif not touches:
-            kept_branches.append(br)
+        keep_branch[k] = not touches
         # out-of-service branches incident to a dead bus vanish silently:
         # they were already disconnected and their endpoint is gone.
+    keep_bus = np.array([b.id not in dead_buses for b in case.buses], dtype=bool)
 
     reduced = GridCase(
         base_mva=case.base_mva,
-        buses=tuple(b for b in case.buses if b.id not in dead_buses),
-        branches=tuple(kept_branches),
+        buses=tuple(b for b, keep in zip(case.buses, keep_bus) if keep),
+        branches=tuple(br for br, keep in zip(case.branches, keep_branch) if keep),
         generators=tuple(g for g in case.generators if g.bus not in dead_buses),
         substations=tuple(s for s in case.substations if s.id not in set(target_list)),
     )
+    # Every array of the reduced case is a slice of the parent's: fill the
+    # ``arrays`` cache instead of compiling the reduced case again.
+    reduced.__dict__["arrays"] = case.arrays.restrict(keep_bus, keep_branch)
     removed_sorted = sorted(set(removed), key=lambda br: br.endpoints)
     return reduced, removed_sorted, sorted(dead_buses)
 

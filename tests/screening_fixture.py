@@ -11,11 +11,21 @@ Regenerate (only when a change of results is intended) from the
 repository root with:
 
     PYTHONPATH=src python tests/screening_fixture.py
+
+Compare the current code with the committed file, writing nothing, with:
+
+    PYTHONPATH=src python tests/screening_fixture.py --check
+
+It prints the exact matches per field and the largest violation-value
+deviation, and exits 1 when any record differs in a field that must
+match exactly or a violation value deviates by more than 1e-9 (the
+bounds of ``test_compiled.test_screening_matches_frozen_fixture``).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from gridimpact import screening
@@ -60,12 +70,53 @@ def describe(case, combo) -> dict:
     }
 
 
-def main() -> None:
+EXACT = ("verdict", "reason", "island_count", "unserved_mw", "islands", "violations")
+VALUE_BOUND = 1e-9
+
+
+def _exact_part(record: dict, field: str):
+    """What of a field must match exactly: violations in kind and entity."""
+    if field == "violations":
+        return [v[:2] for v in record["violations"]]
+    return record[field]
+
+
+def check(case) -> int:
+    """Compare the current code with the fixture; 1 on any mismatch."""
+    frozen = json.loads(FIXTURE.read_text())
+    combos = fixture_combinations(case)
+    if [r["combination"] for r in frozen] != [list(c.substations) for c in combos]:
+        print("the fixture's combinations differ from fixture_combinations()")
+        return 1
+    matches = dict.fromkeys(EXACT, 0)
+    worst = 0.0
+    for want, combo in zip(frozen, combos):
+        got = describe(case, combo)
+        for field in EXACT:
+            matches[field] += _exact_part(got, field) == _exact_part(want, field)
+        if _exact_part(got, "violations") == _exact_part(want, "violations"):
+            for g, w in zip(got["violations"], want["violations"]):
+                worst = max(worst, abs(g[2] - w[2]))
+    for field in EXACT:
+        print(f"{field}: {matches[field]}/{len(frozen)} exact")
+    print(f"largest violation-value deviation: {worst:.3g} (bound {VALUE_BOUND:g})")
+    failed = any(n != len(frozen) for n in matches.values()) or worst > VALUE_BOUND
+    print("FAIL" if failed else "ok")
+    return int(failed)
+
+
+def main(argv: list[str]) -> int:
     case = load_case(CASE_PATH)
+    if argv == ["--check"]:
+        return check(case)
+    if argv:
+        print(__doc__)
+        return 2
     records = [describe(case, c) for c in fixture_combinations(case)]
     FIXTURE.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     print(f"{len(records)} records -> {FIXTURE}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main(sys.argv[1:]))

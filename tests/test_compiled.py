@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from gridimpact.model import Branch, Bus, Generator, GridCase, load_case
 from gridimpact.powerflow import build_admittance, solve_islands
+from gridimpact.topology import apply_substation_outage
 
 from conftest import CASE_PATH
 from screening_fixture import FIXTURE, describe, fixture_combinations
@@ -85,6 +87,28 @@ def test_arrays_compile_lazily():
     assert "arrays" not in case.__dict__
     assert case.arrays is case.arrays
     assert case.arrays.status.shape == (len(case.branches),)
+
+
+def test_reduced_arrays_equal_a_fresh_compile(case118):
+    """apply_substation_outage slices the parent's arrays; they equal what
+    compiling the reduced case from scratch gives, on every level-1
+    reduction and a seeded sample of level-2 ones."""
+    ids = [s.id for s in case118.substations]
+    rng = random.Random(42)
+    targets = [[i] for i in ids] + [rng.sample(ids, 2) for _ in range(60)]
+    for target in targets:
+        reduced, _, _ = apply_substation_outage(case118, target)
+        fresh = replace(reduced)  # the same case, nothing compiled yet
+        assert "arrays" not in fresh.__dict__
+        for field in dataclasses.fields(reduced.arrays):
+            got = getattr(reduced.arrays, field.name)
+            want = getattr(fresh.arrays, field.name)
+            if field.name == "kind":
+                assert got.tolist() == want.tolist(), target
+            else:
+                assert got.dtype == want.dtype, (target, field.name)
+                assert np.array_equal(got, want, equal_nan=True), (target, field.name)
+        assert reduced.bus_index == fresh.bus_index
 
 
 def test_screening_matches_frozen_fixture(case118):

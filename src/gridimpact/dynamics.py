@@ -6,8 +6,9 @@ the internal EMF, and, for generating units, a first-order droop
 governor. Synchronous condensers swing too but have no turbine, so
 their mechanical power is pinned at zero. Loads are constant impedance,
 folded into the network admittance at the pre-event operating point, so
-the network stays linear and each integration stage costs one sparse
-triangular solve.
+the network stays linear. After every topology change it is factorized
+once and reduced to the machines' internal EMFs (Kundur 1994, ch. 13),
+so each integration stage costs one small dense matrix-vector product.
 
 A scenario is a strictly ordered list of switching events (branch
 openings or whole-substation removals). Parallel circuits switch as one
@@ -63,6 +64,7 @@ __all__ = [
     "DynamicTrace",
     "StabilityVerdict",
     "init_dynamic_state",
+    "initial_state",
     "run_scenario",
     "detect_instability",
     "trace_to_csv",
@@ -431,7 +433,7 @@ def init_dynamic_state(
     # defensive equilibrium check: the construction above should zero
     # every derivative to solver precision
     engine = _Engine(case, models, state, DetectionThresholds())
-    dy = engine.rhs(engine.pack(state.delta, state.omega, state.efd, state.pm))
+    dy = engine.rhs(_state_vector(state))
     worst = float(np.max(np.abs(dy))) if dy.size else 0.0
     if worst > 1e-8:
         raise ValueError(
@@ -440,14 +442,38 @@ def init_dynamic_state(
     return state
 
 
+def initial_state(
+    case: GridCase, models: Sequence[MachineModel]
+) -> DynamicState:
+    """Solve the base-case power flow and initialize the dynamics from it.
+
+    The state depends on the case and the models only, so runs of
+    several schedules on one case can share it.
+    """
+    pf = solve_newton(case, PowerFlowOptions())
+    if not pf.converged:
+        raise ValueError("base-case power flow did not converge")
+    return init_dynamic_state(case, pf, models)
+
+
+def _state_vector(state: DynamicState) -> np.ndarray:
+    """The integrator's state vector [delta, omega, efd, pm]."""
+    return np.concatenate([state.delta, state.omega, state.efd, state.pm])
+
+
 # --- the integration engine --------------------------------------------------
 
 
 class _Engine:
     """Linear-network swing integrator over the current topology.
 
-    Holds the factorized augmented admittance for the active island
-    set; refactorizes only when events change the topology.
+    At every topology change the augmented admittance of the energized
+    network is factorized once and solved for a unit EMF behind each
+    active machine's transient reactance. That reduces the network to
+    the machines (the classical reduced-network form; Kundur 1994,
+    ch. 13): bus voltages are ``W @ E`` and machine terminal voltages
+    ``K @ E`` for the vector E of internal EMF phasors, so an
+    integration stage costs one small dense product.
     """
 
     def __init__(
@@ -473,30 +499,40 @@ class _Engine:
         self.xd_sys = np.array(
             [m.transient_reactance_xd for m in self.models]
         ) * base / s_mach
+        self.y_mach = 1.0 / (1j * self.xd_sys)
         self.M = state.inertia.copy()  # 2 H S / S_sys
         self.D = np.array([m.damping_D for m in self.models]) * s_mach / base
         self.ka = np.array([m.exciter.gain for m in self.models])
         self.te = np.array([m.exciter.time_constant for m in self.models])
-        self.e_min = np.array([m.exciter.e_min for m in self.models])
-        self.e_max = np.array([m.exciter.e_max for m in self.models])
         self.governed = np.array(
             [m.governor is not None for m in self.models], dtype=bool
         )
-        self.r_droop = np.array(
+        r_droop = np.array(
             [m.governor.droop if m.governor else 1.0 for m in self.models]
         )
         self.tg = np.array(
             [m.governor.time_constant if m.governor else 1.0 for m in self.models]
         )
-        self.p_max_sys = np.array(
+        p_max_sys = np.array(
             [
-                (m.governor.p_max * g.mva_base / base) if m.governor else 0.0
+                (m.governor.p_max * g.mva_base / base) if m.governor else np.inf
                 for m, g in zip(self.models, case.generators)
             ]
         )
-        self.s_ratio = s_mach / base
+        self.droop_gain = s_mach / base / r_droop
         self.vref = state.vref
         self.pm_ref = state.pm_ref
+
+        # box of the state vector [delta, omega, efd, pm]: efd within the
+        # regulator limits, pm within 0 .. p_max (no ceiling without a
+        # governor)
+        free = np.full(self.nm, np.inf)
+        self.lo = np.concatenate(
+            [-free, -free, [m.exciter.e_min for m in self.models], np.zeros(self.nm)]
+        )
+        self.hi = np.concatenate(
+            [free, free, [m.exciter.e_max for m in self.models], p_max_sys]
+        )
 
         # constant-impedance loads anchored at the initial operating point
         V0 = state.voltages
@@ -507,16 +543,13 @@ class _Engine:
             if s != 0:
                 self.y_load[j] = np.conj(s) / (abs(V0[j]) ** 2)
 
-        self.is_condenser = np.array(
-            [g.is_condenser for g in case.generators], dtype=bool
-        )
-
         # The regulator lag is stiff against a 10 ms sampling step: its
         # linearized eigenvalue reaches -(1 + gain)/Te when a machine
         # dominates its own terminal voltage. Substep so |lambda| h
         # stays well inside the explicit RK4 stability region.
         lam = np.max((1.0 + self.ka) / self.te) if self.nm else 1.0
         self.h_stable = 2.0 / lam
+        self._k = np.empty((4, 4 * self.nm))  # RK4 stage derivatives
 
         # evolving topology
         self.current_case = case
@@ -536,28 +569,50 @@ class _Engine:
         partition = find_islands(self.current_case)
         self.islands = []
         alive = np.zeros(self.nb, dtype=bool)
+        bus_island = np.full(self.nb, -1, dtype=int)
         for isl in partition.islands:
-            positions = [self.bus_pos[b] for b in isl.buses]
             if isl.servable:
                 key = min(isl.buses)
                 self.islands.append((key, isl.buses))
+                positions = [self.bus_pos[b] for b in isl.buses]
                 alive[positions] = True
+                bus_island[positions] = key
         # buses formerly active that fell into dead islands or dropped
         # out of the case entirely are de-energized now
         present = np.zeros(self.nb, dtype=bool)
         present[[self.bus_pos[b.id] for b in self.current_case.buses]] = True
         self.bus_active &= alive & present
-        for i, m in enumerate(self.models):
-            if not self.bus_active[self.mach_bus_pos[i]]:
-                self.mach_active[i] = False
+        self.mach_active &= self.bus_active[self.mach_bus_pos]
+
+        # island key of each machine (-1 when dropped) and, per island
+        # with machines, its members and their inertias
+        self.mach_island = np.where(
+            self.mach_active, bus_island[self.mach_bus_pos], -1
+        )
+        self.island_members = []
+        for key, _buses in self.islands:
+            members = np.flatnonzero(self.mach_island == key)
+            if members.size:
+                self.island_members.append((key, members, self.M[members]))
+
+        # derivative coefficients, zero for dropped machines
+        act = self.mach_active.astype(float)
+        self.c_delta = self.omega_s * act
+        self.c_omega = act / self.M
+        self.c_efd = act / self.te
+        self.c_pm = (self.governed & self.mach_active) / self.tg
         self._factorize()
         return len(partition)
 
-    def _factorize(self) -> None:
-        # admittance over the full original bus set: a base branch is on
-        # while its endpoint pair is in service in the current case and
-        # both its ends are energized; de-energized buses get a unit
-        # diagonal so the linear system stays regular with V = 0 there
+    def admittance(self):
+        """Augmented admittance over the full original bus set, in CSC.
+
+        A base branch is on while its endpoint pair is in service in the
+        current case and both its ends are energized. The diagonal adds
+        the loads and each active machine's transient reactance;
+        de-energized buses get a unit diagonal so the linear system
+        stays regular with V = 0 there.
+        """
         pairs = {br.endpoints for br in self.current_case.branches if br.status}
         base = self.base_case
         arr = base.arrays
@@ -566,10 +621,25 @@ class _Engine:
         Y = build_admittance(base, on).matrix
         diag = Y.diagonal() + self.y_load
         act = self.mach_active
-        np.add.at(diag, self.mach_bus_pos[act], 1.0 / (1j * self.xd_sys[act]))
+        np.add.at(diag, self.mach_bus_pos[act], self.y_mach[act])
         diag[~self.bus_active] = 1.0
         Y.setdiag(diag)
-        self.lu = spla.splu(Y.tocsc())
+        return Y.tocsc()
+
+    def _factorize(self) -> None:
+        # bus voltages per unit EMF behind each active machine's reactance,
+        # one column at a time: a many-column solve goes through
+        # multithreaded BLAS, whose idle thread then spins on a core
+        lu = spla.splu(self.admittance())
+        W = np.zeros((self.nb, self.nm), dtype=complex)
+        inj = np.zeros(self.nb, dtype=complex)
+        for i in np.flatnonzero(self.mach_active):
+            pos = self.mach_bus_pos[i]
+            inj[pos] = self.y_mach[i]
+            W[:, i] = lu.solve(inj)
+            inj[pos] = 0.0
+        self.K = W[self.mach_bus_pos]
+        self.W_ri = np.vstack([W.real, W.imag])
 
     def apply_event(self, action: OutageAction) -> tuple[bool, str | None]:
         """Apply one switching action; returns (executed, skip cause)."""
@@ -588,65 +658,57 @@ class _Engine:
 
     # -- dynamics ------------------------------------------------------------
 
-    def pack(self, delta, omega, efd, pm) -> np.ndarray:
-        return np.concatenate([delta, omega, efd, pm])
-
-    def unpack(self, y: np.ndarray):
+    def emf(self, y: np.ndarray) -> np.ndarray:
+        """Internal EMF phasors of the state vector y."""
         n = self.nm
-        return y[0:n], y[n : 2 * n], y[2 * n : 3 * n], y[3 * n : 4 * n]
+        return y[2 * n : 3 * n] * np.exp(1j * y[:n])
 
-    def solve_network(self, delta, efd) -> np.ndarray:
-        inj = np.zeros(self.nb, dtype=complex)
-        act = self.mach_active
-        e_ph = efd[act] * np.exp(1j * delta[act])
-        np.add.at(inj, self.mach_bus_pos[act], e_ph / (1j * self.xd_sys[act]))
-        return self.lu.solve(inj)
+    def bus_voltages(self, e_ph: np.ndarray) -> np.ndarray:
+        """Bus voltage phasors W @ e_ph for the machines' EMF phasors e_ph."""
+        # in real arithmetic as one small matrix product: OpenBLAS runs a
+        # complex matrix-vector product of this size on two threads, and
+        # the idle one then spins on a core between samples
+        p = self.W_ri @ np.column_stack([e_ph.real, e_ph.imag])
+        nb = self.nb
+        return (p[:nb, 0] - p[nb:, 1]) + 1j * (p[:nb, 1] + p[nb:, 0])
 
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        delta, omega, efd, pm = self.unpack(y)
-        act = self.mach_active
-        V = self.solve_network(delta, efd)
-        vt = V[self.mach_bus_pos]
-        e_ph = efd * np.exp(1j * delta)
-        i_m = np.where(act, (e_ph - vt) / (1j * self.xd_sys), 0.0)
-        pe = np.real(e_ph * np.conj(i_m))
-        vm = np.abs(vt)
+    def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """dy/dt of the state vector [delta, omega, efd, pm], into out.
 
-        ddelta = np.where(act, self.omega_s * omega, 0.0)
-        domega = np.where(act, (pm - pe - self.D * omega) / self.M, 0.0)
-
-        defd = (self.ka * (self.vref - vm) - efd) / self.te
-        defd = np.where(act, defd, 0.0)
-        # anti-windup at the regulator limits
-        at_top = (efd >= self.e_max) & (defd > 0)
-        at_bot = (efd <= self.e_min) & (defd < 0)
-        defd[at_top | at_bot] = 0.0
-
-        gov = self.governed & act
-        p_cmd = self.pm_ref - (omega / self.r_droop) * self.s_ratio
-        dpm = np.where(gov, (p_cmd - pm) / self.tg, 0.0)
-        at_top = (pm >= self.p_max_sys) & (dpm > 0)
-        at_bot = (pm <= 0.0) & (dpm < 0)
-        dpm[(at_top | at_bot) & gov] = 0.0
-
-        return self.pack(ddelta, domega, defd, dpm)
+        A state at a bound of its box does not move further out.
+        """
+        n = self.nm
+        if out is None:
+            out = np.empty_like(y)
+        omega, efd, pm = y[n : 2 * n], y[2 * n : 3 * n], y[3 * n :]
+        e_ph = self.emf(y)
+        vt = self.K @ e_ph
+        pe = (e_ph * vt.conj()).imag / self.xd_sys  # E Vt sin(delta - theta) / x'd
+        np.multiply(self.c_delta, omega, out=out[:n])
+        np.multiply(pm - pe - self.D * omega, self.c_omega, out=out[n : 2 * n])
+        np.multiply(
+            self.ka * (self.vref - np.abs(vt)) - efd, self.c_efd, out=out[2 * n : 3 * n]
+        )
+        np.multiply(
+            self.pm_ref - omega * self.droop_gain - pm, self.c_pm, out=out[3 * n :]
+        )
+        stuck = ((y >= self.hi) & (out > 0)) | ((y <= self.lo) & (out < 0))
+        out[stuck] = 0.0
+        return out
 
     def rk4_step(self, y: np.ndarray, h: float) -> np.ndarray:
         """Advance one sampling step of size h with stable substeps."""
         m = max(1, math.ceil(h / self.h_stable))
         hs = h / m
+        k1, k2, k3, k4 = self._k
         for _ in range(m):
-            k1 = self.rhs(y)
-            k2 = self.rhs(y + 0.5 * hs * k1)
-            k3 = self.rhs(y + 0.5 * hs * k2)
-            k4 = self.rhs(y + hs * k3)
+            self.rhs(y, k1)
+            self.rhs(y + 0.5 * hs * k1, k2)
+            self.rhs(y + 0.5 * hs * k2, k3)
+            self.rhs(y + hs * k3, k4)
             y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # keep clamped states inside their boxes
-            delta, omega, efd, pm = self.unpack(y)
-            np.clip(efd, self.e_min, self.e_max, out=efd)
-            np.clip(
-                pm, 0.0, np.where(self.governed, self.p_max_sys, np.inf), out=pm
-            )
+            np.clip(y, self.lo, self.hi, out=y)
         return y
 
 
@@ -730,10 +792,7 @@ def run_scenario(
     models = tuple(models) if models is not None else default_machine_models(case)
     options = options or ScenarioOptions()
     if state is None:
-        pf = solve_newton(case, PowerFlowOptions())
-        if not pf.converged:
-            raise ValueError("base-case power flow did not converge")
-        state = init_dynamic_state(case, pf, models)
+        state = initial_state(case, models)
 
     t_end = options.t_end
     if t_end is None:
@@ -758,32 +817,17 @@ def run_scenario(
     freq_samples: dict[int, dict[int, float]] = {}
     events_log: list[EventRecord] = []
 
-    y = engine.pack(state.delta, state.omega, state.efd, state.pm)
+    y = _state_vector(state)
     pending = list(schedule.events)
     halted = False
 
-    mach_buses = state.machine_buses
-
-    def machine_islands() -> np.ndarray:
-        out = np.full(nm, -1, dtype=int)
-        for key, buses in engine.islands:
-            for i in range(nm):
-                if engine.mach_active[i] and mach_buses[i] in buses:
-                    out[i] = key
-        return out
-
     def record_sample(t: float) -> str | None:
-        delta, omega, efd, _pm = engine.unpack(y)
-        V = engine.solve_network(delta, efd)
+        delta, omega = y[:nm], y[nm : 2 * nm]
+        V = engine.bus_voltages(engine.emf(y))
         vmag = np.where(engine.bus_active, np.abs(V), 0.0)
         ang = np.full(nm, np.nan)
-        isl_of = machine_islands()
         fired = None
-        for key, buses in engine.islands:
-            members = np.where((isl_of == key) & engine.mach_active)[0]
-            if members.size == 0:
-                continue
-            w = engine.M[members]
+        for key, members, w in engine.island_members:
             coi = float(np.dot(w, delta[members]) / w.sum())
             rel = np.degrees(delta[members] - coi)
             ang[members] = rel
@@ -796,7 +840,7 @@ def run_scenario(
             fired = fired or v
         times.append(t)
         angles.append(ang)
-        mach_isl.append(isl_of)
+        mach_isl.append(engine.mach_island)
         volts.append(vmag)
         return fired
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -23,12 +24,14 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dynamics import (
+    DynamicState,
     DynamicTrace,
     MachineModel,
     ScenarioOptions,
     StabilityVerdict,
     SwitchingSchedule,
     default_machine_models,
+    initial_state,
     run_scenario,
     trace_to_csv,
 )
@@ -258,16 +261,28 @@ class PermutationPlan:
     def orders(
         self, pairs: Sequence[tuple[int, int]]
     ) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The orderings to run, canonical first.
+
+        Raises ValueError, before yielding anything, when an exhaustive
+        plan would run more than ``cap`` orderings.
+        """
         canonical = tuple(sorted(pairs))
         strategy = self.resolve(len(canonical))
         if strategy == "single_canonical":
-            yield canonical
-            return
+            return iter((canonical,))
         if strategy == "exhaustive":
-            import itertools
+            n_orders = math.factorial(len(canonical))
+            if n_orders > self.cap:
+                raise ValueError(
+                    f"exhaustive plan over {len(canonical)} branches would run "
+                    f"{len(canonical)}! = {n_orders} orderings, above cap={self.cap}"
+                )
+            return itertools.permutations(canonical)
+        return self._sampled(canonical)
 
-            yield from itertools.permutations(canonical)
-            return
+    def _sampled(
+        self, canonical: tuple[tuple[int, int], ...]
+    ) -> Iterator[tuple[tuple[int, int], ...]]:
         # distinct uniform sample, canonical order always included first
         rng = random.Random(self.seed)
         seen = {canonical}
@@ -344,13 +359,26 @@ def cascade_confirm(
     pairs = combination_branch_set(case, combination)
     if not pairs:
         raise ValueError(f"combination {combination} touches no in-service branch")
+    orders = plan.orders(pairs)
+
+    # every ordering starts from the same base state; when it cannot be
+    # built, every ordering records that failure
+    try:
+        state, base_error = initial_state(case, models), None
+    except Exception as exc:
+        state, base_error = None, str(exc)
 
     runs: list[CascadeRun] = []
-    for order in plan.orders(pairs):
+    for order in orders:
+        if base_error is not None:
+            runs.append(
+                CascadeRun(order=order, status="error", overall=None, detail=base_error)
+            )
+            continue
         actions = [OutageAction.open_branch(a, b) for a, b in order]
         schedule = SwitchingSchedule.evenly_spaced(actions, interval=plan.interval)
         try:
-            trace, verdict = run_scenario(case, schedule, models, options)
+            trace, verdict = run_scenario(case, schedule, models, options, state)
         except Exception as exc:  # isolate failures per ordering
             runs.append(
                 CascadeRun(order=order, status="error", overall=None, detail=str(exc))
@@ -426,11 +454,15 @@ def re_evaluate(
     pairs = combination_branch_set(case, combination)
     actions = [OutageAction.open_branch(a, b) for a, b in pairs]
     adjustments: list[str] = []
+    state: DynamicState | None = None  # built by the first dynamic rung
 
     def dynamics_overall(run_dt: float, run_interval: float) -> str:
+        nonlocal state
+        if state is None:
+            state = initial_state(case, models)
         schedule = SwitchingSchedule.evenly_spaced(actions, interval=run_interval)
         _, verdict = run_scenario(
-            case, schedule, models, ScenarioOptions(dt=run_dt)
+            case, schedule, models, ScenarioOptions(dt=run_dt), state
         )
         return verdict.overall
 

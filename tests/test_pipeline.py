@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridimpact import dynamics, pipeline
 from gridimpact.dynamics import ScenarioOptions, StabilityVerdict, SwitchingSchedule, run_scenario
 from gridimpact.pipeline import (
     CrossCheckRecord,
@@ -194,6 +195,13 @@ class TestPermutationPlan:
         assert orders[0] == ((1, 2), (3, 4), (5, 9))  # canonical first
         assert all(sorted(o) == sorted(pairs) for o in orders)
 
+    def test_exhaustive_refused_above_cap(self):
+        pairs = [(i, i + 1) for i in range(1, 9)]
+        with pytest.raises(ValueError, match=r"8! = 40320 orderings, above cap=5040"):
+            PermutationPlan(strategy="exhaustive").orders(pairs)
+        assert len(list(PermutationPlan(strategy="exhaustive", cap=40320).orders(pairs))) \
+            == 40320
+
     def test_single_canonical(self):
         plan = PermutationPlan(strategy="single_canonical")
         orders = list(plan.orders([(9, 12), (1, 4)]))
@@ -253,6 +261,39 @@ class TestCascadeConfirm:
         assert outcomes == {"islanded_mixed": 4, "stable": 2}
         assert summary.fraction_unstable == pytest.approx(4 / 6)
         assert not summary.permutation_invariant
+
+    def test_base_state_built_once_for_all_orderings(self, monkeypatch):
+        """Six orderings share one base power flow and reach the verdicts
+        each ordering reached when it solved its own."""
+        solves = []
+        solve = dynamics.solve_newton
+        monkeypatch.setattr(dynamics, "solve_newton",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        summary = cascade_confirm(two_machine_case(), OutageCombination((1, 3)))
+        assert len(solves) == 1
+        assert [(r.order, r.overall) for r in summary.runs] == [
+            (((1, 2), (1, 3), (2, 3)), "islanded_mixed"),
+            (((1, 2), (2, 3), (1, 3)), "islanded_mixed"),
+            (((1, 3), (1, 2), (2, 3)), "islanded_mixed"),
+            (((1, 3), (2, 3), (1, 2)), "stable"),
+            (((2, 3), (1, 2), (1, 3)), "islanded_mixed"),
+            (((2, 3), (1, 3), (1, 2)), "stable"),
+        ]
+        assert [r.time_of_first_violation for r in summary.runs] == pytest.approx(
+            [7.93, 8.87, 7.93, None, 8.86, None], abs=1e-9
+        )
+
+    def test_failed_base_state_fails_every_ordering(self, monkeypatch):
+        def no_base(case, models):
+            raise ValueError("base-case power flow did not converge")
+
+        monkeypatch.setattr(pipeline, "initial_state", no_base)
+        summary = cascade_confirm(two_machine_case(), OutageCombination((1, 3)))
+        assert len(summary.runs) == 6
+        assert {(r.status, r.detail) for r in summary.runs} == {
+            ("error", "base-case power flow did not converge")
+        }
+        assert summary.fraction_unstable is None
 
     def test_order_invariant_set_reports_invariant(self):
         case = two_machine_case()
@@ -335,6 +376,22 @@ class TestReEvaluate:
             "half_dt -> islanded_mixed",
             "interval_15s -> islanded_mixed",
         )
+
+    def test_dynamic_rungs_share_one_base_state(self, case118, monkeypatch):
+        """Both dynamic rungs run from one base power flow; a pair that
+        the re-screen reconciles solves none."""
+        solves = []
+        solve = dynamics.solve_newton
+        monkeypatch.setattr(dynamics, "solve_newton",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        rec = re_evaluate(two_machine_case(), OutageCombination((1, 3)),
+                          "non_critical", "islanded_mixed")
+        assert len(rec.adjustments) == 3
+        assert len(solves) == 1
+        rec = re_evaluate(case118, OutageCombination((100,)), "non_critical",
+                          "islanded_mixed")
+        assert rec.adjustments == ("flat_start_tol_1e-08 -> critical",)
+        assert len(solves) == 1
 
     def test_csv_rendering(self, case118, models118):
         rec = re_evaluate(

@@ -24,15 +24,12 @@ instability verdict and the remaining events are marked skipped.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .model import GridCase
 from .powerflow import (
@@ -627,10 +624,12 @@ class _Engine:
         return Y.tocsc()
 
     def _factorize(self) -> None:
+        from scipy.sparse.linalg import splu
+
         # bus voltages per unit EMF behind each active machine's reactance,
         # one column at a time: a many-column solve goes through
         # multithreaded BLAS, whose idle thread then spins on a core
-        lu = spla.splu(self.admittance())
+        lu = splu(self.admittance())
         W = np.zeros((self.nb, self.nm), dtype=complex)
         inj = np.zeros(self.nb, dtype=complex)
         for i in np.flatnonzero(self.mach_active):
@@ -948,8 +947,6 @@ def trace_to_csv(trace: DynamicTrace, decimate: int = 1) -> str:
     """
     if decimate < 1:
         raise ValueError("decimate must be >= 1")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     keys = sorted(trace.island_freq)
     header = (
         ["time"]
@@ -957,15 +954,9 @@ def trace_to_csv(trace: DynamicTrace, decimate: int = 1) -> str:
         + [f"freq_{k}" for k in keys]
         + [f"v_{b}" for b in trace.bus_ids]
     )
-    w.writerow(header)
-    for si in range(0, trace.times.shape[0], decimate):
-        row = [f"{trace.times[si]:.4f}"]
-        row += [_fmt(x) for x in trace.angles_deg[si]]
-        row += [_fmt(trace.island_freq[k][si]) for k in keys]
-        row += [_fmt(x) for x in trace.voltages[si]]
-        w.writerow(row)
-    return buf.getvalue()
-
-
-def _fmt(x: float) -> str:
-    return "nan" if np.isnan(x) else f"{x:.6f}"
+    columns = [trace.times, trace.angles_deg,
+               *(trace.island_freq[k] for k in keys), trace.voltages]
+    table = np.column_stack([c[::decimate] for c in columns])
+    # '%.6f' prints any NaN as 'nan' and -0.0 as '-0.000000'
+    row = "%.4f" + ",%.6f" * (len(header) - 1) + "\n"
+    return ",".join(header) + "\n" + "".join(row % tuple(r.tolist()) for r in table)

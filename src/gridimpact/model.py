@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Bus",
@@ -189,6 +191,8 @@ class CaseArrays:
     def admittance(self, on: np.ndarray) -> sp.csr_matrix:
         """The nodal admittance matrix over the branches where ``on``
         holds (an incidence sum of the pi entries)."""
+        import scipy.sparse as sp
+
         n = self.load_p.size
         f, t = self.f[on], self.t[on]
         # interleaved from/to ends, branch by branch: the diagonal sums in

@@ -14,14 +14,15 @@ topology layer) and de-energizes dead islands.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import GridCase
 from .topology import IslandPartition, find_islands
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "AdmittanceMatrix",
@@ -135,6 +136,8 @@ class _Jacobian:
     """
 
     def __init__(self, Y: sp.csr_matrix):
+        import scipy.sparse as sp
+
         n = Y.shape[0]
         coo = Y.tocoo()
         diag = np.arange(n)
@@ -156,6 +159,8 @@ class _Jacobian:
         (pvpq, pvpq), Re dS/dVm over (pvpq, pq), Im dS/dVa over
         (pq, pvpq), Im dS/dVm over (pq, pq).
         """
+        import scipy.sparse as sp
+
         n, nnz, npvpq = self.diag.size, self.cols.size, pvpq.size
         at_pvpq = np.full(n, -1)
         at_pvpq[pvpq] = np.arange(npvpq)
@@ -241,6 +246,8 @@ def solve_newton(
         slack_override: Use this bus as the angle/balance reference
             instead of the case slack (island solves).
     """
+    from scipy.sparse.linalg import spsolve
+
     arr = case.arrays
     ids = [b.id for b in case.buses] if bus_subset is None else list(bus_subset)
     take = np.array([case.bus_index[b] for b in ids], dtype=int)
@@ -336,7 +343,7 @@ def solve_newton(
             jac.split(pvpq, pq_idx)
             split = False
         try:
-            dx = spla.spsolve(jac.fill(V, Ibus), -F)
+            dx = spsolve(jac.fill(V, Ibus), -F)
         except RuntimeError:
             cause = "singular_jacobian"
             break

@@ -22,7 +22,6 @@ import io
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -323,6 +322,13 @@ def run_screening(
             exhausted = True
 
         if nworkers > 1 and len(to_solve) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # forked workers inherit the solver's scipy modules: import
+            # them here once instead of in every worker
+            import scipy.sparse.csgraph  # noqa: F401
+            import scipy.sparse.linalg  # noqa: F401
+
             with ProcessPoolExecutor(
                 max_workers=nworkers, initializer=_init_worker, initargs=(case, options)
             ) as pool:

@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .model import Branch, GridCase, SubstationId
 
@@ -184,6 +182,9 @@ def find_islands(case: GridCase) -> IslandPartition:
     ordered by their smallest member bus id. Classification flags and
     per-island slacks are filled in by :func:`_classify_islands`.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     arr = case.arrays
     n = len(case.buses)
     on = arr.status

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,6 +325,19 @@ class TestTraceCsv:
         assert ang4 == "nan"
         assert last[-1] == "0.000000"
 
+    @pytest.mark.parametrize("decimate", [1, 3, 10])
+    def test_matches_per_cell_formatting(self, decimate):
+        # island 2 forms at t = 1 s, so freq_2 is NaN before it; -0.0, a
+        # value that rounds to -0.000000 and a negative NaN are planted
+        trace, _ = run_scenario(
+            two_machine_case(), split_schedule(), options=ScenarioOptions(t_end=2.0)
+        )
+        assert np.isnan(trace.island_freq[2][0])
+        voltages = trace.voltages.copy()
+        voltages[0, 0], voltages[3, 1], voltages[6, 2] = -0.0, -4e-7, -np.nan
+        trace = dataclasses.replace(trace, voltages=voltages)
+        assert trace_to_csv(trace, decimate) == _per_cell_csv(trace, decimate)
+
     def test_bad_decimation_rejected(self):
         case = two_machine_case()
         trace, _ = run_scenario(
@@ -328,6 +345,30 @@ class TestTraceCsv:
         )
         with pytest.raises(ValueError):
             trace_to_csv(trace, decimate=0)
+
+
+def _per_cell_csv(trace, decimate):
+    """The reference: every cell formatted on its own."""
+
+    def fmt(x):
+        return "nan" if np.isnan(x) else f"{x:.6f}"
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    keys = sorted(trace.island_freq)
+    w.writerow(
+        ["time"]
+        + [f"ang_{b}" for b in trace.machine_buses]
+        + [f"freq_{k}" for k in keys]
+        + [f"v_{b}" for b in trace.bus_ids]
+    )
+    for si in range(0, trace.times.shape[0], decimate):
+        row = [f"{trace.times[si]:.4f}"]
+        row += [fmt(x) for x in trace.angles_deg[si]]
+        row += [fmt(trace.island_freq[k][si]) for k in keys]
+        row += [fmt(x) for x in trace.voltages[si]]
+        w.writerow(row)
+    return buf.getvalue()
 
 
 class TestNetworkScale:

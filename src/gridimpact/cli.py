@@ -28,6 +28,17 @@ from .screening import run_screening, screening_report_csv
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridimpact",
@@ -54,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--t-end", type=float, default=None,
                        help="simulation horizon (default: last event + 10 s)")
     p_sim.add_argument("--trace", default=None, help="write the trace CSV here")
-    p_sim.add_argument("--decimate", type=int, default=1,
+    p_sim.add_argument("--decimate", type=_positive_int, default=1,
                        help="keep every n-th sample in the trace CSV")
 
     p_pipe = sub.add_parser("pipeline", help="screen, verify, cross-check")

@@ -190,27 +190,38 @@ class CaseArrays:
 
     def admittance(self, on: np.ndarray) -> sp.csr_matrix:
         """The nodal admittance matrix over the branches where ``on``
-        holds (an incidence sum of the pi entries)."""
+        holds (an incidence sum of the pi entries), in canonical CSR form
+        with only nonzero admittances stored."""
         import scipy.sparse as sp
 
         n = self.load_p.size
         f, t = self.f[on], self.t[on]
-        # interleaved from/to ends, branch by branch: the diagonal sums in
-        # branch order, as the element-wise stamp would
+        # interleaved from/to ends, branch by branch: each diagonal sums its
+        # stamps in branch order, as the element-wise stamp would
         ends = np.column_stack([f, t]).ravel()
-        diag = np.zeros(n, dtype=complex)
-        np.add.at(diag, ends, np.column_stack([self.yff[on], self.ytt[on]]).ravel())
-        off = np.column_stack([self.yft[on], self.ytf[on]]).ravel()
-        cols = np.column_stack([t, f]).ravel()
+        stamp = np.column_stack([self.yff[on], self.ytt[on]]).ravel()
+        diag = np.empty(n, dtype=complex)
+        diag.real = np.bincount(ends, stamp.real, n)
+        diag.imag = np.bincount(ends, stamp.imag, n)
         at = np.arange(n)
-        # one coo -> csr pass sums the parallel circuits; sums of exactly
-        # zero are dropped, so only nonzero admittances are stored
-        Y = sp.csr_matrix(
-            (np.concatenate([off, diag]),
-             (np.concatenate([ends, at]), np.concatenate([cols, at]))),
-            shape=(n, n),
-        )
-        Y.eliminate_zeros()
+        key = np.concatenate([ends * n + np.column_stack([t, f]).ravel(), at * (n + 1)])
+        value = np.concatenate([np.column_stack([self.yft[on], self.ytf[on]]).ravel(), diag])
+        # a stable sort keeps the stamps of one entry in branch order, and
+        # they are summed left to right, as a coo -> csr pass sums parallel
+        # circuits; sums of exactly zero are dropped
+        order = np.argsort(key, kind="stable")
+        key, value = key[order], value[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        data = value[first]
+        np.add.at(data, np.cumsum(first)[~first] - 1, value[~first])
+        key = key[first]
+        stored = data != 0
+        data, key = data[stored], key[stored]
+        indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        Y = sp.csr_matrix((data, (key % n).astype(np.intc), indptr), shape=(n, n))
+        Y.has_canonical_format = True
         return Y
 
     @cached_property

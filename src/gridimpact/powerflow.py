@@ -13,6 +13,7 @@ topology layer) and de-energizes dead islands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -56,12 +57,16 @@ def build_admittance(
     """
     arr = case.arrays
     on = arr.status if in_service is None else np.asarray(in_service, dtype=bool)
-    zero = np.flatnonzero(on & np.isnan(arr.yft))
+    _reject_zero_impedance(case, on)
+    Y = arr.ybus.copy() if in_service is None else arr.admittance(on)
+    return AdmittanceMatrix(bus_ids=tuple(b.id for b in case.buses), matrix=Y)
+
+
+def _reject_zero_impedance(case: GridCase, on: np.ndarray) -> None:
+    zero = np.flatnonzero(on & np.isnan(case.arrays.yft))
     if zero.size:
         br = case.branches[zero[0]]
         raise ValueError(f"branch {br.from_bus}-{br.to_bus}: zero impedance in service")
-    Y = arr.ybus.copy() if in_service is None else arr.admittance(on)
-    return AdmittanceMatrix(bus_ids=tuple(b.id for b in case.buses), matrix=Y)
 
 
 @dataclass(frozen=True)
@@ -132,71 +137,124 @@ class _Jacobian:
     every diagonal entry stored. ``split`` maps it onto the four blocks of
     the Jacobian for one PV/PQ split; ``fill`` computes the values of
     dS/dVa and dS/dVm over Y's nonzeros with the scalar expressions of
-    MATPOWER's ``dSbus_dV`` and gathers them into the Jacobian's data.
+    MATPOWER's ``dSbus_dV`` and gathers them into the Jacobian's data;
+    ``solve`` orders the split's pattern once and reuses that order.
     """
 
     def __init__(self, Y: sp.csr_matrix):
-        import scipy.sparse as sp
-
         n = Y.shape[0]
-        coo = Y.tocoo()
-        diag = np.arange(n)
-        # coo -> csr sums the duplicates and keeps the explicit zeros
-        self.Y = sp.csr_matrix(
-            (np.concatenate([coo.data, np.zeros(n)]),
-             (np.concatenate([coo.row, diag]), np.concatenate([coo.col, diag]))),
-            shape=(n, n),
-        )
-        self.rows = np.repeat(diag, np.diff(self.Y.indptr))
-        self.cols = self.Y.indices
-        self.diag = np.flatnonzero(self.rows == self.cols)  # in row order
+        rows = np.repeat(np.arange(n, dtype=Y.indices.dtype), np.diff(Y.indptr))
+        diag = np.flatnonzero(rows == Y.indices)
+        if diag.size != n or not Y.has_canonical_format:
+            import scipy.sparse as sp
+
+            coo = Y.tocoo()
+            at = np.arange(n)
+            # coo -> csr sums the duplicates and keeps the explicit zeros
+            Y = sp.csr_matrix(
+                (np.concatenate([coo.data, np.zeros(n)]),
+                 (np.concatenate([coo.row, at]), np.concatenate([coo.col, at]))),
+                shape=(n, n),
+            )
+            rows = np.repeat(at, np.diff(Y.indptr))
+            diag = np.flatnonzero(rows == Y.indices)
+        self.Y = Y
+        self.rows = rows
+        self.cols = Y.indices
+        self.diag = diag  # in row order
+        # The four blocks' candidate entries: row and column in the bus
+        # space of [angles; magnitudes], and the slot of their value in
+        # fill's interleaved (real, imaginary) dS/dVa then dS/dVm.
+        cols = self.cols
+        self.rows4 = np.concatenate([rows, rows, rows + n, rows + n])
+        self.cols4 = np.concatenate([cols, cols + n, cols, cols + n])
+        k = 2 * np.arange(rows.size)
+        self.slot = np.concatenate([k, k + 2 * rows.size, k + 1, k + 2 * rows.size + 1])
         self.J: sp.csc_matrix | None = None  # set by split
+        # the split's order (new label of each row and column) and its
+        # inverse, set by its first solve
+        self.perm: np.ndarray | None = None
+        self.inv: np.ndarray | None = None
 
     def split(self, pvpq: np.ndarray, pq: np.ndarray) -> None:
         """Index the Jacobian's entries for this PV/PQ split.
 
-        Blocks, in the order of ``fill``'s values: Re dS/dVa over
-        (pvpq, pvpq), Re dS/dVm over (pvpq, pq), Im dS/dVa over
-        (pq, pvpq), Im dS/dVm over (pq, pq).
+        Blocks: Re dS/dVa over (pvpq, pvpq), Re dS/dVm over (pvpq, pq),
+        Im dS/dVa over (pq, pvpq), Im dS/dVm over (pq, pq). ``source``
+        indexes ``fill``'s values, the real and imaginary parts of dS/dVa
+        and then dS/dVm, interleaved.
         """
         import scipy.sparse as sp
 
-        n, nnz, npvpq = self.diag.size, self.cols.size, pvpq.size
-        at_pvpq = np.full(n, -1)
-        at_pvpq[pvpq] = np.arange(npvpq)
-        at_pq = np.full(n, -1)
-        at_pq[pq] = np.arange(pq.size)
-        source, rows, cols = [], [], []
-        blocks = ((at_pvpq, 0, at_pvpq, 0), (at_pvpq, 0, at_pq, npvpq),
-                  (at_pq, npvpq, at_pvpq, 0), (at_pq, npvpq, at_pq, npvpq))
-        for b, (row_at, row0, col_at, col0) in enumerate(blocks):
-            r, c = row_at[self.rows], col_at[self.cols]
-            k = np.flatnonzero((r >= 0) & (c >= 0))
-            source.append(b * nnz + k)
-            rows.append(r[k] + row0)
-            cols.append(c[k] + col0)
-        source, rows, cols = (np.concatenate(a) for a in (source, rows, cols))
-        order = np.lexsort((rows, cols))
+        n, npvpq = self.diag.size, pvpq.size
         size = npvpq + pq.size
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
-        self.source = source[order]
+        # each bus's Jacobian row/column in the angle, then magnitude half
+        at = np.full(2 * n, -1)
+        at[pvpq] = np.arange(npvpq)
+        at[n + pq] = np.arange(npvpq, size)
+        rows, cols = at[self.rows4], at[self.cols4]
+        entry = np.flatnonzero((rows >= 0) & (cols >= 0))
+        rows, cols = rows[entry], cols[entry]
+        # the keys are unique, so any sort gives column-major order
+        order = np.argsort(cols * size + rows)
+        self.source = self.slot[entry[order]]
+        indptr = np.zeros(size + 1, dtype=np.intc)
+        np.cumsum(np.bincount(cols, minlength=size), out=indptr[1:])
         self.J = sp.csc_matrix(
-            (np.zeros(order.size), rows[order], indptr), shape=(size, size)
+            (np.zeros(order.size), rows[order].astype(np.intc), indptr), shape=(size, size)
         )
+        self.J.has_canonical_format = True
+        self.perm = None
 
     def fill(self, V: np.ndarray, Ibus: np.ndarray) -> sp.csc_matrix:
         """The Jacobian at voltages ``V``, with ``Ibus = Y V``."""
-        y, d = self.Y.data, self.diag
+        y, d, nnz = self.Y.data, self.diag, self.cols.size
+        dS = np.empty(2 * nnz, dtype=complex)
+        dVa, dVm = dS[:nnz], dS[nnz:]
         Vn = V / np.abs(V)
         Vr = V[self.rows]
         yv = y * V[self.cols]
-        dVa = (1j * Vr) * np.conj(-yv)
+        np.multiply(1j * Vr, np.conj(-yv), out=dVa)
         dVa[d] = (1j * V) * np.conj(Ibus - yv[d])
-        dVm = Vr * np.conj(y * Vn[self.cols])
+        np.multiply(Vr, np.conj(y * Vn[self.cols]), out=dVm)
         dVm[d] += np.conj(Ibus) * Vn
-        values = np.concatenate([dVa.real, dVm.real, dVa.imag, dVm.imag])
-        np.take(values, self.source, out=self.J.data)
+        np.take(dS.view(float), self.source, out=self.J.data)
         return self.J
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``J^-1 rhs`` for the Jacobian last filled.
+
+        The split's first solve factorizes with COLAMD, ``spsolve``'s
+        default order, and then renumbers J's rows and columns alike into
+        that order, keeping each column's entries in their stored order.
+        SuperLU then sees the same matrix under the same labels, diagonal
+        pivot preference included, so the split's later solves skip the
+        ordering (``NATURAL``) and give the same result bit for bit.
+        Raises ``RuntimeError`` when the first solve meets an exactly
+        singular J; later ones return NaN.
+        """
+        from scipy.sparse.linalg import splu, spsolve
+
+        perm = self.perm
+        if perm is not None:
+            return spsolve(self.J, rhs[self.inv], permc_spec="NATURAL")[perm]
+        lu = splu(self.J)
+        dx = lu.solve(rhs)
+        # column j of the ordered J is column inv[j] of this one: an O(nnz)
+        # gather of whole columns, each relabelled but not re-sorted (the
+        # flag keeps spsolve from sorting them)
+        J, perm = self.J, lu.perm_c
+        inv = np.argsort(perm)
+        start = J.indptr[inv]
+        count = J.indptr[inv + 1] - start
+        indptr = np.zeros_like(J.indptr)
+        np.cumsum(count, out=indptr[1:])
+        gather = np.repeat(start - indptr[:-1], count) + np.arange(indptr[-1])
+        J.indices, J.indptr = perm[J.indices[gather]].astype(np.intc), indptr
+        J.has_canonical_format = True
+        self.source = self.source[gather]
+        self.perm, self.inv = perm, inv
+        return dx
 
 
 def _q_limit_pass(qg, vm, vset, qmin, qmax, is_pv, q_mode, switch_count) -> bool:
@@ -246,11 +304,14 @@ def solve_newton(
         slack_override: Use this bus as the angle/balance reference
             instead of the case slack (island solves).
     """
-    from scipy.sparse.linalg import spsolve
-
     arr = case.arrays
-    ids = [b.id for b in case.buses] if bus_subset is None else list(bus_subset)
-    take = np.array([case.bus_index[b] for b in ids], dtype=int)
+    _reject_zero_impedance(case, arr.status)
+    if bus_subset is None:
+        ids = list(case.bus_index)
+        take = np.arange(len(ids))
+    else:
+        ids = list(bus_subset)
+        take = np.fromiter(map(case.bus_index.__getitem__, ids), dtype=int, count=len(ids))
     n = len(ids)
     base = case.base_mva
     pd, qd = arr.load_p[take], arr.load_q[take]
@@ -259,8 +320,8 @@ def solve_newton(
     vset, has_machine = arr.v_set[take], arr.has_machine[take]
     kind = arr.kind[take]
 
-    Y = build_admittance(case).matrix
-    if bus_subset is not None:
+    Y = arr.ybus
+    if not np.array_equal(take, np.arange(arr.load_p.size)):
         Y = Y[take][:, take]
 
     if slack_override is not None:
@@ -282,11 +343,10 @@ def solve_newton(
     # all angles at the slack's stored angle so the reference matches.
     va_slack = arr.va[take[islack]]
     if options.flat_start:
-        vm = np.ones(n)
-        va = np.full(n, va_slack)
+        x = np.concatenate([np.full(n, va_slack), np.ones(n)])
     else:
-        vm = arr.vm[take]
-        va = arr.va[take]
+        x = np.concatenate([arr.va[take], arr.vm[take]])
+    va, vm = x[:n], x[n:]  # views: the unknowns update x in place
     vm[is_pv] = vset[is_pv]
     if has_machine[islack]:
         vm[islack] = vset[islack]
@@ -319,12 +379,17 @@ def solve_newton(
             q_target = q_spec.copy()
             q_target[at_max] = (qmax[at_max] - qd[at_max]) / base
             q_target[at_min] = (qmin[at_min] - qd[at_min]) / base
+            # the unknowns' positions in x, and their mismatches' in the
+            # interleaved (P, Q) of S
+            unknown = np.concatenate([pvpq, n + pq_idx])
+            at_pq = np.concatenate([2 * pvpq, 2 * pq_idx + 1])
+            spec = np.concatenate([p_spec[pvpq], q_target[pq_idx]])
         V = vm * np.exp(1j * va)
         Ibus = Y @ V
         S = V * np.conj(Ibus)
-        F = np.concatenate([S.real[pvpq] - p_spec[pvpq], S.imag[pq_idx] - q_target[pq_idx]])
+        F = S.view(float)[at_pq] - spec
         max_mismatch = float(np.max(np.abs(F))) if F.size else 0.0
-        if not np.isfinite(max_mismatch):
+        if not math.isfinite(max_mismatch):
             cause = "numerical_overflow"
             break
         if max_mismatch <= options.tolerance:
@@ -342,17 +407,16 @@ def solve_newton(
         if split:
             jac.split(pvpq, pq_idx)
             split = False
+        jac.fill(V, Ibus)
         try:
-            dx = spsolve(jac.fill(V, Ibus), -F)
+            dx = jac.solve(-F)
         except RuntimeError:
             cause = "singular_jacobian"
             break
         if not np.all(np.isfinite(dx)):
             cause = "singular_jacobian"
             break
-        npv = pvpq.size
-        va[pvpq] += dx[:npv]
-        vm[pq_idx] += dx[npv:]
+        x[unknown] += dx
         iterations += 1
 
     vm_out = np.zeros(len(case.buses))
@@ -399,7 +463,7 @@ def _solution(case: GridCase, vm, va, energized, **verdict) -> PowerFlowSolution
     sf[live] = Vf * np.conj(arr.yff[live] * Vf + arr.yft[live] * Vt) * case.base_mva
     st[live] = Vt * np.conj(arr.ytf[live] * Vf + arr.ytt[live] * Vt) * case.base_mva
     return PowerFlowSolution(
-        bus_ids=tuple(b.id for b in case.buses),
+        bus_ids=tuple(case.bus_index),
         vm=vm,
         va=va,
         energized=energized,
@@ -486,7 +550,7 @@ def solve_islands(
     if not servable:
         all_ok = False
     merged = PowerFlowSolution(
-        bus_ids=tuple(b.id for b in case.buses),
+        bus_ids=tuple(case.bus_index),
         vm=vm,
         va=va,
         energized=energized,

@@ -292,9 +292,10 @@ def run_screening(
     total_enumerable = sum(
         count_combinations(n_universe, k) for k in range(1, k_max + 1)
     )
-    # solved critical combinations -> their results, in discovery order;
-    # pruning takes the first one a combination contains
-    critical: dict[OutageCombination, ScreeningResult] = {}
+    # solved critical combinations (their substations) -> (discovery
+    # rank, result); pruning takes the first-discovered one a combination
+    # contains
+    critical: dict[tuple, tuple[int, ScreeningResult]] = {}
     levels: list[PriorityList] = []
     evaluations = 0
     pruned_count = 0
@@ -306,12 +307,9 @@ def run_screening(
             break
         results: list[ScreeningResult] = []
         to_solve: list[OutageCombination] = []
-        pruned_here: list[tuple[OutageCombination, OutageCombination]] = []
+        pruned_here: list[tuple[OutageCombination, tuple]] = []
         for combo in enumerate_combinations(case, k, subset):
-            hit = None
-            if prune:
-                cset = set(combo.substations)
-                hit = next((a for a in critical if cset.issuperset(a.substations)), None)
+            hit = _critical_ancestor(combo.substations, critical) if prune else None
             if hit is not None:
                 pruned_here.append((combo, hit))
             else:
@@ -345,7 +343,7 @@ def run_screening(
         results.extend(solved)
 
         for combo, anc in pruned_here:
-            anc_result = critical[anc]
+            anc_result = critical[anc][1]
             results.append(
                 ScreeningResult(
                     combination=combo,
@@ -354,13 +352,15 @@ def run_screening(
                     violations=(),
                     island_count=anc_result.island_count,
                     unserved_mw=anc_result.unserved_mw,
-                    critical_by=anc,
+                    critical_by=anc_result.combination,
                 )
             )
         pruned_count += len(pruned_here)
         classified += len(solved) + len(pruned_here)
 
-        critical.update((r.combination, r) for r in solved if r.verdict == "critical")
+        for r in solved:
+            if r.verdict == "critical":
+                critical[r.combination.substations] = (len(critical), r)
         levels.append(PriorityList.ranked(k, results))
 
     coverage = classified / total_enumerable if total_enumerable else 1.0
@@ -371,6 +371,18 @@ def run_screening(
         budget=budget,
         coverage=coverage,
     )
+
+
+def _critical_ancestor(subs: tuple, critical: dict[tuple, tuple[int, ScreeningResult]]):
+    """The first-discovered key of ``critical`` that is a proper subset of
+    ``subs`` (a sorted tuple), or None: at most 2^k - 2 lookups."""
+    best = None
+    for size in range(1, len(subs)):
+        for part in itertools.combinations(subs, size):
+            found = critical.get(part)
+            if found is not None and (best is None or found[0] < critical[best][0]):
+                best = part
+    return best
 
 
 def screening_report_csv(run: ScreeningRun) -> str:

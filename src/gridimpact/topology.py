@@ -14,6 +14,7 @@ objects, so they are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,23 +130,20 @@ def apply_substation_outage(
             raise ValueError(f"unknown substation id {sid!r}")
         dead_buses |= sub.member_buses
 
-    removed: list[Branch] = []
-    keep_branch = np.ones(len(case.branches), dtype=bool)
-    for k, br in enumerate(case.branches):
-        touches = br.from_bus in dead_buses or br.to_bus in dead_buses
-        if touches and br.status:
-            removed.append(br)
-        keep_branch[k] = not touches
-        # out-of-service branches incident to a dead bus vanish silently:
-        # they were already disconnected and their endpoint is gone.
-    keep_bus = np.array([b.id not in dead_buses for b in case.buses], dtype=bool)
-
+    arr = case.arrays
+    keep_bus = np.fromiter((b.id not in dead_buses for b in case.buses), dtype=bool,
+                           count=len(case.buses))
+    # out-of-service branches incident to a dead bus vanish silently: they
+    # were already disconnected and their endpoint is gone
+    keep_branch = keep_bus[arr.f] & keep_bus[arr.t]
+    removed = [case.branches[k] for k in np.flatnonzero(~keep_branch & arr.status)]
+    gone = set(target_list)
     reduced = GridCase(
         base_mva=case.base_mva,
-        buses=tuple(b for b, keep in zip(case.buses, keep_bus) if keep),
-        branches=tuple(br for br, keep in zip(case.branches, keep_branch) if keep),
+        buses=tuple(compress(case.buses, keep_bus)),
+        branches=tuple(compress(case.branches, keep_branch)),
         generators=tuple(g for g in case.generators if g.bus not in dead_buses),
-        substations=tuple(s for s in case.substations if s.id not in set(target_list)),
+        substations=tuple(s for s in case.substations if s.id not in gone),
     )
     # Every array of the reduced case is a slice of the parent's: fill the
     # ``arrays`` cache instead of compiling the reduced case again.
@@ -177,29 +175,11 @@ def apply_branch_outages(
 def find_islands(case: GridCase) -> IslandPartition:
     """Partition in-service buses into connected components.
 
-    Connectivity is taken over in-service branches only; a bus with no
-    in-service incident branch forms a singleton island. Islands are
-    ordered by their smallest member bus id. Classification flags and
-    per-island slacks are filled in by :func:`_classify_islands`.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    arr = case.arrays
-    n = len(case.buses)
-    on = arr.status
-    graph = sp.csr_matrix(
-        (np.ones(int(on.sum())), (arr.f[on], arr.t[on])), shape=(n, n)
-    )
-    _, labels = connected_components(graph, directed=False)
-    groups: dict[int, set[int]] = {}
-    for bus, label in zip(case.buses, labels):
-        groups.setdefault(label, set()).add(bus.id)
-    return _classify_islands(sorted(groups.values(), key=min), case)
-
-
-def _classify_islands(groups: Sequence[set[int]], case: GridCase) -> IslandPartition:
-    """Label bus groups with viability flags and per-island slacks.
+    Connectivity is taken over in-service branches only, read off the
+    pattern of the case's admittance matrix (``case.arrays.ybus``, which
+    the power flow then reuses); a bus with no in-service incident branch
+    forms a singleton island. Islands are ordered by their smallest member
+    bus id.
 
     An island is servable when it contains at least one generator
     (condensers do not count as generation). The island slack is the
@@ -207,26 +187,46 @@ def _classify_islands(groups: Sequence[set[int]], case: GridCase) -> IslandParti
     largest-output generator, ties broken by lowest bus id. Dead islands
     get no slack.
     """
-    slack_ids = {b.id for b in case.buses if b.kind == "slack"}
-    islands: list[Island] = []
-    for comp in groups:
-        gens = [g for g in case.generators if g.bus in comp and not g.is_condenser]
-        has_load = any(case.bus(b).has_load for b in comp)
-        slack: int | None = None
-        if gens:
-            in_island_slack = slack_ids & comp
-            if in_island_slack:
-                slack = min(in_island_slack)
-            else:
-                slack = min(
-                    (g for g in gens), key=lambda g: (-g.p_output, g.bus)
-                ).bus
-        islands.append(
-            Island(
-                buses=frozenset(comp),
-                has_generation=bool(gens),
-                has_load=has_load,
-                slack_bus=slack,
-            )
-        )
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    arr = case.arrays
+    Y = arr.ybus
+    n = Y.shape[0]
+    # The pattern only: csgraph would cast the complex values to real, and
+    # an r = 0 branch has a purely imaginary admittance. The pattern is
+    # symmetric (yft and ytf are both -y/a), so its strong components are
+    # the islands, found without the transpose an undirected search builds.
+    pattern = sp.csr_matrix((np.ones(Y.indices.size), Y.indices, Y.indptr), shape=(n, n))
+    count, labels = connected_components(pattern, directed=True, connection="strong")
+
+    index = case.bus_index
+    ids = np.fromiter(index, dtype=int, count=n)
+    best: dict[int, float] = {}  # bus position -> its largest generating unit
+    for g in case.generators:
+        k = index.get(g.bus)
+        if k is not None and not g.is_condenser:
+            best[k] = max(best.get(k, g.p_output), g.p_output)
+    generating = np.zeros(n, dtype=bool)
+    generating[list(best)] = True
+    # the slack candidates sort first: a slack bus, else the largest unit
+    rank = np.full(n, np.inf)
+    rank[list(best)] = [-p for p in best.values()]
+    rank[arr.kind == "slack"] = -np.inf
+    has_load = arr.load_p != 0.0
+
+    islands = []
+    for label in range(count):
+        at = np.flatnonzero(labels == label)
+        members = ids[at]
+        servable = bool(generating[at].any())
+        # the best-ranked bus, lowest id on ties
+        slack = int(members[np.lexsort((members, rank[at]))[0]]) if servable else None
+        islands.append(Island(
+            buses=frozenset(members.tolist()),
+            has_generation=servable,
+            has_load=bool(has_load[at].any()),
+            slack_bus=slack,
+        ))
+    islands.sort(key=lambda isl: min(isl.buses))
     return IslandPartition(islands=tuple(islands))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gridimpact import cli
 from gridimpact.cli import main
 from gridimpact.model import dumps_case
 
@@ -68,6 +69,24 @@ class TestSimulate:
         assert "t=1s open_branch 1-2: executed" in out
         header = trace_csv.read_text().splitlines()[0]
         assert header.startswith("time,ang_1,ang_2")
+
+
+    @pytest.mark.parametrize("decimate", ["0", "-3", "two"])
+    def test_bad_decimate_rejected_before_the_run(self, decimate, toy_case_file,
+                                                  tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(cli, "load_case", must_not_run)
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        scenario = tmp_path / "split.txt"
+        scenario.write_text("1.0 open_branch 1 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", toy_case_file, str(scenario),
+                  "--trace", str(tmp_path / "trace.csv"), "--decimate", decimate])
+        assert exc.value.code == 2
+        assert "--decimate" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestPipelineAndReport:

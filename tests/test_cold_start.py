@@ -70,3 +70,27 @@ print(json.dumps({"pooled": screening.screening_report_csv(pooled),
     assert out["pooled"] == out["serial"]
     assert out["pooled"].count("\n") == 1 + 8
     assert out["linalg_in_parent"]
+
+
+def test_package_import_is_lazy():
+    """Importing the package and loading a case loads neither the pipeline,
+    screening nor aging module; every public name still resolves on use."""
+    out = run_fresh("""
+import gridimpact
+case = gridimpact.load_case(CASE)
+gridimpact.default_machine_models(case)
+loaded = sorted(m for m in sys.modules if m.startswith("gridimpact."))
+listed = set(dir(gridimpact))
+from gridimpact import run_pipeline, run_screening, loss_of_life
+from gridimpact.pipeline import run_pipeline as in_pipeline
+print(json.dumps({
+    "loaded": loaded,
+    "listed": sorted(set(gridimpact.__all__) - listed),
+    "resolved": all(hasattr(gridimpact, name) for name in gridimpact.__all__),
+    "same": run_pipeline is in_pipeline,
+}))
+""")
+    for module in ("pipeline", "screening", "aging"):
+        assert f"gridimpact.{module}" not in out["loaded"]
+    assert out["listed"] == []
+    assert out["resolved"] and out["same"]

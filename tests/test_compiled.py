@@ -8,6 +8,7 @@ import random
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -80,6 +81,51 @@ def test_branch_mask_equals_opened_branches(seed, case118):
     ))
     masked = build_admittance(case118, mask).matrix
     assert (masked != build_admittance(opened).matrix).nnz == 0
+
+
+def reference_admittance(arr, on) -> sp.csr_matrix:
+    """The coo -> csr incidence sum that preceded the sorted-key one."""
+    n = arr.load_p.size
+    f, t = arr.f[on], arr.t[on]
+    ends = np.column_stack([f, t]).ravel()
+    diag = np.zeros(n, dtype=complex)
+    np.add.at(diag, ends, np.column_stack([arr.yff[on], arr.ytt[on]]).ravel())
+    off = np.column_stack([arr.yft[on], arr.ytf[on]]).ravel()
+    cols = np.column_stack([t, f]).ravel()
+    at = np.arange(n)
+    Y = sp.csr_matrix(
+        (np.concatenate([off, diag]), (np.concatenate([ends, at]), np.concatenate([cols, at]))),
+        shape=(n, n),
+    )
+    Y.eliminate_zeros()
+    return Y
+
+
+def assert_same_matrix(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    """Same pattern and the same bits in every stored value."""
+    assert got.has_canonical_format and want.has_canonical_format
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def test_admittance_equals_the_coo_sum(case118):
+    """Every level-1 and a seeded sample of level-2 reductions, all branches
+    and a random branch mask each."""
+    ids = [s.id for s in case118.substations]
+    rng = random.Random(7)
+    targets = [[i] for i in ids] + [rng.sample(ids, 2) for _ in range(60)]
+    for target in targets:
+        arr = apply_substation_outage(case118, target)[0].arrays
+        mask = arr.status & np.array([rng.random() > 0.1 for _ in arr.status], dtype=bool)
+        for on in (arr.status, mask):
+            assert_same_matrix(arr.admittance(on), reference_admittance(arr, on))
+
+
+@given(seed=st.integers(0, 10_000))
+def test_admittance_equals_the_coo_sum_with_parallel_circuits(seed):
+    arr = network_case(random.Random(seed)).arrays
+    assert_same_matrix(arr.admittance(arr.status), reference_admittance(arr, arr.status))
 
 
 def test_arrays_compile_lazily():

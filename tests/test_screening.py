@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from gridimpact.screening import (
     screening_report_csv,
     worker_count,
 )
+from gridimpact.screening import _critical_ancestor
 
 from toys import two_bus_case
 
@@ -287,3 +289,64 @@ class TestReportCsv:
         assert len(lines) == 1 + 10
         # critical rows rank first; substation 100 tops this universe
         assert lines[1].startswith("1,100,critical,diverged,2,")
+
+
+class TestAncestorLookup:
+    """Containment pruning probes the proper subsets of a combination; the
+    linear scan it replaced is kept here as the reference."""
+
+    @staticmethod
+    def reference_scan(subs: tuple, discovered: list[tuple]):
+        cset = set(subs)
+        return next((a for a in discovered if cset.issuperset(a)), None)
+
+    @staticmethod
+    def check(combos, discovered: list[tuple]) -> int:
+        """As in a sweep, a level-k combination meets only the criticals
+        of the levels below it."""
+        hits = 0
+        for subs in combos:
+            below = [a for a in discovered if len(a) < len(subs)]
+            critical = {a: (rank, None) for rank, a in enumerate(below)}
+            want = TestAncestorLookup.reference_scan(subs, below)
+            assert _critical_ancestor(subs, critical) == want, subs
+            hits += want is not None
+        return hits
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_level_2_of_the_118_bus_case(self, case118, seed):
+        """Every pair of the 118 substations against random critical
+        singletons in random discovery order."""
+        rng = random.Random(seed)
+        ids = [s.id for s in case118.substations]
+        discovered = [(s,) for s in rng.sample(ids, rng.randint(1, 30))]
+        pairs = list(itertools.combinations(sorted(ids), 2))
+        assert len(pairs) == 6903
+        assert self.check(pairs, discovered) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_level_3_and_4_against_mixed_ancestors(self, case118, seed):
+        """Random triples and quadruples against critical singletons, pairs
+        and triples, discovered in random order (so a later, smaller
+        ancestor must not win over an earlier, larger one)."""
+        rng = random.Random(100 + seed)
+        ids = sorted(s.id for s in case118.substations)
+        universe = rng.sample(ids, 14)
+        discovered = {tuple(sorted(rng.sample(universe, rng.randint(1, 3))))
+                      for _ in range(40)}
+        discovered = rng.sample(sorted(discovered), len(discovered))
+        combos = [c for k in (3, 4) for c in itertools.combinations(sorted(universe), k)]
+        assert self.check(combos, discovered) > 0
+
+    def test_probes_at_most_2_to_the_k_minus_2(self):
+        probes = []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                probes.append(key)
+                return super().get(key, default)
+
+        for k in range(1, 6):
+            probes.clear()
+            assert _critical_ancestor(tuple(range(k)), Counting()) is None
+            assert len(probes) == 2 ** k - 2

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import random
+import warnings
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridimpact.model import Branch, Bus, Generator, GridCase, Substation
 from gridimpact.topology import (
+    Island,
+    IslandPartition,
     OutageAction,
     apply_branch_outages,
     apply_substation_outage,
@@ -147,6 +153,89 @@ class TestFindIslands:
         assert got == brute_force_components(case)
         # partition property: disjoint and covering
         assert sum(len(isl.buses) for isl in part.islands) == len(case.buses)
+
+
+def reference_find_islands(case: GridCase) -> IslandPartition:
+    """The branch-graph partition and per-island loops that preceded the
+    admittance-pattern version."""
+    arr = case.arrays
+    n = len(case.buses)
+    on = arr.status
+    graph = sp.csr_matrix((np.ones(int(on.sum())), (arr.f[on], arr.t[on])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    groups: dict[int, set[int]] = {}
+    for bus, label in zip(case.buses, labels):
+        groups.setdefault(label, set()).add(bus.id)
+    slack_ids = {b.id for b in case.buses if b.kind == "slack"}
+    islands = []
+    for comp in sorted(groups.values(), key=min):
+        gens = [g for g in case.generators if g.bus in comp and not g.is_condenser]
+        slack = None
+        if gens:
+            in_island_slack = slack_ids & comp
+            slack = (min(in_island_slack) if in_island_slack
+                     else min(gens, key=lambda g: (-g.p_output, g.bus)).bus)
+        islands.append(Island(
+            buses=frozenset(comp),
+            has_generation=bool(gens),
+            has_load=any(case.bus(b).has_load for b in comp),
+            slack_bus=slack,
+        ))
+    return IslandPartition(islands=tuple(islands))
+
+
+class TestIslandsFromAdmittance:
+    """find_islands reads the reduced admittance pattern; the partition,
+    flags and slacks equal the branch graph's."""
+
+    def test_level_1_and_seeded_level_2_reductions(self, case118):
+        ids = [s.id for s in case118.substations]
+        rng = random.Random(42)
+        targets = [[i] for i in ids] + [rng.sample(ids, 2) for _ in range(60)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning from csgraph
+            for target in targets:
+                reduced, _, _ = apply_substation_outage(case118, target)
+                assert find_islands(reduced) == reference_find_islands(reduced), target
+
+    def test_zero_resistance_and_open_branch(self):
+        """An r = 0 branch (purely imaginary admittance) connects; an
+        out-of-service branch does not; two generators tie on output."""
+        case = GridCase(
+            base_mva=100.0,
+            buses=(Bus(id=5, kind="PV"), Bus(id=2), Bus(id=7, kind="PV", load_p=10.0),
+                   Bus(id=1), Bus(id=3, load_p=4.0)),
+            branches=(
+                Branch(from_bus=5, to_bus=2, resistance=0.0, reactance=0.1),
+                Branch(from_bus=2, to_bus=7, resistance=0.0, reactance=0.05,
+                       total_charging=0.02),
+                Branch(from_bus=7, to_bus=1, resistance=0.01, reactance=0.1, status=False),
+                Branch(from_bus=1, to_bus=3, resistance=0.0, reactance=0.2),
+            ),
+            generators=(Generator(bus=7, p_output=20.0), Generator(bus=5, p_output=20.0),
+                        Generator(bus=1, p_output=0.0, is_condenser=True)),
+            substations=(),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            part = find_islands(case)
+        assert part == reference_find_islands(case)
+        assert [sorted(isl.buses) for isl in part.islands] == [[1, 3], [2, 5, 7]]
+        assert part.islands[0].dead
+        assert part.island_of(7).slack_bus == 5
+
+    def test_empty_and_branchless_cases(self):
+        empty = GridCase(base_mva=100.0, buses=(), branches=(), generators=(), substations=())
+        assert find_islands(empty) == IslandPartition(islands=())
+        lone = GridCase(base_mva=100.0, buses=(Bus(id=4, kind="slack", load_p=5.0), Bus(id=2)),
+                        branches=(), generators=(Generator(bus=4, p_output=5.0),),
+                        substations=())
+        assert find_islands(lone) == reference_find_islands(lone)
+
+    @given(seed=st.integers(0, 10_000))
+    def test_random_cases_equal_the_branch_graph(self, seed):
+        case = random_case(random.Random(seed))
+        assert find_islands(case) == reference_find_islands(case)
 
 
 class TestApplyOutages:

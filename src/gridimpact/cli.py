@@ -5,7 +5,9 @@ Subcommands mirror the library stages: ``load`` prints a case summary,
 scenario, ``pipeline`` runs the full screen-verify-crosscheck chain
 into a run directory, and ``report`` prints an artifact from a run
 directory. Worker-pool size for screening comes from the
-GRIDIMPACT_WORKERS environment variable.
+GRIDIMPACT_WORKERS environment variable. Each handler imports the stage
+modules it uses, so ``load`` and ``report`` load neither dynamics,
+screening nor the pipeline.
 """
 
 from __future__ import annotations
@@ -14,16 +16,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dynamics import (
-    ScenarioOptions,
-    default_machine_models,
-    load_schedule,
-    run_scenario,
-    trace_to_csv,
-)
+import numpy as np
+
 from .model import load_case, summarize
-from .pipeline import DynPolicy, PipelineConfig, run_pipeline
-from .screening import run_screening, screening_report_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -100,6 +95,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
+    from .screening import run_screening, screening_report_csv
+
     case = load_case(args.case)
     run = run_screening(case, args.k, budget=args.budget, prune=not args.no_prune)
     text = screening_report_csv(run)
@@ -114,6 +111,14 @@ def _cmd_screen(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .dynamics import (
+        ScenarioOptions,
+        default_machine_models,
+        load_schedule,
+        run_scenario,
+        trace_to_csv,
+    )
+
     case = load_case(args.case)
     schedule = load_schedule(args.scenario)
     models = default_machine_models(case)
@@ -128,7 +133,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         line = f"  t={ev.time:g}s {ev.action}: {ev.status}"
         if ev.cause:
             line += f" ({ev.cause})"
+        if ev.island_count is not None:
+            line += f" [islands: {ev.island_count}]"
         print(line)
+    print("island frequency extremes:")
+    for key in sorted(trace.island_freq):
+        f = trace.island_freq[key]
+        f = f[np.isfinite(f)]
+        if f.size:
+            print(f"  island {key}: min={f.min():.2f} Hz max={f.max():.2f} Hz")
     if args.trace:
         Path(args.trace).write_text(trace_to_csv(trace, decimate=args.decimate))
         print(f"trace -> {args.trace}")
@@ -136,6 +149,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from .pipeline import DynPolicy, PipelineConfig, run_pipeline
+
     case = load_case(args.case)
     config = PipelineConfig(
         k_max=args.k,

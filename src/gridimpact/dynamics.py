@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -803,17 +803,29 @@ def run_scenario(
     engine = _Engine(case, models, state, th)
     monitor = _Monitor(th)
 
-    # timeline segments between events
+    # timeline segments between events, each with its step count; the
+    # counts size the trace buffers, which are filled row by row, so a
+    # halted run never touches their tail
     boundaries = [t for t, _ in schedule.events if t > 0.0]
     if not boundaries or boundaries[-1] < t_end:
         boundaries = boundaries + [t_end]
+    segments = []
+    t_now = 0.0
+    for t_b in boundaries:
+        if t_now >= t_end:
+            break
+        segments.append((t_now, t_b, max(1, round((t_b - t_now) / options.dt))))
+        t_now = t_b
 
+    every = options.sample_every
+    capacity = 1 + sum(-(-n_steps // every) for _, _, n_steps in segments)
     nm, nb = engine.nm, engine.nb
-    times: list[float] = []
-    angles: list[np.ndarray] = []
-    mach_isl: list[np.ndarray] = []
-    volts: list[np.ndarray] = []
-    freq_samples: dict[int, dict[int, float]] = {}
+    times = np.empty(capacity)
+    angles = np.empty((capacity, nm))
+    mach_isl = np.empty((capacity, nm), dtype=int)
+    volts = np.empty((capacity, nb))
+    island_freq: dict[int, np.ndarray] = {}  # NaN before formation, after death
+    n_samples = 0
     events_log: list[EventRecord] = []
 
     y = _state_vector(state)
@@ -821,10 +833,14 @@ def run_scenario(
     halted = False
 
     def record_sample(t: float) -> str | None:
+        nonlocal n_samples
+        i = n_samples
         delta, omega = y[:nm], y[nm : 2 * nm]
         V = engine.bus_voltages(engine.emf(y))
-        vmag = np.where(engine.bus_active, np.abs(V), 0.0)
-        ang = np.full(nm, np.nan)
+        np.abs(V, out=volts[i])
+        volts[i, ~engine.bus_active] = 0.0
+        ang = angles[i]
+        ang.fill(np.nan)
         fired = None
         for key, members, w in engine.island_members:
             coi = float(np.dot(w, delta[members]) / w.sum())
@@ -834,13 +850,15 @@ def run_scenario(
             f_isl = th.f_nominal * (
                 1.0 + float(np.dot(w, omega[members]) / w.sum())
             )
-            freq_samples.setdefault(key, {})[len(times)] = f_isl
+            freq = island_freq.get(key)
+            if freq is None:
+                freq = island_freq[key] = np.full(capacity, np.nan)
+            freq[i] = f_isl
             v = monitor.update(t, key, spread, f_isl)
             fired = fired or v
-        times.append(t)
-        angles.append(ang)
-        mach_isl.append(engine.mach_island)
-        volts.append(vmag)
+        times[i] = t
+        mach_isl[i] = engine.mach_island
+        n_samples += 1
         return fired
 
     # events at t=0 apply before integration starts; the t=0 sample is
@@ -856,24 +874,21 @@ def run_scenario(
     if fired:
         halted = True
 
-    t_now = 0.0
-    for t_b in boundaries:
-        if halted or t_now >= t_end:
+    for t_a, t_b, n_steps in segments:
+        if halted:
             break
-        n_steps = max(1, round((t_b - t_now) / options.dt))
-        h = (t_b - t_now) / n_steps
+        h = (t_b - t_a) / n_steps
         for k in range(n_steps):
             y = engine.rk4_step(y, h)
-            t = t_now + (k + 1) * h
-            if (k + 1) % options.sample_every == 0 or k == n_steps - 1:
+            t = t_a + (k + 1) * h
+            if (k + 1) % every == 0 or k == n_steps - 1:
                 if record_sample(t):
                     halted = True
                     break
-        t_now = t_b
         if halted:
             break
         # apply events scheduled exactly at this boundary
-        while pending and pending[0][0] <= t_now + 1e-9:
+        while pending and pending[0][0] <= t_b + 1e-9:
             t_ev, action = pending.pop(0)
             ok, cause = engine.apply_event(action)
             n_isl = engine.refresh_topology() if ok else None
@@ -888,21 +903,14 @@ def run_scenario(
             EventRecord(t_ev, action, "skipped", "instability_halt", None)
         )
 
-    n_samples = len(times)
-    freq_arrays: dict[int, np.ndarray] = {}
-    for key, by_sample in freq_samples.items():
-        arr = np.full(n_samples, np.nan)
-        for si, f in by_sample.items():
-            arr[si] = f
-        freq_arrays[key] = arr
-
+    n = n_samples  # a halted run's buffers end in rows it never wrote
     trace = DynamicTrace(
-        times=np.array(times),
+        times=times[:n],
         machine_buses=state.machine_buses,
-        angles_deg=np.vstack(angles) if angles else np.zeros((0, nm)),
-        machine_island=np.vstack(mach_isl) if mach_isl else np.zeros((0, nm), int),
-        island_freq=freq_arrays,
-        voltages=np.vstack(volts) if volts else np.zeros((0, nb)),
+        angles_deg=angles[:n],
+        machine_island=mach_isl[:n],
+        island_freq={key: freq[:n] for key, freq in island_freq.items()},
+        voltages=volts[:n],
         bus_ids=engine.bus_ids,
         events=tuple(events_log),
         dt=options.dt,
@@ -947,6 +955,11 @@ def trace_to_csv(trace: DynamicTrace, decimate: int = 1) -> str:
     """
     if decimate < 1:
         raise ValueError("decimate must be >= 1")
+    return "".join(_csv_lines(trace, decimate))
+
+
+def _csv_lines(trace: DynamicTrace, decimate: int) -> Iterator[str]:
+    """The lines of ``trace_to_csv``, header first, one at a time."""
     keys = sorted(trace.island_freq)
     header = (
         ["time"]
@@ -954,9 +967,11 @@ def trace_to_csv(trace: DynamicTrace, decimate: int = 1) -> str:
         + [f"freq_{k}" for k in keys]
         + [f"v_{b}" for b in trace.bus_ids]
     )
+    yield ",".join(header) + "\n"
     columns = [trace.times, trace.angles_deg,
                *(trace.island_freq[k] for k in keys), trace.voltages]
     table = np.column_stack([c[::decimate] for c in columns])
     # '%.6f' prints any NaN as 'nan' and -0.0 as '-0.000000'
     row = "%.4f" + ",%.6f" * (len(header) - 1) + "\n"
-    return ",".join(header) + "\n" + "".join(row % tuple(r.tolist()) for r in table)
+    for r in table:
+        yield row % tuple(r.tolist())

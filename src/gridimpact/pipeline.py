@@ -30,10 +30,11 @@ from .dynamics import (
     ScenarioOptions,
     StabilityVerdict,
     SwitchingSchedule,
+    _csv_lines,
     default_machine_models,
     initial_state,
     run_scenario,
-    trace_to_csv,
+    trace_to_csv,  # noqa: F401  (gridbench/spans.py wraps pipeline.trace_to_csv)
 )
 from .model import GridCase
 from .powerflow import PowerFlowOptions
@@ -352,7 +353,8 @@ def cascade_confirm(
     evenly spaced switching schedule; a failed run is recorded as an
     error without touching its siblings. The summary reports the
     unstable fraction over successful runs and whether all successful
-    runs agree on the overall kind.
+    runs agree on the overall kind. ``keep_traces`` keeps the canonical
+    (first) ordering's trace only.
     """
     plan = plan or PermutationPlan()
     models = tuple(models) if models is not None else default_machine_models(case)
@@ -390,7 +392,7 @@ def cascade_confirm(
                 status="ok",
                 overall=verdict.overall,
                 time_of_first_violation=verdict.time_of_first_violation,
-                trace=trace if keep_traces else None,
+                trace=trace if keep_traces and not runs else None,
             )
         )
 
@@ -653,11 +655,15 @@ def run_pipeline(
 
     With ``run_dir`` set, writes screening.csv, traces/<combo>.csv for
     each verified combination, matrix.csv, reeval.csv and summary.txt
-    under it. Identical inputs (including seed) produce byte-identical
-    files: nothing time- or host-dependent is emitted.
+    under it. Each trace file is written as soon as its combination is
+    verified, and the report keeps no trace. Identical inputs
+    (including seed) produce byte-identical files: nothing time- or
+    host-dependent is emitted.
     """
     config = config or PipelineConfig()
     models = tuple(models) if models is not None else default_machine_models(case)
+    if run_dir is not None and config.trace_decimate < 1:
+        raise ValueError("trace_decimate must be >= 1")
 
     screening = run_screening(
         case,
@@ -674,7 +680,10 @@ def run_pipeline(
     verified: list[tuple[OutageCombination, str]] = []
     failed: list[tuple[OutageCombination, str]] = []
     verdict_map: dict[tuple, str] = {}
-    traces: list[tuple[OutageCombination, DynamicTrace]] = []
+    traces_dir = None
+    if run_dir is not None:
+        traces_dir = Path(run_dir) / "traces"
+        traces_dir.mkdir(parents=True, exist_ok=True)
     for result in selected:
         summary = cascade_confirm(
             case,
@@ -682,17 +691,21 @@ def run_pipeline(
             plan=config.plan,
             models=models,
             options=ScenarioOptions(dt=config.dt),
-            keep_traces=run_dir is not None,
+            keep_traces=traces_dir is not None,
         )
-        cascades.append(summary)
         canonical = summary.canonical
+        if canonical.trace is not None:
+            path = traces_dir / f"combo_{_combo_slug(result.combination)}.csv"
+            with path.open("w") as f:
+                f.writelines(_csv_lines(canonical.trace, config.trace_decimate))
+            canonical = replace(canonical, trace=None)
+            summary = replace(summary, runs=(canonical, *summary.runs[1:]))
+        cascades.append(summary)
         if canonical.status != "ok":
             failed.append((result.combination, canonical.detail or "unknown error"))
             continue
         verified.append((result.combination, canonical.overall))
         verdict_map[result.combination.substations] = canonical.overall
-        if canonical.trace is not None:
-            traces.append((result.combination, canonical.trace))
 
     matrix = cross_check(all_results, verdict_map)
 
@@ -727,11 +740,7 @@ def run_pipeline(
 
     if run_dir is not None:
         out = Path(run_dir)
-        (out / "traces").mkdir(parents=True, exist_ok=True)
         (out / "screening.csv").write_text(screening_report_csv(screening))
-        for combo, trace in traces:
-            path = out / "traces" / f"combo_{_combo_slug(combo)}.csv"
-            path.write_text(trace_to_csv(trace, decimate=config.trace_decimate))
         (out / "matrix.csv").write_text(matrix_csv(matrix))
         (out / "reeval.csv").write_text(reeval_csv(reevaluations))
         (out / "summary.txt").write_text(_summary_text(report, case))

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from gridimpact import cli
+import numpy as np
+
+from gridimpact import cli, dynamics
 from gridimpact.cli import main
-from gridimpact.model import dumps_case
+from gridimpact.model import dumps_case, load_case
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CASE_PATH = str(REPO_ROOT / "src" / "gridimpact" / "data" / "ieee118.grid")
@@ -70,6 +72,28 @@ class TestSimulate:
         header = trace_csv.read_text().splitlines()[0]
         assert header.startswith("time,ang_1,ang_2")
 
+    def test_island_counts_and_frequency_extremes(self, toy_case_file, tmp_path,
+                                                  capsys):
+        scenario = tmp_path / "split.txt"
+        scenario.write_text("1.0 open_branch 1 2\n1.01 open_branch 1 3\n")
+        assert main(["simulate", toy_case_file, str(scenario), "--t-end", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        trace, _ = dynamics.run_scenario(
+            load_case(toy_case_file), dynamics.load_schedule(scenario),
+            options=dynamics.ScenarioOptions(t_end=10.0),
+        )
+        extremes = [
+            f"  island {key}: min={np.nanmin(f):.2f} Hz max={np.nanmax(f):.2f} Hz"
+            for key, f in sorted(trace.island_freq.items())
+        ]
+        assert lines[-5:] == [
+            "  t=1s open_branch 1-2: executed [islands: 1]",
+            "  t=1.01s open_branch 1-3: executed [islands: 2]",
+            "island frequency extremes:",
+            *extremes,
+        ]
+        assert extremes[1].startswith("  island 2: min=56.")
 
     @pytest.mark.parametrize("decimate", ["0", "-3", "two"])
     def test_bad_decimate_rejected_before_the_run(self, decimate, toy_case_file,
@@ -78,7 +102,7 @@ class TestSimulate:
             raise AssertionError("the scenario ran")
 
         monkeypatch.setattr(cli, "load_case", must_not_run)
-        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        monkeypatch.setattr(dynamics, "run_scenario", must_not_run)
         scenario = tmp_path / "split.txt"
         scenario.write_text("1.0 open_branch 1 2\n")
         with pytest.raises(SystemExit) as exc:

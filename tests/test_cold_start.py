@@ -94,3 +94,21 @@ print(json.dumps({
         assert f"gridimpact.{module}" not in out["loaded"]
     assert out["listed"] == []
     assert out["resolved"] and out["same"]
+
+
+def test_cli_imports_its_stages_lazily():
+    """Importing the command line loads no stage module, and ``load`` then
+    runs without dynamics, screening, the pipeline or scipy."""
+    out = run_fresh("""
+from gridimpact import cli
+def stages():
+    return sorted(m for m in ("gridimpact.dynamics", "gridimpact.pipeline",
+                              "gridimpact.screening") if m in sys.modules)
+on_import = stages()
+assert cli.main(["load", CASE]) == 0
+print(json.dumps({"on_import": on_import, "after_load": stages(),
+                  "scipy": scipy_modules()}))
+""")
+    assert out["on_import"] == []
+    assert out["after_load"] == []
+    assert out["scipy"] == []

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridimpact import dynamics
 from gridimpact.dynamics import (
     DetectionThresholds,
     ExciterParams,
@@ -21,6 +23,8 @@ from gridimpact.dynamics import (
     default_machine_models,
     detect_instability,
     dumps_schedule,
+    initial_state,
+    load_schedule,
     parse_schedule,
     run_scenario,
     trace_to_csv,
@@ -28,6 +32,7 @@ from gridimpact.dynamics import (
 from gridimpact.model import Branch, Bus, Generator, Substation
 from gridimpact.topology import OutageAction
 
+from conftest import REPO_ROOT
 from toys import two_machine_case
 
 
@@ -369,6 +374,92 @@ def _per_cell_csv(trace, decimate):
         row += [fmt(x) for x in trace.voltages[si]]
         w.writerow(row)
     return buf.getvalue()
+
+
+class TestTraceBuffers:
+    """The run writes each sample in place into buffers sized once from the
+    schedule and returns their filled prefixes."""
+
+    @staticmethod
+    def _capacity(trace):
+        return trace.times.base.shape[0]
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_unhalted_run_fills_its_buffers_exactly(self, every):
+        # an event at t = 0, then segments of 0.73 s and 2.005 - 0.73 s:
+        # t_end is no multiple of dt
+        sched = SwitchingSchedule(
+            (
+                (0.0, OutageAction.open_branch(1, 2)),
+                (0.73, OutageAction.open_branch(1, 99)),
+            )
+        )
+        options = ScenarioOptions(dt=0.01, t_end=2.005, sample_every=every)
+        trace, verdict = run_scenario(two_machine_case(), sched, options=options)
+        assert verdict.overall == "stable"
+        assert trace.events[0].status == "executed"
+        steps = [round(0.73 / 0.01), round((2.005 - 0.73) / 0.01)]  # 73, 127
+        n = 1 + sum(-(-k // every) for k in steps)
+        assert trace.times.shape[0] == n == self._capacity(trace)
+        assert trace.times[-1] == pytest.approx(2.005)
+        assert np.all(np.diff(trace.times) > 0)
+
+    def test_halted_run_returns_the_samples_it_recorded(
+        self, case118, models118, monkeypatch
+    ):
+        # every recorded sample solves the bus voltages exactly once
+        recorded = []
+        solve = dynamics._Engine.bus_voltages
+        monkeypatch.setattr(
+            dynamics._Engine, "bus_voltages",
+            lambda self, e: recorded.append(1) or solve(self, e),
+        )
+        schedule = load_schedule(REPO_ROOT / "scripts" / "case2_schedule.txt")
+        trace, verdict = run_scenario(case118, schedule, models118)
+        assert verdict.overall == "islanded_mixed"
+        n = trace.times.shape[0]
+        assert n == len(recorded) == 1158
+        assert n < self._capacity(trace)
+        assert trace.times[-1] == verdict.time_of_first_violation
+        assert np.all(np.diff(trace.times) > 0)
+        for key, freq in trace.island_freq.items():
+            assert freq.shape == (n,)
+            present = (trace.machine_island == key).any(axis=1)
+            assert np.array_equal(np.isfinite(freq), present)
+
+    def test_fields_keep_their_shapes_and_dtypes(self):
+        trace, _ = run_scenario(
+            two_machine_case(), split_schedule(), options=ScenarioOptions(t_end=2.0)
+        )
+        n, nm, nb = trace.times.shape[0], len(trace.machine_buses), len(trace.bus_ids)
+        assert (trace.times.shape, trace.times.dtype) == ((n,), np.float64)
+        assert (trace.angles_deg.shape, trace.angles_deg.dtype) == ((n, nm), np.float64)
+        assert trace.machine_island.shape == (n, nm)
+        assert trace.machine_island.dtype == np.dtype(int)
+        assert (trace.voltages.shape, trace.voltages.dtype) == ((n, nb), np.float64)
+        assert sorted(trace.island_freq) == [1, 2]
+        for freq in trace.island_freq.values():
+            assert (freq.shape, freq.dtype) == ((n,), np.float64)
+
+    def test_peak_memory_is_near_the_trace_size(self, case118, models118):
+        """tracemalloc's peak during a run stays within 1.5x the bytes of
+        the trace it returns (2.2x when samples were collected in lists and
+        stacked at the end)."""
+        sched = SwitchingSchedule(((1.0, OutageAction.open_branch(17, 113)),))
+        options = ScenarioOptions(dt=0.01, t_end=8.0)
+        state = initial_state(case118, models118)
+        # a short warm-up run imports what the first run imports
+        run_scenario(case118, sched, models118, ScenarioOptions(t_end=1.1), state)
+        tracemalloc.start()
+        try:
+            trace, _ = run_scenario(case118, sched, models118, options, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (trace.times, trace.angles_deg, trace.machine_island,
+                  trace.voltages, *trace.island_freq.values())
+        assert trace.times.shape[0] == 801
+        assert peak <= 1.5 * sum(a.nbytes for a in arrays)
 
 
 class TestNetworkScale:

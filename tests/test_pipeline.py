@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridimpact import dynamics, pipeline
-from gridimpact.dynamics import ScenarioOptions, StabilityVerdict, SwitchingSchedule, run_scenario
+from gridimpact.dynamics import (
+    ScenarioOptions,
+    StabilityVerdict,
+    SwitchingSchedule,
+    run_scenario,
+    trace_to_csv,
+)
 from gridimpact.pipeline import (
     CrossCheckRecord,
     DynPolicy,
@@ -316,6 +322,20 @@ class TestCascadeConfirm:
         assert run.overall == direct.overall
         assert run.time_of_first_violation == direct.time_of_first_violation
 
+    def test_kept_trace_is_the_canonical_one_only(self):
+        case = two_machine_case()
+        kept = cascade_confirm(case, OutageCombination((1, 3)), keep_traces=True)
+        plain = cascade_confirm(case, OutageCombination((1, 3)))
+        assert kept.strategy == "exhaustive"
+        assert len(kept.runs) == 6
+        assert kept.runs[0].trace is not None
+        assert [r.trace for r in kept.runs[1:]] == [None] * 5
+        assert [(r.order, r.status, r.overall, r.time_of_first_violation)
+                for r in kept.runs] == [
+            (r.order, r.status, r.overall, r.time_of_first_violation)
+            for r in plain.runs
+        ]
+
     def test_empty_branch_set_rejected(self, case118):
         # substation 117's bus hangs on one branch; removing 12 and 117
         # first would empty it, but a combination of nothing in service
@@ -473,3 +493,43 @@ class TestRunPipeline:
         assert "100: diverged" in text
         assert "100: islanded_mixed" in text
         assert [(str(c), o) for c, o in report.verified] == [("100", "islanded_mixed")]
+
+
+class TestTraceFiles:
+    """Each verified combination's trace file is written as soon as its
+    cascade returns, and the report keeps no trace."""
+
+    @pytest.mark.parametrize("strategy", ["single_canonical", "exhaustive"])
+    def test_trace_files_match_independent_runs(self, strategy, tmp_path):
+        case = two_machine_case()
+        cfg = PipelineConfig(
+            k_max=1,
+            policy=DynPolicy(noncritical_fraction=1.0),
+            plan=PermutationPlan(strategy=strategy),
+            trace_decimate=3,
+        )
+        report = run_pipeline(case, cfg, run_dir=tmp_path)
+        assert len(report.verified) >= 2
+        assert [r.trace for c in report.cascades for r in c.runs] == [None] * sum(
+            len(c.runs) for c in report.cascades
+        )
+
+        files = sorted(p.name for p in (tmp_path / "traces").iterdir())
+        assert files == sorted(
+            f"combo_{'-'.join(map(str, c.substations))}.csv" for c, _ in report.verified
+        )
+        for combo, _ in report.verified:
+            actions = [OutageAction.open_branch(a, b)
+                       for a, b in combination_branch_set(case, combo)]
+            schedule = SwitchingSchedule.evenly_spaced(actions, interval=cfg.plan.interval)
+            trace, _ = run_scenario(case, schedule, options=ScenarioOptions(dt=cfg.dt))
+            slug = "-".join(map(str, combo.substations))
+            written = (tmp_path / "traces" / f"combo_{slug}.csv").read_bytes()
+            assert written == trace_to_csv(trace, decimate=3).encode()
+
+    def test_bad_decimation_writes_nothing(self, tmp_path):
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="trace_decimate"):
+            run_pipeline(two_machine_case(), PipelineConfig(trace_decimate=0),
+                         run_dir=run_dir)
+        assert not run_dir.exists()

@@ -45,6 +45,19 @@ from .topology import (
     find_islands,
 )
 
+try:  # the ufunc np.clip calls, without its Python wrapper's 5 us a call
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
+# The integrator's ufuncs, bound once: an RHS evaluation makes about 30
+# calls on 54-element vectors, where each np.<name> lookup and out=
+# keyword costs a measurable share, so they take their output positionally.
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
+_abs, _conj, _exp, _matmul = np.abs, np.conjugate, np.exp, np.matmul
+_ge, _le, _gt, _lt = np.greater_equal, np.less_equal, np.greater, np.less
+_and, _or = np.logical_and, np.logical_or
+
 __all__ = [
     "ExciterParams",
     "GovernorParams",
@@ -430,7 +443,7 @@ def init_dynamic_state(
     # defensive equilibrium check: the construction above should zero
     # every derivative to solver precision
     engine = _Engine(case, models, state, DetectionThresholds())
-    dy = engine.rhs(_state_vector(state))
+    dy = engine.rhs(engine.y)
     worst = float(np.max(np.abs(dy))) if dy.size else 0.0
     if worst > 1e-8:
         raise ValueError(
@@ -546,7 +559,25 @@ class _Engine:
         # stays well inside the explicit RK4 stability region.
         lam = np.max((1.0 + self.ka) / self.te) if self.nm else 1.0
         self.h_stable = 2.0 / lam
-        self._k = np.empty((4, 4 * self.nm))  # RK4 stage derivatives
+
+        # Persistent buffers, so a step allocates nothing: the state vector
+        # the engine advances in place, the RK4 stage state and stage
+        # derivatives with their block views, the step's accumulator and
+        # the temporaries of rhs and bus_voltages. Each holds the result of
+        # the same ufunc on the same operands as an allocating expression
+        # would, so the arithmetic is unchanged bit for bit.
+        n, nb = self.nm, self.nb
+        self.y = _state_vector(state)
+        self._s, self._acc, *self._k = np.empty((6, 4 * n))  # _k: RK4 stages
+        self._yb, self._sb = self._blocks(self.y), self._blocks(self._s)
+        self._kb = [self._blocks(k) for k in self._k]
+        self._phase, self._eph, self._vt, self._prod = np.empty((4, n), dtype=complex)
+        self._prod_imag = self._prod.imag
+        self._pe, self._t, self._t2 = np.empty((3, n))
+        self._masks = np.empty((3, 4 * n), dtype=bool)
+        self._eri, self._p = np.empty((n, 2)), np.empty((2 * nb, 2))
+        self._v_re, self._v_im = np.empty((2, nb))
+        self._v = np.empty(nb, dtype=complex)
 
         # evolving topology
         self.current_case = case
@@ -580,9 +611,11 @@ class _Engine:
         present[[self.bus_pos[b.id] for b in self.current_case.buses]] = True
         self.bus_active &= alive & present
         self.mach_active &= self.bus_active[self.mach_bus_pos]
+        self.bus_dead = ~self.bus_active
 
         # island key of each machine (-1 when dropped) and, per island
-        # with machines, its members and their inertias
+        # with machines, its members, their inertias, the inertias' sum
+        # and a buffer for per-member values
         self.mach_island = np.where(
             self.mach_active, bus_island[self.mach_bus_pos], -1
         )
@@ -590,7 +623,10 @@ class _Engine:
         for key, _buses in self.islands:
             members = np.flatnonzero(self.mach_island == key)
             if members.size:
-                self.island_members.append((key, members, self.M[members]))
+                w = self.M[members]
+                self.island_members.append(
+                    (key, members, w, w.sum(), np.empty(members.size))
+                )
 
         # derivative coefficients, zero for dropped machines
         act = self.mach_active.astype(float)
@@ -657,57 +693,103 @@ class _Engine:
 
     # -- dynamics ------------------------------------------------------------
 
-    def emf(self, y: np.ndarray) -> np.ndarray:
-        """Internal EMF phasors of the state vector y."""
+    def _blocks(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of y's blocks delta, omega, efd and pm."""
         n = self.nm
-        return y[2 * n : 3 * n] * np.exp(1j * y[:n])
+        return y[:n], y[n : 2 * n], y[2 * n : 3 * n], y[3 * n :]
+
+    def emf(self, y: np.ndarray) -> np.ndarray:
+        """Internal EMF phasors of the state vector y, in an engine buffer
+        that the next call overwrites."""
+        n = self.nm
+        _mul(1j, y[:n], self._phase)
+        _exp(self._phase, self._phase)
+        return _mul(y[2 * n : 3 * n], self._phase, self._eph)
 
     def bus_voltages(self, e_ph: np.ndarray) -> np.ndarray:
-        """Bus voltage phasors W @ e_ph for the machines' EMF phasors e_ph."""
+        """Bus voltage phasors W @ e_ph for the machines' EMF phasors e_ph,
+        in an engine buffer that the next call overwrites."""
         # in real arithmetic as one small matrix product: OpenBLAS runs a
         # complex matrix-vector product of this size on two threads, and
         # the idle one then spins on a core between samples
-        p = self.W_ri @ np.column_stack([e_ph.real, e_ph.imag])
+        self._eri[:, 0] = e_ph.real
+        self._eri[:, 1] = e_ph.imag
+        p = np.matmul(self.W_ri, self._eri, out=self._p)
         nb = self.nb
-        return (p[:nb, 0] - p[nb:, 1]) + 1j * (p[:nb, 1] + p[nb:, 0])
+        np.subtract(p[:nb, 0], p[nb:, 1], out=self._v_re)
+        np.add(p[:nb, 1], p[nb:, 0], out=self._v_im)
+        np.multiply(1j, self._v_im, out=self._v)
+        return np.add(self._v_re, self._v, out=self._v)
 
     def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """dy/dt of the state vector [delta, omega, efd, pm], into out.
 
         A state at a bound of its box does not move further out.
         """
-        n = self.nm
         if out is None:
             out = np.empty_like(y)
-        omega, efd, pm = y[n : 2 * n], y[2 * n : 3 * n], y[3 * n :]
-        e_ph = self.emf(y)
-        vt = self.K @ e_ph
-        pe = (e_ph * vt.conj()).imag / self.xd_sys  # E Vt sin(delta - theta) / x'd
-        np.multiply(self.c_delta, omega, out=out[:n])
-        np.multiply(pm - pe - self.D * omega, self.c_omega, out=out[n : 2 * n])
-        np.multiply(
-            self.ka * (self.vref - np.abs(vt)) - efd, self.c_efd, out=out[2 * n : 3 * n]
-        )
-        np.multiply(
-            self.pm_ref - omega * self.droop_gain - pm, self.c_pm, out=out[3 * n :]
-        )
-        stuck = ((y >= self.hi) & (out > 0)) | ((y <= self.lo) & (out < 0))
-        out[stuck] = 0.0
+        return self._rhs(y, self._blocks(y), out, self._blocks(out))
+
+    def _rhs(self, y, yb, out, ob) -> np.ndarray:
+        """rhs of y into out, given both vectors' block views."""
+        delta, omega, efd, pm = yb
+        phase, e_ph, vt, prod = self._phase, self._eph, self._vt, self._prod
+        pe, t, t2 = self._pe, self._t, self._t2
+        _mul(1j, delta, phase)  # e_ph as in emf
+        _exp(phase, phase)
+        _mul(efd, phase, e_ph)
+        _matmul(self.K, e_ph, vt)
+        _conj(vt, prod)
+        _mul(e_ph, prod, prod)
+        _div(self._prod_imag, self.xd_sys, pe)  # E Vt sin(delta - theta) / x'd
+        _mul(self.c_delta, omega, ob[0])
+        _sub(pm, pe, t)
+        _mul(self.D, omega, t2)
+        _sub(t, t2, t)
+        _mul(t, self.c_omega, ob[1])
+        _abs(vt, t)
+        _sub(self.vref, t, t)
+        _mul(self.ka, t, t)
+        _sub(t, efd, t)
+        _mul(t, self.c_efd, ob[2])
+        _mul(omega, self.droop_gain, t)
+        _sub(self.pm_ref, t, t)
+        _sub(t, pm, t)
+        _mul(t, self.c_pm, ob[3])
+        # states at a bound are rare: look for any before finding the stuck
+        up, down, stuck = self._masks
+        _ge(y, self.hi, up)
+        _le(y, self.lo, down)
+        if np.count_nonzero(_or(up, down, stuck)):
+            _and(up, _gt(out, 0.0, stuck), up)
+            _and(down, _lt(out, 0.0, stuck), down)
+            out[_or(up, down, stuck)] = 0.0
         return out
 
     def rk4_step(self, y: np.ndarray, h: float) -> np.ndarray:
-        """Advance one sampling step of size h with stable substeps."""
+        """Advance one sampling step of size h with stable substeps.
+
+        The step runs in place in the engine's state vector ``self.y``
+        (y is copied there first when it is another array) and returns it.
+        """
+        if y is not self.y:
+            np.copyto(self.y, y)
+        y, yb, s, sb, acc = self.y, self._yb, self._s, self._sb, self._acc
+        (k1, k2, k3, k4), (kb1, kb2, kb3, kb4) = self._k, self._kb
         m = max(1, math.ceil(h / self.h_stable))
         hs = h / m
-        k1, k2, k3, k4 = self._k
         for _ in range(m):
-            self.rhs(y, k1)
-            self.rhs(y + 0.5 * hs * k1, k2)
-            self.rhs(y + 0.5 * hs * k2, k3)
-            self.rhs(y + hs * k3, k4)
-            y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            self._rhs(y, yb, k1, kb1)
+            self._rhs(_add(y, _mul(0.5 * hs, k1, s), s), sb, k2, kb2)
+            self._rhs(_add(y, _mul(0.5 * hs, k2, s), s), sb, k3, kb3)
+            self._rhs(_add(y, _mul(hs, k3, s), s), sb, k4, kb4)
+            # y + hs/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            _add(k1, _mul(2.0, k2, acc), acc)
+            _add(acc, _mul(2.0, k3, s), acc)
+            _add(acc, k4, acc)
+            _add(y, _mul(hs / 6.0, acc, acc), y)
             # keep clamped states inside their boxes
-            np.clip(y, self.lo, self.hi, out=y)
+            _clip(y, self.lo, self.hi, y)
         return y
 
 
@@ -828,28 +910,29 @@ def run_scenario(
     n_samples = 0
     events_log: list[EventRecord] = []
 
-    y = _state_vector(state)
+    y = engine.y  # advanced in place by engine.rk4_step
+    delta, omega = y[:nm], y[nm : 2 * nm]
     pending = list(schedule.events)
     halted = False
 
     def record_sample(t: float) -> str | None:
         nonlocal n_samples
         i = n_samples
-        delta, omega = y[:nm], y[nm : 2 * nm]
         V = engine.bus_voltages(engine.emf(y))
         np.abs(V, out=volts[i])
-        volts[i, ~engine.bus_active] = 0.0
+        volts[i, engine.bus_dead] = 0.0
         ang = angles[i]
         ang.fill(np.nan)
         fired = None
-        for key, members, w in engine.island_members:
-            coi = float(np.dot(w, delta[members]) / w.sum())
-            rel = np.degrees(delta[members] - coi)
+        for key, members, w, w_sum, rel in engine.island_members:
+            delta.take(members, out=rel)
+            coi = float(np.dot(w, rel) / w_sum)
+            np.subtract(rel, coi, out=rel)
+            np.degrees(rel, out=rel)
             ang[members] = rel
             spread = float(rel.max() - rel.min()) if members.size > 1 else 0.0
-            f_isl = th.f_nominal * (
-                1.0 + float(np.dot(w, omega[members]) / w.sum())
-            )
+            omega.take(members, out=rel)
+            f_isl = th.f_nominal * (1.0 + float(np.dot(w, rel) / w_sum))
             freq = island_freq.get(key)
             if freq is None:
                 freq = island_freq[key] = np.full(capacity, np.nan)
@@ -879,7 +962,7 @@ def run_scenario(
             break
         h = (t_b - t_a) / n_steps
         for k in range(n_steps):
-            y = engine.rk4_step(y, h)
+            engine.rk4_step(y, h)
             t = t_a + (k + 1) * h
             if (k + 1) % every == 0 or k == n_steps - 1:
                 if record_sample(t):

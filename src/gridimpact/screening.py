@@ -90,11 +90,13 @@ def _sub_key(s: int | str):
 class ScreeningResult:
     """Steady-state verdict for one outage combination.
 
-    ``verdict`` is critical exactly when ``reason`` is ``diverged`` or
-    ``dead_system``. ``unserved_mw`` totals load in dead (de-energized)
-    islands; for pruned results it is inherited from the contained
-    ancestor. ``critical_by`` names the ancestor combination when the
-    verdict came from containment pruning rather than a solve.
+    ``verdict`` is critical exactly when ``reason`` is ``diverged``,
+    ``dead_system`` or ``error`` (the screen raised; such a result has no
+    islands, no unserved load and prunes nothing). ``unserved_mw`` totals
+    load in dead (de-energized) islands; for pruned results it is
+    inherited from the contained ancestor. ``critical_by`` names the
+    ancestor combination when the verdict came from containment pruning
+    rather than a solve.
     """
 
     combination: OutageCombination
@@ -106,7 +108,7 @@ class ScreeningResult:
     critical_by: OutageCombination | None = None
 
     def __post_init__(self) -> None:
-        crit = self.reason in ("diverged", "dead_system")
+        crit = self.reason in ("diverged", "dead_system", "error")
         if (self.verdict == "critical") != crit:
             raise ValueError(
                 f"verdict {self.verdict!r} inconsistent with reason {self.reason!r}"
@@ -250,6 +252,27 @@ def screen_combination(case: GridCase, combo: OutageCombination,
     )
 
 
+def _screen_isolated(case: GridCase, combo: OutageCombination,
+                     options: PowerFlowOptions) -> ScreeningResult:
+    """screen_combination, recording a screen that raises as critical
+    with reason ``error`` (and logging its traceback) instead of aborting
+    the sweep."""
+    try:
+        return screen_combination(case, combo, options)
+    except Exception:
+        import logging
+
+        logging.getLogger(__name__).exception("screening %s raised", combo)
+        return ScreeningResult(
+            combination=combo,
+            verdict="critical",
+            reason="error",
+            violations=(),
+            island_count=0,
+            unserved_mw=0.0,
+        )
+
+
 # (case, options) of a pool worker, set once by its initializer
 _worker_job: tuple[GridCase, PowerFlowOptions] | None = None
 
@@ -261,7 +284,7 @@ def _init_worker(case: GridCase, options: PowerFlowOptions) -> None:
 
 def _screen_in_worker(combo: OutageCombination) -> ScreeningResult:
     case, options = _worker_job
-    return screen_combination(case, combo, options)
+    return _screen_isolated(case, combo, options)
 
 
 def run_screening(
@@ -277,9 +300,11 @@ def run_screening(
 
     Levels run in order; every superset of an already-critical
     combination is recorded critical-by-containment without a solve
-    when ``prune`` is on. ``budget`` caps the number of power-flow
-    evaluations (pruned records are free); when it runs out the sweep
-    stops and ``coverage`` reports the classified fraction.
+    when ``prune`` is on. A combination whose screen raises is recorded
+    critical with reason ``error``, the sweep goes on, and it prunes
+    nothing. ``budget`` caps the number of power-flow evaluations
+    (pruned records are free); when it runs out the sweep stops and
+    ``coverage`` reports the classified fraction.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -338,7 +363,7 @@ def run_screening(
                     )
                 )
         else:
-            solved = [screen_combination(case, c, options) for c in to_solve]
+            solved = [_screen_isolated(case, c, options) for c in to_solve]
         evaluations += len(solved)
         results.extend(solved)
 
@@ -359,7 +384,7 @@ def run_screening(
         classified += len(solved) + len(pruned_here)
 
         for r in solved:
-            if r.verdict == "critical":
+            if r.verdict == "critical" and r.reason != "error":
                 critical[r.combination.substations] = (len(critical), r)
         levels.append(PriorityList.ranked(k, results))
 

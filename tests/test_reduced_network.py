@@ -1,9 +1,11 @@
 """The dynamics engine's reduced network against the sparse network solve,
-and the engine as a whole against the frozen dynamics fixture."""
+its allocation-free kernel against the allocating one it replaced, and the
+engine as a whole against the frozen dynamics fixture."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ import scipy.sparse.linalg as spla
 
 from gridimpact.dynamics import (
     DetectionThresholds,
+    ScenarioOptions,
+    SwitchingSchedule,
     _Engine,
     _state_vector,
     default_machine_models,
     initial_state,
     load_schedule,
+    run_scenario,
 )
 from gridimpact.topology import OutageAction
 
@@ -109,3 +114,160 @@ def test_matches_frozen_dynamics_fixture(case118, models118, name):
     differ, _same_csv, worst = compare(describe(case118, models118, schedule, options), frozen)
     assert differ == []
     assert worst <= VALUE_BOUND
+
+
+# --- the allocation-free kernel against the allocating one -------------------
+
+
+def reference_rhs(engine: _Engine, y: np.ndarray, out: np.ndarray | None = None):
+    """The allocating ``_Engine.rhs`` that the in-place kernel replaced."""
+    n = engine.nm
+    if out is None:
+        out = np.empty_like(y)
+    omega, efd, pm = y[n : 2 * n], y[2 * n : 3 * n], y[3 * n :]
+    e_ph = y[2 * n : 3 * n] * np.exp(1j * y[:n])
+    vt = engine.K @ e_ph
+    pe = (e_ph * vt.conj()).imag / engine.xd_sys
+    np.multiply(engine.c_delta, omega, out=out[:n])
+    np.multiply(pm - pe - engine.D * omega, engine.c_omega, out=out[n : 2 * n])
+    np.multiply(
+        engine.ka * (engine.vref - np.abs(vt)) - efd, engine.c_efd, out=out[2 * n : 3 * n]
+    )
+    np.multiply(
+        engine.pm_ref - omega * engine.droop_gain - pm, engine.c_pm, out=out[3 * n :]
+    )
+    stuck = ((y >= engine.hi) & (out > 0)) | ((y <= engine.lo) & (out < 0))
+    out[stuck] = 0.0
+    return out
+
+
+def reference_rk4_step(engine: _Engine, y: np.ndarray, h: float) -> np.ndarray:
+    """The allocating ``_Engine.rk4_step`` that the in-place step replaced."""
+    m = max(1, math.ceil(h / engine.h_stable))
+    hs = h / m
+    k1, k2, k3, k4 = np.empty((4, y.size))
+    for _ in range(m):
+        reference_rhs(engine, y, k1)
+        reference_rhs(engine, y + 0.5 * hs * k1, k2)
+        reference_rhs(engine, y + 0.5 * hs * k2, k3)
+        reference_rhs(engine, y + hs * k3, k4)
+        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.clip(y, engine.lo, engine.hi, out=y)
+    return y
+
+
+def assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal bit patterns: NaN payloads and the signs of zeros included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_states(engine: _Engine, rng, count: int):
+    """States around the engine's equilibrium and across its box: some
+    regulator and governor states exactly on a bound or beyond it, some
+    entries +0.0, -0.0 or NaN."""
+    n = engine.nm
+    y0 = engine.y.copy()
+    lo, hi = engine.lo, engine.hi
+    finite_hi = np.where(np.isfinite(hi), hi, 3.0)
+    for _ in range(count):
+        y = y0.copy()
+        y[:n] += rng.normal(0.0, 0.5, n)
+        y[n : 2 * n] = rng.normal(0.0, 0.02, n)
+        y[2 * n :] = rng.uniform(lo[2 * n :] - 0.3, finite_hi[2 * n :] + 0.3)
+        pick = rng.random(4 * n)
+        y = np.where(pick < 0.15, lo, y)
+        y = np.where((pick >= 0.15) & (pick < 0.3), hi, y)
+        y = np.where(np.isfinite(y), y, y0)  # no infinite state
+        special = rng.choice(4 * n, size=6, replace=False)
+        y[special[:2]] = 0.0
+        y[special[2:4]] = -0.0
+        yield y
+    nan = y0.copy()
+    nan[[0, n + 1, 2 * n + 2, 3 * n + 3]] = np.nan
+    yield nan
+
+
+@pytest.fixture(scope="module")
+def kernel_engines(case118, models118):
+    base = _Engine(case118, models118, initial_state(case118, models118),
+                   DetectionThresholds())
+    return {"base": base, "split": split_engine(case118, models118)}
+
+
+@pytest.mark.parametrize("topology", ["base", "split"])
+def test_rhs_is_bitwise_the_allocating_rhs(kernel_engines, topology):
+    engine = kernel_engines[topology]
+    assert (topology == "split") == (not engine.mach_active.all())
+    rng = np.random.default_rng(11)
+    for y in random_states(engine, rng, 40):
+        want = reference_rhs(engine, y)
+        y_before = y.copy()
+        assert_bitwise_equal(engine.rhs(y), want)  # a fresh output
+        out = np.full_like(y, 7.0)
+        assert engine.rhs(y, out) is out
+        assert_bitwise_equal(out, want)
+        engine._s[:] = y  # the engine's own stage buffer as input
+        assert_bitwise_equal(engine._rhs(engine._s, engine._sb, engine._k[0],
+                                         engine._kb[0]), want)
+        assert_bitwise_equal(y, y_before)
+
+
+@pytest.mark.parametrize("topology", ["base", "split"])
+def test_rk4_step_is_bitwise_the_allocating_step(kernel_engines, topology):
+    """One step from a foreign array, then steps in place from the
+    engine's own state vector, at the sampling step (6 substeps) and at a
+    step shorter than the stability limit (1 substep)."""
+    engine = kernel_engines[topology]
+    rng = np.random.default_rng(12)
+    for h in (0.01, 0.001):
+        for y in random_states(engine, rng, 10):
+            want = reference_rk4_step(engine, y, h)
+            got = engine.rk4_step(y.copy(), h)
+            assert got is engine.y
+            assert_bitwise_equal(got, want)
+            for _ in range(3):
+                want = reference_rk4_step(engine, want, h)
+                assert engine.rk4_step(engine.y, h) is engine.y
+                assert_bitwise_equal(engine.y, want)
+
+
+def test_reassigned_box_is_honoured_by_step_and_rhs():
+    """hi and lo are read at every call, not cached at construction."""
+    case = two_machine_case()
+    models = default_machine_models(case)
+    engine = _Engine(case, models, initial_state(case, models), DetectionThresholds())
+    n = engine.nm
+    y = engine.y.copy()
+    y[2 * n : 3 * n] = 0.5  # EMFs sag: the regulators push up
+    engine.hi = np.where(np.arange(4 * n) >= 2 * n, y, engine.hi)
+    held = engine.rhs(y)
+    assert np.all(held[2 * n : 3 * n] == 0.0)
+    assert_bitwise_equal(held, reference_rhs(engine, y))
+    want = reference_rk4_step(engine, y, 0.01)
+    assert np.all(want[2 * n : 3 * n] == 0.5)
+    assert_bitwise_equal(engine.rk4_step(y, 0.01), want)
+
+
+def test_shared_state_is_not_mutated_by_runs():
+    """The initial state that cascade_confirm shares across orderings
+    comes out of every run as it went in, so a run from a shared state
+    equals a run from a freshly built one."""
+    case = two_machine_case()
+    models = default_machine_models(case)
+    state = initial_state(case, models)
+    frozen = {f: np.copy(getattr(state, f)) for f in
+              ("delta", "omega", "efd", "pm", "vref", "pm_ref", "inertia", "voltages")}
+    options = ScenarioOptions(t_end=2.0)
+    orderings = [(1, 2), (1, 3)], [(1, 3), (1, 2)]
+    for order in orderings:
+        schedule = SwitchingSchedule.evenly_spaced(
+            [OutageAction.open_branch(a, b) for a, b in order], interval=0.5
+        )
+        shared, _ = run_scenario(case, schedule, models, options, state)
+        for name, value in frozen.items():
+            assert_bitwise_equal(getattr(state, name), value)
+        fresh, _ = run_scenario(case, schedule, models, options,
+                                initial_state(case, models))
+        assert_bitwise_equal(shared.angles_deg, fresh.angles_deg)
+        assert_bitwise_equal(shared.voltages, fresh.voltages)

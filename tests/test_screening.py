@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridimpact import screening
 from gridimpact.model import Bus, Generator, GridCase, Substation
 from gridimpact.screening import (
     OutageCombination,
@@ -278,6 +280,49 @@ class TestRunScreening:
         serial = run_screening(case118, k_max=1, subset=SUB_UNIVERSE, workers=1)
         parallel = run_screening(case118, k_max=1, subset=SUB_UNIVERSE, workers=2)
         assert screening_report_csv(serial) == screening_report_csv(parallel)
+
+    def test_a_raising_screen_is_an_error_that_prunes_nothing(
+        self, case118, monkeypatch
+    ):
+        """The level-1 screen of substation 100 (critical when it solves)
+        raises: it is recorded critical with reason error, the sweep goes
+        on, and its supersets are solved instead of pruned by it, alike on
+        one worker and on two (forked workers inherit the patch)."""
+        subset = (94, 95, 99, 100)
+        members = {s.id: s.member_buses for s in case118.substations}[100]
+        n_buses = len(case118.buses)
+        solve = screening.solve_islands
+
+        def solve_or_raise(reduced, *args, **kwargs):
+            ids = {b.id for b in reduced.buses}
+            if len(ids) == n_buses - len(members) and not ids & members:
+                raise RuntimeError("injected failure")
+            return solve(reduced, *args, **kwargs)
+
+        clean = run_screening(case118, k_max=2, subset=subset, workers=1)
+        assert clean.level(1).results[0].reason == "diverged"
+        pruned_by_100 = {r.combination for r in clean.level(2).results
+                         if r.critical_by == OutageCombination((100,))}
+        assert len(pruned_by_100) == 3
+
+        monkeypatch.setattr(screening, "solve_islands", solve_or_raise)
+        runs = [run_screening(case118, k_max=2, subset=subset, workers=w)
+                for w in (1, 2)]
+        assert screening_report_csv(runs[0]) == screening_report_csv(runs[1])
+        for run in runs:
+            errored = [r for pl in run.levels for r in pl.results if r.reason == "error"]
+            assert [r.combination for r in errored] == [OutageCombination((100,))]
+            assert errored[0].verdict == "critical"
+            assert (errored[0].island_count, errored[0].unserved_mw) == (0, 0.0)
+            level2 = {r.combination: r for r in run.level(2).results}
+            assert all(r.critical_by is None for r in level2.values())
+            assert run.evaluations == clean.evaluations + len(pruned_by_100)
+            assert run.pruned == clean.pruned - len(pruned_by_100)
+            for combo in pruned_by_100:
+                want = screen_combination(case118, combo)
+                assert level2[combo] == want
+        with pytest.raises(ValueError):
+            dataclasses.replace(errored[0], verdict="non_critical")
 
 
 class TestReportCsv:

@@ -23,14 +23,33 @@ from .model import load_case, summarize
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _fraction(text: str) -> float:
+    """An argparse type: a number within [0, 1]."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie within [0, 1], got {value}")
     return value
 
 
@@ -46,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_screen = sub.add_parser("screen", help="steady-state outage screening")
     p_screen.add_argument("case")
-    p_screen.add_argument("--k", type=int, default=1, help="maximum outage level")
-    p_screen.add_argument("--budget", type=int, default=None,
+    p_screen.add_argument("--k", type=_positive_int, default=1, help="maximum outage level")
+    p_screen.add_argument("--budget", type=_non_negative_int, default=None,
                           help="cap on power-flow evaluations")
     p_screen.add_argument("--no-prune", action="store_true",
                           help="disable containment pruning")
@@ -65,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="screen, verify, cross-check")
     p_pipe.add_argument("case")
-    p_pipe.add_argument("--k", type=int, default=1)
+    p_pipe.add_argument("--k", type=_positive_int, default=1)
     p_pipe.add_argument("--seed", type=int, default=0)
-    p_pipe.add_argument("--budget", type=int, default=None)
-    p_pipe.add_argument("--sample-fraction", type=float, default=0.05,
+    p_pipe.add_argument("--budget", type=_non_negative_int, default=None)
+    p_pipe.add_argument("--sample-fraction", type=_fraction, default=0.05,
                         help="non-critical fraction selected for dynamics")
     p_pipe.add_argument("--out", required=True, help="run directory for reports")
 

@@ -157,7 +157,8 @@ class CaseArrays:
     (condensers included), the voltage setpoint (the stored magnitude,
     overridden by the last machine's setpoint), whether any machine sits
     there, the nameplate MVA of its generating units (condensers
-    excluded), the stored voltage and the bus kind.
+    excluded), the output of its largest generating unit (-inf where it
+    has none), the stored voltage and the bus kind.
 
     Per branch: from/to bus positions and the pi-model entries ``yff``,
     ``yft``, ``ytf``, ``ytt`` (tap on the from side, charging split
@@ -176,6 +177,7 @@ class CaseArrays:
     v_set: np.ndarray
     has_machine: np.ndarray
     gen_mva: np.ndarray
+    unit_p: np.ndarray
     vm: np.ndarray
     va: np.ndarray
     kind: np.ndarray
@@ -198,28 +200,32 @@ class CaseArrays:
         f, t = self.f[on], self.t[on]
         # interleaved from/to ends, branch by branch: each diagonal sums its
         # stamps in branch order, as the element-wise stamp would
-        ends = np.column_stack([f, t]).ravel()
-        stamp = np.column_stack([self.yff[on], self.ytt[on]]).ravel()
+        ends, other = np.empty((2, 2 * f.size), dtype=int)
+        ends[0::2] = other[1::2] = f
+        ends[1::2] = other[0::2] = t
+        stamp, off = np.empty((2, 2 * f.size), dtype=complex)
+        stamp[0::2], stamp[1::2] = self.yff[on], self.ytt[on]
+        off[0::2], off[1::2] = self.yft[on], self.ytf[on]
         diag = np.empty(n, dtype=complex)
         diag.real = np.bincount(ends, stamp.real, n)
         diag.imag = np.bincount(ends, stamp.imag, n)
         at = np.arange(n)
-        key = np.concatenate([ends * n + np.column_stack([t, f]).ravel(), at * (n + 1)])
-        value = np.concatenate([np.column_stack([self.yft[on], self.ytf[on]]).ravel(), diag])
+        key = np.concatenate([ends * n + other, at * (n + 1)])
+        value = np.concatenate([off, diag])
         # a stable sort keeps the stamps of one entry in branch order, and
         # they are summed left to right, as a coo -> csr pass sums parallel
         # circuits; sums of exactly zero are dropped
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         key, value = key[order], value[order]
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         data = value[first]
-        np.add.at(data, np.cumsum(first)[~first] - 1, value[~first])
+        np.add.at(data, first.cumsum()[~first] - 1, value[~first])
         key = key[first]
         stored = data != 0
         data, key = data[stored], key[stored]
         indptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        indptr[1:] = np.bincount(key // n, minlength=n).cumsum()
         Y = sp.csr_matrix((data, (key % n).astype(np.intc), indptr), shape=(n, n))
         Y.has_canonical_format = True
         return Y
@@ -243,7 +249,7 @@ class CaseArrays:
 
 
 _BUS_FIELDS = ("load_p", "load_q", "gen_p", "gen_q", "q_min", "q_max", "v_set",
-               "has_machine", "gen_mva", "vm", "va", "kind")
+               "has_machine", "gen_mva", "unit_p", "vm", "va", "kind")
 _BRANCH_FIELDS = ("yff", "yft", "ytf", "ytt", "rating", "status")
 
 
@@ -271,6 +277,7 @@ class GridCase:
         vm = np.array([b.voltage_magnitude for b in buses], dtype=float)
         v_set = vm.copy()
         has_machine = np.zeros(n, dtype=bool)
+        unit_p = np.full(n, -np.inf)
         for g in self.generators:
             k = idx.get(g.bus)
             if k is None:
@@ -283,6 +290,7 @@ class GridCase:
             has_machine[k] = True
             if not g.is_condenser:
                 gen_mva[k] += g.mva_base
+                unit_p[k] = max(unit_p[k], g.p_output)
 
         # Every layer gathers these entries, so the admittance matrix and
         # the branch flows share one pi model. They are computed with
@@ -307,6 +315,7 @@ class GridCase:
             v_set=v_set,
             has_machine=has_machine,
             gen_mva=gen_mva,
+            unit_p=unit_p,
             vm=vm,
             va=np.array([b.voltage_angle for b in buses], dtype=float),
             kind=np.array([b.kind for b in buses], dtype=str),

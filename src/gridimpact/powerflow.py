@@ -130,128 +130,192 @@ class PowerFlowSolution:
         return float(self.va[self.bus_ids.index(bus_id)])
 
 
-class _Jacobian:
-    """The Newton Jacobian of one network, on a fixed sparsity pattern.
+# What ``splu`` and ``spsolve(..., permc_spec="NATURAL")`` pass to SuperLU.
+_SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
+_NATURAL_OPTIONS = dict(ColPerm="NATURAL")
 
-    The pattern is the admittance matrix's, in canonical CSR form with
-    every diagonal entry stored. ``split`` maps it onto the four blocks of
-    the Jacobian for one PV/PQ split; ``fill`` computes the values of
-    dS/dVa and dS/dVm over Y's nonzeros with the scalar expressions of
-    MATPOWER's ``dSbus_dV`` and gathers them into the Jacobian's data;
-    ``solve`` orders the split's pattern once and reuses that order.
+
+class _Jacobian:
+    """Newton's kernel on one island, as raw arrays on fixed patterns.
+
+    The island's admittance matrix is held in CSR form with sorted columns
+    and every diagonal entry stored. ``injections`` computes the voltages,
+    ``Ibus = Y V`` and the complex power injections; ``split`` maps Y's
+    pattern onto the four blocks of the Jacobian, in CSC form, for one
+    PV/PQ split; ``fill`` computes dS/dVa and dS/dVm over Y's nonzeros with
+    the scalar expressions of MATPOWER's ``dSbus_dV`` and gathers them into
+    the Jacobian's data; ``solve`` orders the split's pattern once and
+    reuses that order. Every array an iteration writes is allocated once,
+    for the island or for the split.
     """
 
-    def __init__(self, Y: sp.csr_matrix):
-        n = Y.shape[0]
-        rows = np.repeat(np.arange(n, dtype=Y.indices.dtype), np.diff(Y.indptr))
-        diag = np.flatnonzero(rows == Y.indices)
-        if diag.size != n or not Y.has_canonical_format:
-            import scipy.sparse as sp
+    def __init__(self, Y: sp.csr_matrix, take: np.ndarray):
+        """The kernel of the buses at positions ``take`` of ``Y``'s network."""
+        from scipy.sparse import csc_array
+        from scipy.sparse._sparsetools import csr_matvec
+        from scipy.sparse.linalg._dsolve import _superlu
 
-            coo = Y.tocoo()
-            at = np.arange(n)
-            # coo -> csr sums the duplicates and keeps the explicit zeros
-            Y = sp.csr_matrix(
-                (np.concatenate([coo.data, np.zeros(n)]),
-                 (np.concatenate([coo.row, at]), np.concatenate([coo.col, at]))),
-                shape=(n, n),
-            )
-            rows = np.repeat(at, np.diff(Y.indptr))
-            diag = np.flatnonzero(rows == Y.indices)
-        self.Y = Y
-        self.rows = rows
-        self.cols = Y.indices
-        self.diag = diag  # in row order
+        # scipy's entry points, imported here: importing this module loads none
+        self.csc_array, self.csr_matvec, self.superlu = csc_array, csr_matvec, _superlu
+        n = self.n = take.size
+        at = np.arange(n)
+        pos = np.full(Y.shape[0], -1)
+        pos[take] = at
+        # the rows of the island's buses, entry by entry, and their columns
+        # renumbered (-1 outside the island)
+        stop = Y.indptr[take + 1]
+        count = stop - Y.indptr[take]
+        end = count.cumsum()
+        entry = (stop - end).repeat(count) + np.arange(end[-1])
+        cols = pos[Y.indices[entry]]
+        inside = cols >= 0
+        # row-major keys, then every diagonal's with a zero value: the stable
+        # sort keeps a stored diagonal ahead of the zero, which is dropped
+        key = np.concatenate([(at.repeat(count) * n + cols)[inside], at * (n + 1)])
+        order = key.argsort(kind="stable")
+        key = key[order]
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        order = order[first]
+        y = np.concatenate([Y.data[entry[inside]], np.zeros(n, dtype=complex)])[order]
+        rows, cols = np.divmod(key[first], n)
+        nnz = rows.size
+        self.y, self.cols = y, cols.astype(np.intc)
+        self.indptr = np.concatenate([[0], rows.searchsorted(at, "right")]).astype(np.intc)
+        self.diag = (rows == cols).nonzero()[0]  # in row order
         # The four blocks' candidate entries: row and column in the bus
         # space of [angles; magnitudes], and the slot of their value in
-        # fill's interleaved (real, imaginary) dS/dVa then dS/dVm.
-        cols = self.cols
-        self.rows4 = np.concatenate([rows, rows, rows + n, rows + n])
-        self.cols4 = np.concatenate([cols, cols + n, cols, cols + n])
-        k = 2 * np.arange(rows.size)
-        self.slot = np.concatenate([k, k + 2 * rows.size, k + 1, k + 2 * rows.size + 1])
-        self.J: sp.csc_matrix | None = None  # set by split
-        # the split's order (new label of each row and column) and its
-        # inverse, set by its first solve
+        # fill's interleaved (real, imaginary) dS/dVa, dS/dVm, and dS/dVm
+        # on the diagonal, which fill computes apart.
+        self.rows4 = np.add.outer([0, 0, n, n], rows).ravel()
+        self.cols4 = np.add.outer([0, n, 0, n], cols).ravel()
+        self.seq = np.arange(4 * nnz)
+        slot = 2 * self.seq[:2 * nnz]
+        self.vm_diag_at = nnz + self.diag
+        slot[self.vm_diag_at] = 4 * nnz + 2 * at
+        self.slot = np.concatenate([slot, slot + 1])
+        # fill's operands are gathered from U = [1j V, V, Vn]: the row's
+        # (1j V, V) and the column's (V, Vn), the latter times (y, y)
+        self.U = np.empty(3 * n, dtype=complex)
+        self.jV, self.V, self.Vn = self.U[:n], self.U[n:2 * n], self.U[2 * n:]
+        self.row_at = np.add.outer([0, n], rows).ravel()
+        self.col_at = np.add.outer([n, 2 * n], cols).ravel()
+        self.yy = np.concatenate([y, y])
+        self.A, self.B = np.empty((2, 2 * nnz), dtype=complex)
+        self.dS = np.empty(2 * nnz + n, dtype=complex)  # dS/dVa, dS/dVm, dS/dVm's diagonal
+        self.dS_dV, self.dVm_diag = self.dS[:2 * nnz], self.dS[2 * nnz:]
+        self.Ibus, self.conj_I, self.S, self.bus_tmp, self.bus_tmp2 = np.empty(
+            (5, n), dtype=complex)
+        self.abs_V = np.empty(n)
+        self.at = np.empty(2 * n, dtype=int)
+        self.r4, self.c4 = np.empty((2, 4 * nnz), dtype=int)
+        # the split's Jacobian, set by split: CSC arrays, and the order (new
+        # label of each row and column) and its inverse set by its first solve
+        self.data = self.indices = self.jptr = self.source = None
         self.perm: np.ndarray | None = None
         self.inv: np.ndarray | None = None
 
-    def split(self, pvpq: np.ndarray, pq: np.ndarray) -> None:
-        """Index the Jacobian's entries for this PV/PQ split.
+    def injections(self, va: np.ndarray, vm: np.ndarray) -> np.ndarray:
+        """The complex power injections at voltages ``vm`` at angles ``va``;
+        ``V`` and ``Ibus = Y V`` are kept for ``fill``."""
+        V, Ibus, n = self.V, self.Ibus, self.n
+        np.multiply(1j, va, out=V)
+        np.exp(V, out=V)
+        np.multiply(vm, V, out=V)
+        Ibus.fill(0)
+        self.csr_matvec(n, n, self.indptr, self.cols, self.y, V, Ibus)
+        np.conjugate(Ibus, out=self.conj_I)
+        return np.multiply(V, self.conj_I, out=self.S)
+
+    def split(self, unknown: np.ndarray) -> None:
+        """Index the Jacobian's entries for the PV/PQ split whose unknowns
+        sit at ``unknown`` in the bus space of [angles; magnitudes]: the
+        angles of the PV then PQ buses, then the PQ buses' magnitudes.
 
         Blocks: Re dS/dVa over (pvpq, pvpq), Re dS/dVm over (pvpq, pq),
         Im dS/dVa over (pq, pvpq), Im dS/dVm over (pq, pq). ``source``
-        indexes ``fill``'s values, the real and imaginary parts of dS/dVa
-        and then dS/dVm, interleaved.
+        indexes ``fill``'s values.
         """
-        import scipy.sparse as sp
-
-        n, npvpq = self.diag.size, pvpq.size
-        size = npvpq + pq.size
+        size = unknown.size
         # each bus's Jacobian row/column in the angle, then magnitude half
-        at = np.full(2 * n, -1)
-        at[pvpq] = np.arange(npvpq)
-        at[n + pq] = np.arange(npvpq, size)
-        rows, cols = at[self.rows4], at[self.cols4]
-        entry = np.flatnonzero((rows >= 0) & (cols >= 0))
+        at = self.at
+        at.fill(-1)
+        at[unknown] = self.seq[:size]
+        rows = at.take(self.rows4, out=self.r4)
+        cols = at.take(self.cols4, out=self.c4)
+        entry = (np.minimum(rows, cols) >= 0).nonzero()[0]
         rows, cols = rows[entry], cols[entry]
         # the keys are unique, so any sort gives column-major order
-        order = np.argsort(cols * size + rows)
+        order = (cols * size + rows).argsort()
         self.source = self.slot[entry[order]]
-        indptr = np.zeros(size + 1, dtype=np.intc)
-        np.cumsum(np.bincount(cols, minlength=size), out=indptr[1:])
-        self.J = sp.csc_matrix(
-            (np.zeros(order.size), rows[order].astype(np.intc), indptr), shape=(size, size)
-        )
-        self.J.has_canonical_format = True
+        self.indices = rows[order].astype(np.intc)
+        self.jptr = np.zeros(size + 1, dtype=np.intc)
+        self.jptr[1:] = np.bincount(cols, minlength=size).cumsum()
+        self.data = np.empty(order.size)
         self.perm = None
 
-    def fill(self, V: np.ndarray, Ibus: np.ndarray) -> sp.csc_matrix:
-        """The Jacobian at voltages ``V``, with ``Ibus = Y V``."""
-        y, d, nnz = self.Y.data, self.diag, self.cols.size
-        dS = np.empty(2 * nnz, dtype=complex)
-        dVa, dVm = dS[:nnz], dS[nnz:]
-        Vn = V / np.abs(V)
-        Vr = V[self.rows]
-        yv = y * V[self.cols]
-        np.multiply(1j * Vr, np.conj(-yv), out=dVa)
-        dVa[d] = (1j * V) * np.conj(Ibus - yv[d])
-        np.multiply(Vr, np.conj(y * Vn[self.cols]), out=dVm)
-        dVm[d] += np.conj(Ibus) * Vn
-        np.take(dS.view(float), self.source, out=self.J.data)
-        return self.J
+    def fill(self) -> np.ndarray:
+        """The Jacobian's data at the voltages of the last ``injections``."""
+        V, Vn, A, B, bus, d = self.V, self.Vn, self.A, self.B, self.bus_tmp, self.diag
+        nnz = self.y.size
+        np.multiply(1j, V, out=self.jV)
+        np.divide(V, np.abs(V, out=self.abs_V), out=Vn)
+        # dS/dVa is (1j V_r) conj(-y V_c) off the diagonal and
+        # (1j V) conj(Ibus - y V) on it; dS/dVm is V_r conj(y Vn_c), plus
+        # conj(Ibus) Vn on the diagonal
+        self.U.take(self.row_at, out=A)
+        self.U.take(self.col_at, out=B)
+        np.multiply(self.yy, B, out=B)
+        Ba = B[:nnz]
+        Ba.take(d, out=bus)
+        np.subtract(self.Ibus, bus, out=bus)
+        np.negative(Ba, out=Ba)
+        Ba.put(d, bus)
+        np.conjugate(B, out=B)
+        np.multiply(A, B, out=self.dS_dV)
+        self.dS_dV.take(self.vm_diag_at, out=bus)
+        np.add(bus, np.multiply(self.conj_I, Vn, out=self.bus_tmp2), out=self.dVm_diag)
+        return self.dS.view(float).take(self.source, out=self.data)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``J^-1 rhs`` for the Jacobian last filled.
 
-        The split's first solve factorizes with COLAMD, ``spsolve``'s
-        default order, and then renumbers J's rows and columns alike into
-        that order, keeping each column's entries in their stored order.
+        The split's first solve factorizes with COLAMD, ``splu``'s default
+        order, and then renumbers J's rows and columns alike into that
+        order, keeping each column's entries in their stored order.
         SuperLU then sees the same matrix under the same labels, diagonal
         pivot preference included, so the split's later solves skip the
-        ordering (``NATURAL``) and give the same result bit for bit.
-        Raises ``RuntimeError`` when the first solve meets an exactly
-        singular J; later ones return NaN.
+        ordering (``NATURAL``) and give the same result bit for bit. Both
+        call SuperLU's entry points with the arguments that ``splu`` and
+        ``spsolve`` pass. Raises ``RuntimeError`` when the first solve
+        meets an exactly singular J; later ones return NaN.
         """
-        from scipy.sparse.linalg import splu, spsolve
-
+        size = self.jptr.size - 1
+        nnz = self.data.size
         perm = self.perm
         if perm is not None:
-            return spsolve(self.J, rhs[self.inv], permc_spec="NATURAL")[perm]
-        lu = splu(self.J)
+            x, info = self.superlu.gssv(size, nnz, self.data, self.indices, self.jptr,
+                                        rhs[self.inv], 1, options=_NATURAL_OPTIONS)
+            if info:
+                x.fill(np.nan)
+            return x[perm]
+        lu = self.superlu.gstrf(size, nnz, self.data, self.indices, self.jptr,
+                                csc_construct_func=self.csc_array, ilu=False,
+                                options=_SPLU_OPTIONS)
         dx = lu.solve(rhs)
         # column j of the ordered J is column inv[j] of this one: an O(nnz)
-        # gather of whole columns, each relabelled but not re-sorted (the
-        # flag keeps spsolve from sorting them)
-        J, perm = self.J, lu.perm_c
-        inv = np.argsort(perm)
-        start = J.indptr[inv]
-        count = J.indptr[inv + 1] - start
-        indptr = np.zeros_like(J.indptr)
-        np.cumsum(count, out=indptr[1:])
-        gather = np.repeat(start - indptr[:-1], count) + np.arange(indptr[-1])
-        J.indices, J.indptr = perm[J.indices[gather]].astype(np.intc), indptr
-        J.has_canonical_format = True
+        # gather of whole columns, each relabelled but not re-sorted
+        perm = lu.perm_c
+        inv = np.empty_like(perm)
+        inv[perm] = self.seq[:size]
+        start = self.jptr[inv]
+        count = self.jptr[inv + 1] - start
+        jptr = np.zeros(size + 1, dtype=np.intc)
+        count.cumsum(out=jptr[1:])
+        gather = (start - jptr[:-1]).repeat(count) + self.seq[:nnz]
+        self.indices = perm[self.indices[gather]]
+        self.jptr = jptr
         self.source = self.source[gather]
         self.perm, self.inv = perm, inv
         return dx
@@ -266,22 +330,23 @@ def _q_limit_pass(qg, vm, vset, qmin, qmax, is_pv, q_mode, switch_count) -> bool
     direction returns to PV at the setpoint. A bus switches at most three
     times.
     """
-    free = is_pv & (q_mode == 0) & (switch_count < 3)
+    live = is_pv & (switch_count < 3)
+    free = live & (q_mode == 0)
     up = free & (qg > qmax + 1e-7)
-    down = free & ~up & (qg < qmin - 1e-7)
-    q_mode[up] = 1
-    q_mode[down] = -1
-    switch_count[up | down] += 1
+    down = free & (qg < qmin - 1e-7) & ~up
+    q_mode += up
+    q_mode -= down
+    switch_count += up | down
     # taken after the latching above, so a bus latched in this pass is
     # already a candidate for release
-    latched = is_pv & (q_mode != 0) & (switch_count < 3)
-    release = latched & (
+    live &= switch_count < 3
+    release = live & (
         ((q_mode == 1) & (vm > vset + 1e-7)) | ((q_mode == -1) & (vm < vset - 1e-7))
     )
     q_mode[release] = 0
-    vm[release] = vset[release]
-    switch_count[release] += 1
-    return bool(up.any() or down.any() or release.any())
+    np.copyto(vm, vset, where=release)
+    switch_count += release
+    return bool((up | down | release).any())
 
 
 def solve_newton(
@@ -320,10 +385,6 @@ def solve_newton(
     vset, has_machine = arr.v_set[take], arr.has_machine[take]
     kind = arr.kind[take]
 
-    Y = arr.ybus
-    if not np.array_equal(take, np.arange(arr.load_p.size)):
-        Y = Y[take][:, take]
-
     if slack_override is not None:
         islack = ids.index(slack_override)
     else:
@@ -353,9 +414,13 @@ def solve_newton(
     va[islack] = va_slack
 
     # Scheduled injections (p.u.). At PV buses Q is free; at PQ buses any
-    # machine contributes its fixed q_output.
-    p_spec = (pg - pd) / base
-    q_spec = (qg_fixed - qd) / base
+    # machine contributes its fixed q_output, a latched one its limit.
+    schedule = np.empty(2 * n)  # interleaved (P, Q)
+    schedule[0::2] = (pg - pd) / base
+    q_at_mode = (qmin - qd) / base, (qg_fixed - qd) / base, (qmax - qd) / base
+    # an unknown's position in x -> its mismatch's in the interleaved S
+    mismatch_at = np.arange(2 * n).reshape(n, 2).T.ravel()
+    qg = np.empty(n)  # machine reactive output (MVAr) for the limit pass
 
     q_mode = np.zeros(n, dtype=int)  # 0 free/PV, +1 latched at qmax, -1 at qmin
     switch_count = np.zeros(n, dtype=int)
@@ -364,37 +429,33 @@ def solve_newton(
     converged = False
     cause: str | None = None
     max_mismatch = np.inf
-    jac = _Jacobian(Y)
-    Y = jac.Y  # the same values, every diagonal stored
+    jac = _Jacobian(arr.ybus, take)
     split = True  # the PV/PQ split changed since the Jacobian was indexed
 
     while iterations <= options.max_iterations:
         if split:
             pv_mask = is_pv & (q_mode == 0)
-            pq_mask = ~pv_mask
-            pq_mask[islack] = False
-            pq_idx = np.flatnonzero(pq_mask)
-            pvpq = np.concatenate([np.flatnonzero(pv_mask), pq_idx])
-            at_max, at_min = q_mode == 1, q_mode == -1
-            q_target = q_spec.copy()
-            q_target[at_max] = (qmax[at_max] - qd[at_max]) / base
-            q_target[at_min] = (qmin[at_min] - qd[at_min]) / base
-            # the unknowns' positions in x, and their mismatches' in the
-            # interleaved (P, Q) of S
-            unknown = np.concatenate([pvpq, n + pq_idx])
-            at_pq = np.concatenate([2 * pvpq, 2 * pq_idx + 1])
-            spec = np.concatenate([p_spec[pvpq], q_target[pq_idx]])
-        V = vm * np.exp(1j * va)
-        Ibus = Y @ V
-        S = V * np.conj(Ibus)
-        F = S.view(float)[at_pq] - spec
-        max_mismatch = float(np.max(np.abs(F))) if F.size else 0.0
+            pv_idx = pv_mask.nonzero()[0]
+            pv_mask[islack] = True  # the slack is neither PV nor PQ
+            pq_idx = (~pv_mask).nonzero()[0]
+            # the unknowns' positions in x
+            unknown = np.concatenate([pv_idx, pq_idx, n + pq_idx])
+            at_pq = mismatch_at.take(unknown)
+            (q_mode + 1).choose(q_at_mode, out=schedule[1::2])
+            spec = schedule.take(at_pq)
+            F = np.empty(unknown.size)
+            abs_F = np.empty(unknown.size)
+        S = jac.injections(va, vm)
+        S.view(float).take(at_pq, out=F)
+        np.subtract(F, spec, out=F)
+        max_mismatch = float(np.maximum.reduce(np.abs(F, out=abs_F))) if F.size else 0.0
         if not math.isfinite(max_mismatch):
             cause = "numerical_overflow"
             break
         if max_mismatch <= options.tolerance:
             if options.enforce_q_limits and _q_limit_pass(
-                S.imag * base + qd, vm, vset, qmin, qmax, is_pv, q_mode, switch_count
+                np.add(np.multiply(S.imag, base, out=qg), qd, out=qg),
+                vm, vset, qmin, qmax, is_pv, q_mode, switch_count,
             ):
                 split = True
                 continue  # limits moved; resume with new bus types
@@ -405,15 +466,15 @@ def solve_newton(
             break
 
         if split:
-            jac.split(pvpq, pq_idx)
+            jac.split(unknown)
             split = False
-        jac.fill(V, Ibus)
+        jac.fill()
         try:
             dx = jac.solve(-F)
         except RuntimeError:
             cause = "singular_jacobian"
             break
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             cause = "singular_jacobian"
             break
         x[unknown] += dx

@@ -96,7 +96,11 @@ class ScreeningResult:
     load in dead (de-energized) islands; for pruned results it is
     inherited from the contained ancestor. ``critical_by`` names the
     ancestor combination when the verdict came from containment pruning
-    rather than a solve.
+    rather than a solve. ``cause`` says why a critical combination has
+    no steady state: the cause of its first failing island
+    (``max_iterations``, ``singular_jacobian``, ``numerical_overflow`` or
+    ``generation_deficit``), ``dead_system`` or ``error``; a pruned result
+    carries its ancestor's, and a non-critical one None.
     """
 
     combination: OutageCombination
@@ -106,6 +110,7 @@ class ScreeningResult:
     island_count: int
     unserved_mw: float
     critical_by: OutageCombination | None = None
+    cause: str | None = None
 
     def __post_init__(self) -> None:
         crit = self.reason in ("diverged", "dead_system", "error")
@@ -225,6 +230,7 @@ def screen_combination(case: GridCase, combo: OutageCombination,
             violations=(),
             island_count=len(partition),
             unserved_mw=unserved,
+            cause="dead_system",
         )
     if not solution.converged:
         return ScreeningResult(
@@ -234,6 +240,8 @@ def screen_combination(case: GridCase, combo: OutageCombination,
             violations=(),
             island_count=len(partition),
             unserved_mw=unserved,
+            cause=next(isl.cause for isl in solution.islands
+                       if isl.cause not in (None, "dead_island")),
         )
     violations = tuple(check_violations(reduced, solution))
     if unserved > 0.0:
@@ -270,6 +278,7 @@ def _screen_isolated(case: GridCase, combo: OutageCombination,
             violations=(),
             island_count=0,
             unserved_mw=0.0,
+            cause="error",
         )
 
 
@@ -304,10 +313,13 @@ def run_screening(
     critical with reason ``error``, the sweep goes on, and it prunes
     nothing. ``budget`` caps the number of power-flow evaluations
     (pruned records are free); when it runs out the sweep stops and
-    ``coverage`` reports the classified fraction.
+    ``coverage`` reports the classified fraction. Raises ``ValueError``
+    for a ``k_max`` below 1 or a negative ``budget``.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")
     options = options or PowerFlowOptions()
     nworkers = (
         worker_count() if workers is None else max(1, min(workers, os.cpu_count() or 1))
@@ -378,6 +390,7 @@ def run_screening(
                     island_count=anc_result.island_count,
                     unserved_mw=anc_result.unserved_mw,
                     critical_by=anc_result.combination,
+                    cause=anc_result.cause,
                 )
             )
         pruned_count += len(pruned_here)

@@ -131,8 +131,9 @@ def apply_substation_outage(
         dead_buses |= sub.member_buses
 
     arr = case.arrays
-    keep_bus = np.fromiter((b.id not in dead_buses for b in case.buses), dtype=bool,
-                           count=len(case.buses))
+    keep_bus = np.ones(len(case.buses), dtype=bool)
+    bus_index = case.bus_index
+    keep_bus[[bus_index[b] for b in dead_buses if b in bus_index]] = False
     # out-of-service branches incident to a dead bus vanish silently: they
     # were already disconnected and their endpoint is gone
     keep_branch = keep_bus[arr.f] & keep_bus[arr.t]
@@ -200,18 +201,10 @@ def find_islands(case: GridCase) -> IslandPartition:
     pattern = sp.csr_matrix((np.ones(Y.indices.size), Y.indices, Y.indptr), shape=(n, n))
     count, labels = connected_components(pattern, directed=True, connection="strong")
 
-    index = case.bus_index
-    ids = np.fromiter(index, dtype=int, count=n)
-    best: dict[int, float] = {}  # bus position -> its largest generating unit
-    for g in case.generators:
-        k = index.get(g.bus)
-        if k is not None and not g.is_condenser:
-            best[k] = max(best.get(k, g.p_output), g.p_output)
-    generating = np.zeros(n, dtype=bool)
-    generating[list(best)] = True
+    ids = np.fromiter(case.bus_index, dtype=int, count=n)
+    generating = arr.unit_p > -np.inf
     # the slack candidates sort first: a slack bus, else the largest unit
-    rank = np.full(n, np.inf)
-    rank[list(best)] = [-p for p in best.values()]
+    rank = -arr.unit_p
     rank[arr.kind == "slack"] = -np.inf
     has_load = arr.load_p != 0.0
 

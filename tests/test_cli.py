@@ -52,6 +52,39 @@ class TestScreen:
         assert "3 evaluations" in note
 
 
+    def test_zero_budget_screens_nothing(self, toy_case_file, capsys):
+        assert main(["screen", toy_case_file, "--budget", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "level,substations,verdict,reason,islands,unserved_mw,violations,critical_by"
+        ]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("screen", "--k", "0"),
+    ("screen", "--k", "two"),
+    ("screen", "--budget", "-3"),
+    ("pipeline", "--k", "-1"),
+    ("pipeline", "--budget", "-1"),
+    ("pipeline", "--sample-fraction", "1.5"),
+    ("pipeline", "--sample-fraction", "-0.1"),
+    ("pipeline", "--sample-fraction", "nan"),
+])
+def test_bad_values_rejected_before_the_case_loads(command, option, value, tmp_path,
+                                                   capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the case was loaded")
+
+    monkeypatch.setattr(cli, "load_case", must_not_run)
+    argv = [command, CASE_PATH, option, value]
+    if command == "pipeline":
+        argv += ["--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 class TestSimulate:
     def test_scenario_run_with_trace(self, toy_case_file, tmp_path, capsys):
         scenario = tmp_path / "split.txt"

@@ -49,17 +49,30 @@ def bus_types(case: GridCase, take: np.ndarray, slack: int):
     return np.concatenate([np.flatnonzero(is_pv), pq]), pq
 
 
+def kernel_jacobian(jac: _Jacobian, V: np.ndarray, pvpq, pq) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Split ``jac`` for (pvpq, pq) and fill it at about ``V`` (the kernel
+    computes the voltages from their angles and magnitudes): the raw CSC
+    arrays as a matrix, and the voltages they were filled at."""
+    n = V.size
+    jac.split(np.concatenate([pvpq, n + pq]))
+    jac.injections(np.angle(V), np.abs(V))
+    size = pvpq.size + pq.size
+    J = sp.csc_matrix((jac.fill().copy(), jac.indices, jac.jptr), shape=(size, size))
+    return J, jac.V.copy()
+
+
 def assert_kernel_matches(Y, V, pvpq, pq) -> None:
     """Equal values within 1e-12 relative; every reference nonzero lies on
-    the kernel's pattern, which may also store zeros."""
-    jac = _Jacobian(Y)
-    jac.split(pvpq, pq)
-    J = jac.fill(V, jac.Y @ V)
+    the kernel's pattern, which may also store zeros, with each column's
+    rows sorted and distinct, as SuperLU's first solve is given them."""
+    J, V = kernel_jacobian(_Jacobian(Y, np.arange(Y.shape[0])), V, pvpq, pq)
     want = reference_jacobian(Y, V, pvpq, pq).toarray()
     coo = J.tocoo()
     stored = np.zeros(J.shape, dtype=bool)
     stored[coo.row, coo.col] = True
-    assert J.has_canonical_format
+    assert J.indices.dtype == J.indptr.dtype == np.intc
+    for a, b in zip(J.indptr[:-1], J.indptr[1:]):
+        assert np.all(np.diff(J.indices[a:b]) > 0)
     assert not np.any((want != 0) & ~stored)
     assert np.all(np.abs(J.toarray() - want) <= 1e-12 * np.abs(want))
 
@@ -127,15 +140,13 @@ def test_split_reindexes_in_place(case118):
     take = np.arange(len(case118.buses))
     pvpq, pq = bus_types(case118, take, case118.bus_index[69])
     Y = build_admittance(case118).matrix
-    V = stored_voltages(case118, take)
-    jac = _Jacobian(Y)
-    jac.split(pvpq, pq)
-    jac.fill(V, jac.Y @ V)
+    jac = _Jacobian(Y, take)
+    kernel_jacobian(jac, stored_voltages(case118, take), pvpq, pq)
     pv = pvpq[: pvpq.size - pq.size]
     pq2 = np.sort(np.concatenate([pq, pv[:3]]))
     pvpq2 = np.concatenate([pv[3:], pq2])
-    jac.split(pvpq2, pq2)
-    got = jac.fill(V, jac.Y @ V).toarray()
+    J, V = kernel_jacobian(jac, stored_voltages(case118, take), pvpq2, pq2)
+    got = J.toarray()
     want = reference_jacobian(Y, V, pvpq2, pq2).toarray()
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 

@@ -7,12 +7,13 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridimpact import screening
+from gridimpact import powerflow, screening
 from gridimpact.model import Bus, Generator, GridCase, Substation
 from gridimpact.screening import (
     OutageCombination,
@@ -26,6 +27,7 @@ from gridimpact.screening import (
     worker_count,
 )
 from gridimpact.screening import _critical_ancestor
+from gridimpact.topology import apply_substation_outage, find_islands
 
 from toys import two_bus_case
 
@@ -34,6 +36,9 @@ CASE1_COMBO = OutageCombination((13, 14, 17, 21, 34))
 # compact sub-universe around the weak southeast corner; small enough for
 # exhaustive k=2 sweeps, rich enough that containment pruning fires
 SUB_UNIVERSE = (80, 92, 94, 95, 96, 98, 99, 100, 101, 102)
+
+# the benchmark's seed-42 screen-k2 subset (gridbench/workloads.py)
+BENCH_SUBSET = (4, 14, 15, 18, 29, 32, 36, 69, 83, 88, 96, 100)
 
 
 def synthetic_case(n: int) -> GridCase:
@@ -157,6 +162,7 @@ class TestSingleVerdicts:
         r = screen_combination(two_bus_case(), OutageCombination((1,)))
         assert r.verdict == "critical"
         assert r.reason == "dead_system"
+        assert r.cause == "dead_system"
         assert r.unserved_mw == 50.0
 
     def test_verdict_reason_consistency_enforced(self):
@@ -255,6 +261,11 @@ class TestRunScreening:
         assert (100, 103) in crit_p
         assert (100, 103) not in crit_f
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            run_screening(synthetic_case(3), k_max=1, budget=-3)
+        assert run_screening(synthetic_case(3), k_max=1, budget=0).evaluations == 0
+
     def test_budget_truncates_and_reports_coverage(self, case118):
         run = run_screening(case118, k_max=2, subset=SUB_UNIVERSE, budget=4)
         assert run.evaluations == 4
@@ -323,6 +334,65 @@ class TestRunScreening:
                 assert level2[combo] == want
         with pytest.raises(ValueError):
             dataclasses.replace(errored[0], verdict="non_critical")
+
+
+class TestCause:
+    def test_causes_of_the_bench_subset(self, case118):
+        """Solved critical results carry their first failing island's
+        cause, pruned ones their ancestor's, non-critical ones none; the
+        same on one worker and on two, and not in the report."""
+        runs = [run_screening(case118, k_max=2, subset=BENCH_SUBSET, workers=w)
+                for w in (1, 2)]
+        assert screening_report_csv(runs[0]) == screening_report_csv(runs[1])
+        assert "cause" not in screening_report_csv(runs[0]).splitlines()[0]
+        for run in runs:
+            results = [r for pl in run.levels for r in pl.results]
+            solved = Counter(r.cause for r in results if r.critical_by is None)
+            assert solved == {None: 63, "max_iterations": 3, "generation_deficit": 1}
+            by_combo = {r.combination: r for r in results}
+            assert by_combo[OutageCombination((100,))].cause == "generation_deficit"
+            assert by_combo[OutageCombination((69, 83))].cause == "max_iterations"
+            for r in results:
+                assert (r.cause is None) == (r.verdict == "non_critical")
+                if r.critical_by is not None:
+                    assert r.cause == by_combo[r.critical_by].cause
+
+
+class TestInstrumentationContract:
+    """The benchmark reads Newton work off these calls (``gridbench/spans.py``
+    wraps ``screening.solve_islands`` and ``powerflow.solve_newton``): one
+    ``solve_islands`` per screen, and one ``solve_newton`` per servable
+    island that passes the capability gate."""
+
+    @pytest.mark.parametrize("subs", [
+        (100,),  # two islands: the pocket fails the gate
+        (69, 83),  # hits the iteration cap
+        (69, 96),  # hits the iteration cap
+        (4,), (14, 36), (15, 88), (29, 32),  # converge
+    ])
+    def test_one_newton_solve_per_gated_island(self, case118, monkeypatch, subs):
+        calls = Counter()
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(screening, "solve_islands")
+        counted(powerflow, "solve_newton")
+        screen_combination(case118, OutageCombination(subs))
+        reduced, _, _ = apply_substation_outage(case118, subs)
+        arr = reduced.arrays
+        gated = 0
+        for isl in find_islands(reduced).islands:
+            take = [reduced.bus_index[b] for b in sorted(isl.buses)]
+            gated += isl.servable and arr.load_p[take].sum() <= arr.gen_mva[take].sum()
+        assert gated >= 1
+        assert calls == {"solve_islands": 1, "solve_newton": gated}
 
 
 class TestReportCsv:

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import GridCase
+from .model import GridCase, _substation_id
 from .powerflow import (
     PowerFlowOptions,
     PowerFlowSolution,
@@ -167,6 +167,8 @@ class SwitchingSchedule:
 
     def __post_init__(self) -> None:
         times = [t for t, _ in self.events]
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("event times must be finite")
         if any(t < 0 for t in times):
             raise ValueError("event times must be non-negative")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -189,8 +191,8 @@ class SwitchingSchedule:
         start: float = 0.0,
     ) -> "SwitchingSchedule":
         """Actions at ``start``, ``start+interval``, ... (default 5 s apart)."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0 < interval < math.inf:
+            raise ValueError("interval must be positive and finite")
         return SwitchingSchedule(
             tuple((start + i * interval, a) for i, a in enumerate(actions))
         )
@@ -215,12 +217,13 @@ def parse_schedule(text: str) -> SwitchingSchedule:
             raise ValueError(f"line {no}: bad event time {toks[0]!r}") from None
         kind = toks[1] if len(toks) > 1 else ""
         if kind == "open_branch" and len(toks) == 4:
-            action = OutageAction.open_branch(int(toks[2]), int(toks[3]))
+            try:
+                ends = int(toks[2]), int(toks[3])
+            except ValueError:
+                raise ValueError(f"line {no}: bad bus id in {line!r}") from None
+            action = OutageAction.open_branch(*ends)
         elif kind == "remove_substation" and len(toks) == 3:
-            sub: int | str = toks[2]
-            if isinstance(sub, str) and sub.lstrip("-").isdigit():
-                sub = int(sub)
-            action = OutageAction.remove_substation(sub)
+            action = OutageAction.remove_substation(_substation_id(toks[2]))
         else:
             raise ValueError(f"line {no}: unrecognized event {line!r}")
         events.append((t, action))
@@ -262,8 +265,10 @@ class ScenarioOptions:
     thresholds: DetectionThresholds = field(default_factory=DetectionThresholds)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if self.t_end is not None and not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 

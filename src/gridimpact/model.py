@@ -16,7 +16,7 @@ its own single-bus substation, which matches the common usage where
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Union
@@ -454,35 +454,52 @@ def validate(case: GridCase) -> list[str]:
 # Text format I/O
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("[BUS]", "[BRANCH]", "[GEN]", "[SUBSTATION]")
+# Section -> (row class, GridCase field, header comment). A row's columns
+# are its class's fields in declaration order.
+_ROWS = {
+    "[BUS]": (Bus, "buses", "# id kind vm_pu va_rad base_kv load_mw load_mvar"),
+    "[BRANCH]": (Branch, "branches", "# from to r_pu x_pu b_pu rating_mva tap xfmr status"),
+    "[GEN]": (Generator, "generators",
+              "# bus p_mw q_mvar q_min q_max v_set mva_base condenser"),
+}
+_SECTIONS = (*_ROWS, "[SUBSTATION]")
 
 
-def _parse_bool(tok: str, line_no: int) -> bool:
-    if tok in ("0", "1"):
-        return tok == "1"
-    raise CaseFormatError(line_no, f"expected 0/1 flag, got {tok!r}")
+# A column's declared type (a string under postponed annotations) -> how a
+# token converts to it, what a bad token was expected to be, and how a value
+# is written back.
+_TYPES = {
+    "int": (int, "an integer", str),
+    "float": (float, "a number", lambda x: repr(float(x))),
+    "bool": ({"0": False, "1": True}.__getitem__, "0/1 flag", lambda x: str(int(x))),
+    "str": (str, "a name", str),
+}
+# section -> (row class, one converter per column)
+_ROW_CONVERTERS = {
+    section: (cls, tuple(_TYPES[f.type][0] for f in fields(cls)))
+    for section, (cls, _, _) in _ROWS.items()
+}
 
 
-def _parse_float(tok: str, line_no: int) -> float:
+def _parse(type_: str, tok: str, line_no: int):
+    convert, expected, _ = _TYPES[type_]
     try:
-        return float(tok)
-    except ValueError:
-        raise CaseFormatError(line_no, f"expected a number, got {tok!r}") from None
+        return convert(tok)
+    except (ValueError, KeyError):
+        raise CaseFormatError(line_no, f"expected {expected}, got {tok!r}") from None
 
 
-def _parse_int(tok: str, line_no: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise CaseFormatError(line_no, f"expected an integer, got {tok!r}") from None
+def _substation_id(tok: str) -> SubstationId:
+    """A substation id token: an ASCII ``-?[0-9]+`` token is an int id,
+    any other token a name."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    return int(tok) if digits.isascii() and digits.isdigit() else tok
 
 
 def loads_case(text: str, check: bool = True) -> GridCase:
     """Parse a case from a string. See :func:`load_case`."""
     base_mva = 100.0
-    buses: list[Bus] = []
-    branches: list[Branch] = []
-    gens: list[Generator] = []
+    rows: dict[str, list] = {section: [] for section in _ROWS}
     subs: list[Substation] = []
     section: str | None = None
 
@@ -498,74 +515,33 @@ def loads_case(text: str, check: bool = True) -> GridCase:
         toks = line.split()
         if section is None:
             if toks[0] == "base_mva" and len(toks) == 2:
-                base_mva = _parse_float(toks[1], line_no)
+                base_mva = _parse("float", toks[1], line_no)
                 continue
             raise CaseFormatError(line_no, f"data before any section: {line!r}")
-        if section == "[BUS]":
-            if len(toks) != 7:
-                raise CaseFormatError(line_no, f"[BUS] rows take 7 columns, got {len(toks)}")
-            kind = toks[1]
-            if kind not in BUS_KINDS:
-                raise CaseFormatError(line_no, f"unknown bus kind {kind!r}")
-            buses.append(
-                Bus(
-                    id=_parse_int(toks[0], line_no),
-                    kind=kind,
-                    voltage_magnitude=_parse_float(toks[2], line_no),
-                    voltage_angle=_parse_float(toks[3], line_no),
-                    base_kv=_parse_float(toks[4], line_no),
-                    load_p=_parse_float(toks[5], line_no),
-                    load_q=_parse_float(toks[6], line_no),
-                )
-            )
-        elif section == "[BRANCH]":
-            if len(toks) != 9:
-                raise CaseFormatError(line_no, f"[BRANCH] rows take 9 columns, got {len(toks)}")
-            branches.append(
-                Branch(
-                    from_bus=_parse_int(toks[0], line_no),
-                    to_bus=_parse_int(toks[1], line_no),
-                    resistance=_parse_float(toks[2], line_no),
-                    reactance=_parse_float(toks[3], line_no),
-                    total_charging=_parse_float(toks[4], line_no),
-                    rating=_parse_float(toks[5], line_no),
-                    tap_ratio=_parse_float(toks[6], line_no),
-                    is_transformer=_parse_bool(toks[7], line_no),
-                    status=_parse_bool(toks[8], line_no),
-                )
-            )
-        elif section == "[GEN]":
-            if len(toks) != 8:
-                raise CaseFormatError(line_no, f"[GEN] rows take 8 columns, got {len(toks)}")
-            gens.append(
-                Generator(
-                    bus=_parse_int(toks[0], line_no),
-                    p_output=_parse_float(toks[1], line_no),
-                    q_output=_parse_float(toks[2], line_no),
-                    q_min=_parse_float(toks[3], line_no),
-                    q_max=_parse_float(toks[4], line_no),
-                    v_setpoint=_parse_float(toks[5], line_no),
-                    mva_base=_parse_float(toks[6], line_no),
-                    is_condenser=_parse_bool(toks[7], line_no),
-                )
-            )
-        elif section == "[SUBSTATION]":
+        if section == "[SUBSTATION]":
             if len(toks) < 2:
                 raise CaseFormatError(line_no, "[SUBSTATION] rows take an id plus member buses")
-            sid: SubstationId = int(toks[0]) if toks[0].lstrip("-").isdigit() else toks[0]
-            subs.append(
-                Substation(
-                    id=sid,
-                    member_buses=frozenset(_parse_int(t, line_no) for t in toks[1:]),
-                )
+            members = frozenset(_parse("int", t, line_no) for t in toks[1:])
+            subs.append(Substation(_substation_id(toks[0]), members))
+            continue
+        cls, converters = _ROW_CONVERTERS[section]
+        if len(toks) != len(converters):
+            raise CaseFormatError(
+                line_no, f"{section} rows take {len(converters)} columns, got {len(toks)}"
             )
+        if cls is Bus and toks[1] not in BUS_KINDS:
+            raise CaseFormatError(line_no, f"unknown bus kind {toks[1]!r}")
+        try:
+            rows[section].append(cls(*[conv(tok) for conv, tok in zip(converters, toks)]))
+        except (ValueError, KeyError):
+            for f, tok in zip(fields(cls), toks):  # raises at the first bad column
+                _parse(f.type, tok, line_no)
+            raise
 
     case = GridCase(
         base_mva=base_mva,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(gens),
-        substations=tuple(subs) if subs else default_substations(buses),
+        **{name: tuple(rows[section]) for section, (_, name, _) in _ROWS.items()},
+        substations=tuple(subs) if subs else default_substations(rows["[BUS]"]),
     )
     if check:
         problems = validate(case)
@@ -591,37 +567,19 @@ def load_case(path: str | Path, check: bool = True) -> GridCase:
 def dumps_case(case: GridCase) -> str:
     """Serialize to the text format; inverse of :func:`loads_case`.
 
-    Floats are written with ``repr`` so a save/load round trip is exact.
+    Floats are written with ``repr`` so a save/load round trip is exact;
+    flags are written as 0/1.
     """
-    f = lambda x: repr(float(x))  # noqa: E731 - local shorthand
-    out: list[str] = [f"base_mva {f(case.base_mva)}", ""]
-    out.append("[BUS]")
-    out.append("# id kind vm_pu va_rad base_kv load_mw load_mvar")
-    for b in case.buses:
-        out.append(
-            f"{b.id} {b.kind} {f(b.voltage_magnitude)} {f(b.voltage_angle)} "
-            f"{f(b.base_kv)} {f(b.load_p)} {f(b.load_q)}"
+    out: list[str] = [f"base_mva {float(case.base_mva)!r}", ""]
+    for section, (cls, name, header) in _ROWS.items():
+        out += [section, header]
+        columns = [(f.name, _TYPES[f.type][2]) for f in fields(cls)]
+        out.extend(
+            " ".join(fmt(getattr(row, col)) for col, fmt in columns)
+            for row in getattr(case, name)
         )
-    out.append("")
-    out.append("[BRANCH]")
-    out.append("# from to r_pu x_pu b_pu rating_mva tap xfmr status")
-    for br in case.branches:
-        out.append(
-            f"{br.from_bus} {br.to_bus} {f(br.resistance)} {f(br.reactance)} "
-            f"{f(br.total_charging)} {f(br.rating)} {f(br.tap_ratio)} "
-            f"{int(br.is_transformer)} {int(br.status)}"
-        )
-    out.append("")
-    out.append("[GEN]")
-    out.append("# bus p_mw q_mvar q_min q_max v_set mva_base condenser")
-    for g in case.generators:
-        out.append(
-            f"{g.bus} {f(g.p_output)} {f(g.q_output)} {f(g.q_min)} {f(g.q_max)} "
-            f"{f(g.v_setpoint)} {f(g.mva_base)} {int(g.is_condenser)}"
-        )
-    out.append("")
-    out.append("[SUBSTATION]")
-    out.append("# id member_buses...")
+        out.append("")
+    out += ["[SUBSTATION]", "# id member_buses..."]
     for s in case.substations:
         out.append(f"{s.id} " + " ".join(str(b) for b in sorted(s.member_buses)))
     out.append("")

@@ -42,6 +42,7 @@ from .screening import (
     OutageCombination,
     ScreeningResult,
     ScreeningRun,
+    _sub_key,
     run_screening,
     screen_combination,
     screening_report_csv,
@@ -249,8 +250,8 @@ class PermutationPlan:
     def __post_init__(self) -> None:
         if self.strategy not in ("auto", "exhaustive", "sample", "single_canonical"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0 < self.interval < math.inf:
+            raise ValueError("interval must be positive and finite")
         if self.cap < 1 or self.samples < 1:
             raise ValueError("cap and samples must be positive")
 
@@ -569,10 +570,7 @@ def _select_for_dynamics(
     results: Sequence[ScreeningResult], policy: DynPolicy, seed: int
 ) -> list[ScreeningResult]:
     def combo_key(r: ScreeningResult):
-        return tuple(
-            (0, s, "") if isinstance(s, int) else (1, 0, str(s))
-            for s in r.combination.substations
-        )
+        return tuple(map(_sub_key, r.combination.substations))
 
     criticals = sorted(
         (r for r in results if r.verdict == "critical"), key=combo_key

@@ -182,8 +182,9 @@ def enumerate_combinations(
     """Stream all level-k outage combinations in lexicographic order.
 
     ``subset`` restricts the universe to the given substation ids
-    (default: every substation in the case). The stream is lazy; no
-    full materialization happens here.
+    (default: every substation in the case); an unknown or repeated id
+    raises ValueError at the first draw. The stream is lazy; no full
+    materialization happens here.
     """
     if k < 1:
         raise ValueError("outage level must be at least 1")
@@ -195,6 +196,9 @@ def enumerate_combinations(
         unknown = [s for s in universe if s not in known]
         if unknown:
             raise ValueError(f"unknown substations in filter: {unknown}")
+        repeated = sorted({s for s in universe if universe.count(s) > 1}, key=_sub_key)
+        if repeated:
+            raise ValueError(f"repeated substations in filter: {repeated}")
     universe.sort(key=_sub_key)
     for combo in itertools.combinations(universe, k):
         yield OutageCombination(combo)

@@ -146,6 +146,24 @@ class TestSimulate:
         assert not (tmp_path / "trace.csv").exists()
 
 
+    @pytest.mark.parametrize("events, options", [
+        ("inf open_branch 1 2\n", []),
+        ("nan open_branch 1 2\n", []),
+        ("1.0 open_branch 1 2\n", ["--t-end", "inf"]),
+        ("1.0 open_branch 1 2\n", ["--t-end", "nan"]),
+        ("1.0 open_branch 1 2\n", ["--dt", "nan"]),
+        ("1.0 open_branch a 2\n", []),
+    ])
+    def test_non_finite_times_and_bad_ids_are_errors(self, events, options, toy_case_file,
+                                                     tmp_path, capsys):
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(events)
+        assert main(["simulate", toy_case_file, str(scenario), *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gridimpact: error: ")
+
+
 class TestPipelineAndReport:
     def test_round_trip(self, toy_case_file, tmp_path, capsys):
         run_dir = tmp_path / "run"

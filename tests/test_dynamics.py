@@ -80,6 +80,15 @@ class TestScheduleParsing:
         with pytest.raises(ValueError):
             parse_schedule("1 open_branch 4\n")
 
+    def test_bad_bus_id_reports_line(self):
+        with pytest.raises(ValueError, match="^line 2: bad bus id in '1.0 open_branch a 2'$"):
+            parse_schedule("0.5 open_branch 1 2\n1.0 open_branch a 2\n")
+
+    @pytest.mark.parametrize("time", ["inf", "nan", "-inf"])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(ValueError, match="finite"):
+            parse_schedule(f"{time} open_branch 17 113\n")
+
 
 class TestScheduleValidation:
     def test_negative_time_rejected(self):
@@ -107,6 +116,27 @@ class TestScheduleValidation:
     def test_evenly_spaced_bad_interval(self):
         with pytest.raises(ValueError):
             SwitchingSchedule.evenly_spaced([OutageAction.open_branch(1, 2)], 0.0)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_evenly_spaced_non_finite_interval(self, interval):
+        with pytest.raises(ValueError, match="finite"):
+            SwitchingSchedule.evenly_spaced([OutageAction.open_branch(1, 2)], interval)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        a = OutageAction.open_branch(1, 2)
+        with pytest.raises(ValueError, match="finite"):
+            SwitchingSchedule(((time, a),))
+        with pytest.raises(ValueError, match="finite"):
+            SwitchingSchedule(((0.0, a), (time, OutageAction.open_branch(1, 3))))
+
+    @pytest.mark.parametrize("options", [
+        dict(dt=float("nan")), dict(dt=float("inf")), dict(dt=0.0),
+        dict(t_end=float("nan")), dict(t_end=float("inf")), dict(t_end=float("-inf")),
+    ])
+    def test_scenario_options_need_finite_times(self, options):
+        with pytest.raises(ValueError):
+            ScenarioOptions(**options)
 
     @given(times=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=6))
     @settings(max_examples=50)

@@ -233,6 +233,11 @@ class TestPermutationPlan:
         with pytest.raises(ValueError):
             PermutationPlan(samples=0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="finite"):
+            PermutationPlan(interval=interval)
+
 
 class TestBranchSets:
     def test_pocket_feeder_branch_set(self, case118):

@@ -121,6 +121,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_combinations(synthetic_case(3), 0))
 
+    def test_repeated_subset_member_rejected(self):
+        case = synthetic_case(4)
+        with pytest.raises(ValueError, match=r"repeated substations in filter: \[1, 3\]"):
+            next(enumerate_combinations(case, 2, subset=(3, 1, 2, 1, 3)))
+
     @given(n=st.integers(1, 10), k=st.integers(1, 10))
     @settings(max_examples=40)
     def test_count_agrees_with_stream(self, n, k):
@@ -334,6 +339,16 @@ class TestRunScreening:
                 assert level2[combo] == want
         with pytest.raises(ValueError):
             dataclasses.replace(errored[0], verdict="non_critical")
+
+
+    @pytest.mark.parametrize("k_max", [1, 2])
+    def test_repeated_subset_raises_before_any_solve(self, case118, monkeypatch, k_max):
+        calls = []
+        monkeypatch.setattr(screening, "screen_combination",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"repeated substations in filter: \[100\]"):
+            run_screening(case118, k_max, subset=[100, 100, 69], workers=1)
+        assert calls == []
 
 
 class TestCause:

@@ -22,7 +22,7 @@ _EXPORTS = {
     ),
     "topology": (
         "Island", "IslandPartition", "OutageAction", "apply_branch_outages",
-        "apply_substation_outage", "find_islands",
+        "apply_substation_outage", "find_islands", "outage_masks",
     ),
     "powerflow": (
         "PowerFlowOptions", "PowerFlowSolution", "build_admittance", "check_violations",

@@ -11,10 +11,10 @@ once and reduced to the machines' internal EMFs (Kundur 1994, ch. 13),
 so each integration stage costs one small dense matrix-vector product.
 
 A scenario is a strictly ordered list of switching events (branch
-openings or whole-substation removals). Parallel circuits switch as one
-endpoint pair: opening 42-49 opens every circuit between buses 42 and
-49, and the network keeps a branch only while its pair is still in
-service. After every event the island pattern is re-detected; islands
+openings or whole-substation removals), applied to two masks over the
+base case: the buses and the branches still on. Parallel circuits switch
+as one endpoint pair: opening 42-49 opens every circuit between buses 42
+and 49. After every event the island pattern is re-detected; islands
 left without any generating unit are dead and get de-energized on the
 spot (their machines drop out of the simulation, their loads
 disappear). Per-island monitors watch the rotor-angle spread and the
@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import GridCase, _substation_id
+from .model import GridCase, _ascii_int, _substation_id
 from .powerflow import (
     PowerFlowOptions,
     PowerFlowSolution,
@@ -40,8 +40,8 @@ from .powerflow import (
 )
 from .topology import (
     OutageAction,
-    apply_branch_outages,
-    apply_substation_outage,
+    apply_branch_outages,  # noqa: F401  (gridbench/spans.py wraps it here)
+    apply_substation_outage,  # noqa: F401  (gridbench/spans.py wraps it here)
     find_islands,
 )
 
@@ -215,10 +215,12 @@ def parse_schedule(text: str) -> SwitchingSchedule:
             t = float(toks[0])
         except ValueError:
             raise ValueError(f"line {no}: bad event time {toks[0]!r}") from None
+        if not math.isfinite(t):
+            raise ValueError(f"line {no}: event time must be finite, got {toks[0]!r}")
         kind = toks[1] if len(toks) > 1 else ""
         if kind == "open_branch" and len(toks) == 4:
             try:
-                ends = int(toks[2]), int(toks[3])
+                ends = _ascii_int(toks[2]), _ascii_int(toks[3])
             except ValueError:
                 raise ValueError(f"line {no}: bad bus id in {line!r}") from None
             action = OutageAction.open_branch(*ends)
@@ -584,22 +586,25 @@ class _Engine:
         self._v_re, self._v_im = np.empty((2, nb))
         self._v = np.empty(nb, dtype=complex)
 
-        # evolving topology
-        self.current_case = case
+        # evolving topology: the buses and branches still on, the
+        # substations removed, and what stays energized
+        self.bus_on = np.ones(self.nb, dtype=bool)
+        self.branch_on = case.arrays.status.copy()
+        self.removed: set = set()
         self.bus_active = np.ones(self.nb, dtype=bool)
         self.mach_active = np.ones(self.nm, dtype=bool)
         self.islands: list[tuple[int, frozenset[int]]] = []  # (key, buses)
-        self.refresh_topology(initial=True)
+        self.refresh_topology()
 
     # -- topology ------------------------------------------------------------
 
-    def refresh_topology(self, initial: bool = False) -> int:
+    def refresh_topology(self) -> int:
         """Re-detect islands, de-energize dead ones, refactorize.
 
         Returns the number of islands in the current in-service
         network (dead ones included, matching find_islands).
         """
-        partition = find_islands(self.current_case)
+        partition = find_islands(self.base_case, self.bus_on, self.branch_on)
         self.islands = []
         alive = np.zeros(self.nb, dtype=bool)
         bus_island = np.full(self.nb, -1, dtype=int)
@@ -610,11 +615,9 @@ class _Engine:
                 positions = [self.bus_pos[b] for b in isl.buses]
                 alive[positions] = True
                 bus_island[positions] = key
-        # buses formerly active that fell into dead islands or dropped
-        # out of the case entirely are de-energized now
-        present = np.zeros(self.nb, dtype=bool)
-        present[[self.bus_pos[b.id] for b in self.current_case.buses]] = True
-        self.bus_active &= alive & present
+        # buses formerly active that fell into dead islands or were
+        # removed (and so are in no island) are de-energized now
+        self.bus_active &= alive
         self.mach_active &= self.bus_active[self.mach_bus_pos]
         self.bus_dead = ~self.bus_active
 
@@ -645,18 +648,14 @@ class _Engine:
     def admittance(self):
         """Augmented admittance over the full original bus set, in CSC.
 
-        A base branch is on while its endpoint pair is in service in the
-        current case and both its ends are energized. The diagonal adds
-        the loads and each active machine's transient reactance;
-        de-energized buses get a unit diagonal so the linear system
-        stays regular with V = 0 there.
+        A branch is on while it is still on and both its ends are
+        energized. The diagonal adds the loads and each active machine's
+        transient reactance; de-energized buses get a unit diagonal so the
+        linear system stays regular with V = 0 there.
         """
-        pairs = {br.endpoints for br in self.current_case.branches if br.status}
-        base = self.base_case
-        arr = base.arrays
-        on = np.array([br.endpoints in pairs for br in base.branches], dtype=bool)
-        on &= arr.status & self.bus_active[arr.f] & self.bus_active[arr.t]
-        Y = build_admittance(base, on).matrix
+        arr = self.base_case.arrays
+        on = self.branch_on & self.bus_active[arr.f] & self.bus_active[arr.t]
+        Y = build_admittance(self.base_case, on).matrix
         diag = Y.diagonal() + self.y_load
         act = self.mach_active
         np.add.at(diag, self.mach_bus_pos[act], self.y_mach[act])
@@ -682,18 +681,29 @@ class _Engine:
         self.W_ri = np.vstack([W.real, W.imag])
 
     def apply_event(self, action: OutageAction) -> tuple[bool, str | None]:
-        """Apply one switching action; returns (executed, skip cause)."""
-        try:
-            if action.kind == "open_branch":
-                self.current_case = apply_branch_outages(
-                    self.current_case, [(action.from_bus, action.to_bus)]
-                )
-            else:
-                self.current_case, _, _ = apply_substation_outage(
-                    self.current_case, [action.substation]
-                )
-        except ValueError as exc:
-            return False, str(exc)
+        """Apply one switching action; returns (executed, skip cause).
+
+        Opening a pair clears all its circuits, and is skipped when none
+        survives (one of its buses was removed, or it never had one).
+        Removing a substation clears its buses and their branches, and is
+        skipped when the case has no such substation or it is out already.
+        """
+        base = self.base_case
+        arr = base.arrays
+        if action.kind == "open_branch":
+            pair = tuple(sorted((action.from_bus, action.to_bus)))
+            at = base.endpoint_branches.get(pair)
+            if at is None or not (self.bus_on[arr.f[at[0]]] and self.bus_on[arr.t[at[0]]]):
+                return False, f"no branch with endpoints {[pair]}"
+            self.branch_on[at] = False
+        else:
+            sid = action.substation
+            at = base.substation_positions.get(sid)
+            if at is None or sid in self.removed:
+                return False, f"unknown substation id {sid!r}"
+            self.removed.add(sid)
+            self.bus_on[at] = False
+            self.branch_on &= self.bus_on[arr.f] & self.bus_on[arr.t]
         return True, None
 
     # -- dynamics ------------------------------------------------------------
@@ -918,7 +928,6 @@ def run_scenario(
     y = engine.y  # advanced in place by engine.rk4_step
     delta, omega = y[:nm], y[nm : 2 * nm]
     pending = list(schedule.events)
-    halted = False
 
     def record_sample(t: float) -> str | None:
         nonlocal n_samples
@@ -949,18 +958,20 @@ def run_scenario(
         n_samples += 1
         return fired
 
+    def apply_events(until: float) -> None:
+        """Apply the pending events scheduled at or before ``until``."""
+        while pending and pending[0][0] <= until:
+            t_ev, action = pending.pop(0)
+            ok, cause = engine.apply_event(action)
+            n_isl = engine.refresh_topology() if ok else None
+            events_log.append(
+                EventRecord(t_ev, action, "executed" if ok else "skipped", cause, n_isl)
+            )
+
     # events at t=0 apply before integration starts; the t=0 sample is
     # recorded first so the trace opens at the pre-event equilibrium
-    fired = record_sample(0.0)
-    while pending and pending[0][0] == 0.0 and not halted:
-        t_ev, action = pending.pop(0)
-        ok, cause = engine.apply_event(action)
-        n_isl = engine.refresh_topology() if ok else None
-        events_log.append(
-            EventRecord(t_ev, action, "executed" if ok else "skipped", cause, n_isl)
-        )
-    if fired:
-        halted = True
+    halted = bool(record_sample(0.0))
+    apply_events(0.0)
 
     for t_a, t_b, n_steps in segments:
         if halted:
@@ -975,16 +986,7 @@ def run_scenario(
                     break
         if halted:
             break
-        # apply events scheduled exactly at this boundary
-        while pending and pending[0][0] <= t_b + 1e-9:
-            t_ev, action = pending.pop(0)
-            ok, cause = engine.apply_event(action)
-            n_isl = engine.refresh_topology() if ok else None
-            events_log.append(
-                EventRecord(
-                    t_ev, action, "executed" if ok else "skipped", cause, n_isl
-                )
-            )
+        apply_events(t_b + 1e-9)  # the events scheduled at this boundary
 
     for t_ev, action in pending:
         events_log.append(

@@ -235,23 +235,6 @@ class CaseArrays:
         """``admittance`` over the in-service branches; read-only."""
         return self.admittance(self.status)
 
-    def restrict(self, keep_bus: np.ndarray, keep_branch: np.ndarray) -> "CaseArrays":
-        """These arrays over the kept buses and branches (boolean masks),
-        branch ends renumbered: what compiling the case that holds only
-        those buses, their machines and those branches gives."""
-        position = np.cumsum(keep_bus) - 1
-        return CaseArrays(
-            **{name: getattr(self, name)[keep_bus] for name in _BUS_FIELDS},
-            **{name: getattr(self, name)[keep_branch] for name in _BRANCH_FIELDS},
-            f=position[self.f[keep_branch]],
-            t=position[self.t[keep_branch]],
-        )
-
-
-_BUS_FIELDS = ("load_p", "load_q", "gen_p", "gen_q", "q_min", "q_max", "v_set",
-               "has_machine", "gen_mva", "unit_p", "vm", "va", "kind")
-_BRANCH_FIELDS = ("yff", "yft", "ytf", "ytt", "rating", "status")
-
 
 @dataclass(frozen=True)
 class GridCase:
@@ -332,6 +315,21 @@ class GridCase:
     @cached_property
     def substation_index(self) -> dict[SubstationId, Substation]:
         return {s.id: s for s in self.substations}
+
+    @cached_property
+    def substation_positions(self) -> dict[SubstationId, list[int]]:
+        """Substation id -> positions in ``buses`` of its member buses."""
+        idx = self.bus_index
+        return {s.id: [idx[b] for b in s.member_buses if b in idx] for s in self.substations}
+
+    @cached_property
+    def endpoint_branches(self) -> dict[tuple[int, int], list[int]]:
+        """Endpoint pair (as ``Branch.endpoints``) -> positions in
+        ``branches`` of all its circuits, whatever their status."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for k, br in enumerate(self.branches):
+            out.setdefault(br.endpoints, []).append(k)
+        return out
 
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index[bus_id]]
@@ -465,18 +463,33 @@ _ROWS = {
 _SECTIONS = (*_ROWS, "[SUBSTATION]")
 
 
+def _ascii_int(tok: str) -> int:
+    """An ASCII ``-?[0-9]+`` token (the rule for every id) as an int; raises
+    ``ValueError`` for others, such as ``1_0``, ``+5`` or ``١``, unlike int()."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {tok!r}")
+    return int(tok)
+
+
 # A column's declared type (a string under postponed annotations) -> how a
 # token converts to it, what a bad token was expected to be, and how a value
 # is written back.
 _TYPES = {
-    "int": (int, "an integer", str),
+    "int": (_ascii_int, "an integer", str),
     "float": (float, "a number", lambda x: repr(float(x))),
     "bool": ({"0": False, "1": True}.__getitem__, "0/1 flag", lambda x: str(int(x))),
     "str": (str, "a name", str),
 }
-# section -> (row class, one converter per column)
+# section -> (row class, one converter per column, the same with the faster
+# int() for ids: it takes what _ascii_int does where no "_", "+" or non-ASCII
+# character is)
 _ROW_CONVERTERS = {
-    section: (cls, tuple(_TYPES[f.type][0] for f in fields(cls)))
+    section: (
+        cls,
+        tuple(_TYPES[f.type][0] for f in fields(cls)),
+        tuple(int if f.type == "int" else _TYPES[f.type][0] for f in fields(cls)),
+    )
     for section, (cls, _, _) in _ROWS.items()
 }
 
@@ -492,8 +505,10 @@ def _parse(type_: str, tok: str, line_no: int):
 def _substation_id(tok: str) -> SubstationId:
     """A substation id token: an ASCII ``-?[0-9]+`` token is an int id,
     any other token a name."""
-    digits = tok[1:] if tok.startswith("-") else tok
-    return int(tok) if digits.isascii() and digits.isdigit() else tok
+    try:
+        return _ascii_int(tok)
+    except ValueError:
+        return tok
 
 
 def loads_case(text: str, check: bool = True) -> GridCase:
@@ -524,7 +539,9 @@ def loads_case(text: str, check: bool = True) -> GridCase:
             members = frozenset(_parse("int", t, line_no) for t in toks[1:])
             subs.append(Substation(_substation_id(toks[0]), members))
             continue
-        cls, converters = _ROW_CONVERTERS[section]
+        cls, converters, plain = _ROW_CONVERTERS[section]
+        if line.isascii() and "_" not in line and "+" not in line:
+            converters = plain
         if len(toks) != len(converters):
             raise CaseFormatError(
                 line_no, f"{section} rows take {len(converters)} columns, got {len(toks)}"

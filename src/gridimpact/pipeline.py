@@ -47,7 +47,7 @@ from .screening import (
     screen_combination,
     screening_report_csv,
 )
-from .topology import OutageAction, apply_substation_outage
+from .topology import OutageAction, outage_masks
 
 __all__ = [
     "CrossCheckRecord",
@@ -336,8 +336,9 @@ def combination_branch_set(
     case: GridCase, combination: OutageCombination
 ) -> tuple[tuple[int, int], ...]:
     """In-service branch endpoints incident to the combination's buses."""
-    _, removed, _ = apply_substation_outage(case, combination.substations)
-    return tuple(sorted({br.endpoints for br in removed}))
+    _, branch_on = outage_masks(case, combination.substations)
+    removed = (case.arrays.status & ~branch_on).nonzero()[0]
+    return tuple(sorted({case.branches[k].endpoints for k in removed}))
 
 
 def cascade_confirm(

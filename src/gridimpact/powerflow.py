@@ -354,6 +354,7 @@ def solve_newton(
     options: PowerFlowOptions = PowerFlowOptions(),
     bus_subset: Sequence[int] | None = None,
     slack_override: int | None = None,
+    partition: IslandPartition | None = None,
 ) -> PowerFlowSolution:
     """Full Newton-Raphson solve of the (sub)network.
 
@@ -368,9 +369,15 @@ def solve_newton(
         bus_subset: Restrict the solve to these buses (an island).
         slack_override: Use this bus as the angle/balance reference
             instead of the case slack (island solves).
+        partition: The partition ``bus_subset`` is an island of, as
+            :func:`find_islands` returns it: the solve runs on its
+            admittance and in-service branches instead of the case's.
     """
     arr = case.arrays
-    _reject_zero_impedance(case, arr.status)
+    Y, on = arr.ybus, arr.status
+    if partition is not None and partition.ybus is not None:
+        Y, on = partition.ybus, partition.in_service
+    _reject_zero_impedance(case, on)
     if bus_subset is None:
         ids = list(case.bus_index)
         take = np.arange(len(ids))
@@ -390,7 +397,10 @@ def solve_newton(
     else:
         slacks = np.flatnonzero(kind == "slack")
         if not slacks.size:
-            return _failed_solution(case, "no_slack")
+            nb = len(case.buses)
+            return _solution(case, on, np.zeros(nb), np.zeros(nb), np.zeros(nb, dtype=bool),
+                             converged=False, iterations=0, max_mismatch=np.inf,
+                             cause="no_slack")
         islack = int(slacks[0])
 
     # A PV bus without any in-service machine cannot hold its setpoint;
@@ -429,7 +439,7 @@ def solve_newton(
     converged = False
     cause: str | None = None
     max_mismatch = np.inf
-    jac = _Jacobian(arr.ybus, take)
+    jac = _Jacobian(Y, take)
     split = True  # the PV/PQ split changed since the Jacobian was indexed
 
     while iterations <= options.max_iterations:
@@ -495,7 +505,7 @@ def solve_newton(
         cause=cause,
     )
     return _solution(
-        case, vm_out, va_out, energized,
+        case, on, vm_out, va_out, energized,
         converged=converged,
         iterations=iterations,
         max_mismatch=max_mismatch,
@@ -504,19 +514,11 @@ def solve_newton(
     )
 
 
-def _failed_solution(case, cause) -> PowerFlowSolution:
-    nb = len(case.buses)
-    return _solution(
-        case, np.zeros(nb), np.zeros(nb), np.zeros(nb, dtype=bool),
-        converged=False, iterations=0, max_mismatch=np.inf, cause=cause,
-    )
-
-
-def _solution(case: GridCase, vm, va, energized, **verdict) -> PowerFlowSolution:
+def _solution(case: GridCase, on, vm, va, energized, **verdict) -> PowerFlowSolution:
     """Wrap full-length bus voltages into a solution, adding the branch
-    flows (MW/MVAr at both ends; zero unless in service and energized)."""
+    flows (MW/MVAr at both ends; zero unless ``on`` and energized)."""
     arr = case.arrays
-    live = np.flatnonzero(arr.status & energized[arr.f] & energized[arr.t])
+    live = np.flatnonzero(on & energized[arr.f] & energized[arr.t])
     V = vm * np.exp(1j * va)
     Vf, Vt = V[arr.f[live]], V[arr.t[live]]
     sf = np.zeros(len(case.branches), dtype=complex)
@@ -568,34 +570,19 @@ def solve_islands(
     worst = 0.0
     for isl in partition.islands:
         if not isl.servable:
-            records.append(
-                IslandSolve(
-                    buses=isl.buses,
-                    slack_bus=None,
-                    converged=False,
-                    iterations=0,
-                    max_mismatch=0.0,
-                    cause="dead_island",
-                )
-            )
+            records.append(IslandSolve(isl.buses, None, converged=False, iterations=0,
+                                       max_mismatch=0.0, cause="dead_island"))
             continue
         sub = sorted(isl.buses)
         take = [case.bus_index[b] for b in sub]
         if enforce_capability and arr.load_p[take].sum() > arr.gen_mva[take].sum():
-            records.append(
-                IslandSolve(
-                    buses=isl.buses,
-                    slack_bus=isl.slack_bus,
-                    converged=False,
-                    iterations=0,
-                    max_mismatch=np.inf,
-                    cause="generation_deficit",
-                )
-            )
+            records.append(IslandSolve(isl.buses, isl.slack_bus, converged=False, iterations=0,
+                                       max_mismatch=np.inf, cause="generation_deficit"))
             all_ok = False
             worst = np.inf
             continue
-        sol = solve_newton(case, options, bus_subset=sub, slack_override=isl.slack_bus)
+        sol = solve_newton(case, options, bus_subset=sub, slack_override=isl.slack_bus,
+                           partition=partition)
         rec = replace(sol.islands[0], buses=isl.buses)
         records.append(rec)
         all_ok &= sol.converged
@@ -610,15 +597,10 @@ def solve_islands(
     servable = [r for r in records if r.cause != "dead_island"]
     if not servable:
         all_ok = False
+    p_from, q_from, p_to, q_to = flows
     merged = PowerFlowSolution(
-        bus_ids=tuple(case.bus_index),
-        vm=vm,
-        va=va,
-        energized=energized,
-        p_from=flows[0],
-        q_from=flows[1],
-        p_to=flows[2],
-        q_to=flows[3],
+        bus_ids=tuple(case.bus_index), vm=vm, va=va, energized=energized,
+        p_from=p_from, q_from=q_from, p_to=p_to, q_to=q_to,
         converged=all_ok,
         iterations=iters,
         max_mismatch=worst if servable else np.inf,

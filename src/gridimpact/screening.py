@@ -22,12 +22,16 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .model import GridCase
 from .powerflow import PowerFlowOptions, Violation, check_violations, solve_islands
-from .topology import apply_substation_outage, find_islands
+from .topology import (
+    apply_substation_outage,  # noqa: F401  (gridbench/spans.py wraps it here)
+    find_islands,
+    outage_masks,
+)
 
 __all__ = [
     "OutageCombination",
@@ -208,60 +212,34 @@ def screen_combination(case: GridCase, combo: OutageCombination,
                        options: PowerFlowOptions | None = None) -> ScreeningResult:
     """Classify one outage combination by island-aware power flow.
 
-    Pipeline: remove the substations, partition into islands, solve
-    every servable island (with the nameplate-capability gate), then
-    aggregate: ``diverged`` if any energized island has no solution,
-    ``dead_system`` if nothing servable remains, otherwise
-    ``islanded_unserved_load`` / ``violations_only`` / ``clean``.
+    Pipeline: mask the substations out of the case, partition what is
+    left into islands, solve every servable island (with the
+    nameplate-capability gate), then aggregate: ``diverged`` if any
+    energized island has no solution, ``dead_system`` if nothing servable
+    remains, otherwise ``islanded_unserved_load`` / ``violations_only`` /
+    ``clean``. No reduced case is built: all of it runs over the case's
+    own bus and branch order.
     """
     options = options or PowerFlowOptions()
-    reduced, _, _ = apply_substation_outage(case, combo.substations)
-    partition = find_islands(reduced)
-    solution, _ = solve_islands(
-        reduced, options, partition=partition, enforce_capability=True
-    )
+    partition = find_islands(case, *outage_masks(case, combo.substations))
+    solution, _ = solve_islands(case, options, partition=partition, enforce_capability=True)
     unserved = sum(
-        reduced.bus(b).load_p
-        for isl in partition.islands
-        if isl.dead
-        for b in isl.buses
+        case.bus(b).load_p for isl in partition.islands if isl.dead for b in isl.buses
     )
+    common = dict(combination=combo, island_count=len(partition), unserved_mw=unserved)
     if solution.cause == "dead_system":
-        return ScreeningResult(
-            combination=combo,
-            verdict="critical",
-            reason="dead_system",
-            violations=(),
-            island_count=len(partition),
-            unserved_mw=unserved,
-            cause="dead_system",
-        )
+        return ScreeningResult(verdict="critical", reason="dead_system", violations=(),
+                               cause="dead_system", **common)
     if not solution.converged:
-        return ScreeningResult(
-            combination=combo,
-            verdict="critical",
-            reason="diverged",
-            violations=(),
-            island_count=len(partition),
-            unserved_mw=unserved,
-            cause=next(isl.cause for isl in solution.islands
-                       if isl.cause not in (None, "dead_island")),
-        )
-    violations = tuple(check_violations(reduced, solution))
-    if unserved > 0.0:
-        reason = "islanded_unserved_load"
-    elif violations:
-        reason = "violations_only"
-    else:
-        reason = "clean"
-    return ScreeningResult(
-        combination=combo,
-        verdict="non_critical",
-        reason=reason,
-        violations=violations,
-        island_count=len(partition),
-        unserved_mw=unserved,
-    )
+        cause = next(isl.cause for isl in solution.islands
+                     if isl.cause not in (None, "dead_island"))
+        return ScreeningResult(verdict="critical", reason="diverged", violations=(),
+                               cause=cause, **common)
+    violations = tuple(check_violations(case, solution))
+    reason = ("islanded_unserved_load" if unserved > 0.0
+              else "violations_only" if violations else "clean")
+    return ScreeningResult(verdict="non_critical", reason=reason, violations=violations,
+                           **common)
 
 
 def _screen_isolated(case: GridCase, combo: OutageCombination,
@@ -384,19 +362,10 @@ def run_screening(
         results.extend(solved)
 
         for combo, anc in pruned_here:
+            # the ancestor's verdict, reason, islands, unserved load and cause
             anc_result = critical[anc][1]
-            results.append(
-                ScreeningResult(
-                    combination=combo,
-                    verdict="critical",
-                    reason=anc_result.reason,
-                    violations=(),
-                    island_count=anc_result.island_count,
-                    unserved_mw=anc_result.unserved_mw,
-                    critical_by=anc_result.combination,
-                    cause=anc_result.cause,
-                )
-            )
+            results.append(replace(anc_result, combination=combo, violations=(),
+                                   critical_by=anc_result.combination))
         pruned_count += len(pruned_here)
         classified += len(solved) + len(pruned_here)
 

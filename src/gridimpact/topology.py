@@ -1,11 +1,13 @@
 """Outage application and electrical island analysis.
 
-A substation outage disconnects every member bus of the targeted
-substations together with all incident branches, removing their loads
-and machines from the case. The reduced network is then partitioned
-into islands (connected components over in-service branches); each
-island is classified as servable (has at least one generator), dead (no
-generation, possibly condensers only), or load-free.
+A topology is two masks over a case's compiled arrays, ``bus_on`` and
+``branch_on``. A substation outage clears the member buses of the
+targeted substations and every branch incident to them; a switching
+event clears branch bits. What is left on is partitioned into islands
+(connected components); each island is classified as servable (has at
+least one generator), dead (no generation, possibly condensers only), or
+load-free. ``apply_substation_outage`` and ``apply_branch_outages`` still
+build a reduced ``GridCase`` for callers that want one.
 
 All functions here are pure: they take immutable cases and return new
 objects, so they are safe to call concurrently.
@@ -13,18 +15,22 @@ objects, so they are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .model import Branch, GridCase, SubstationId
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 __all__ = [
     "OutageAction",
     "Island",
     "IslandPartition",
+    "outage_masks",
     "apply_substation_outage",
     "apply_branch_outages",
     "find_islands",
@@ -89,9 +95,13 @@ class Island:
 @dataclass(frozen=True)
 class IslandPartition:
     """Disjoint islands covering all in-service buses, ordered by
-    smallest member bus id."""
+    smallest member bus id. ``ybus``, the admittance they were read off,
+    and ``in_service``, the branches it holds, serve the island solves
+    and take no part in comparisons (without them: the case's own)."""
 
     islands: tuple[Island, ...]
+    ybus: sp.csr_matrix | None = field(default=None, compare=False, repr=False)
+    in_service: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.islands)
@@ -103,6 +113,25 @@ class IslandPartition:
         raise KeyError(f"bus {bus_id} is in no island")
 
 
+def outage_masks(
+    case: GridCase, targets: Iterable[SubstationId]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(bus_on, branch_on)`` of the case with the targeted substations
+    out: their member buses off, and on the in-service branches that touch
+    none of them. Raises ``ValueError`` for no target or an unknown id."""
+    targets = list(targets)
+    if not targets:
+        raise ValueError("substation outage requires at least one target")
+    bus_on = np.ones(len(case.buses), dtype=bool)
+    for sid in targets:
+        at = case.substation_positions.get(sid)
+        if at is None:
+            raise ValueError(f"unknown substation id {sid!r}")
+        bus_on[at] = False
+    arr = case.arrays
+    return bus_on, arr.status & bus_on[arr.f] & bus_on[arr.t]
+
+
 def apply_substation_outage(
     case: GridCase, targets: Iterable[SubstationId]
 ) -> tuple[GridCase, list[Branch], list[int]]:
@@ -110,7 +139,8 @@ def apply_substation_outage(
 
     Every in-service branch incident to a member bus of any target is
     taken out of the case entirely, and the member buses themselves are
-    removed along with their loads and generators.
+    removed along with their loads and generators. The reduced case is
+    what :func:`outage_masks` leaves, as a ``GridCase`` of its own.
 
     Returns:
         (reduced case, removed branches sorted by endpoints and
@@ -119,36 +149,21 @@ def apply_substation_outage(
     Raises:
         ValueError: If ``targets`` is empty or an id is unknown.
     """
-    target_list = list(targets)
-    if not target_list:
-        raise ValueError("substation outage requires at least one target")
-    index = case.substation_index
-    dead_buses: set[int] = set()
-    for sid in target_list:
-        sub = index.get(sid)
-        if sub is None:
-            raise ValueError(f"unknown substation id {sid!r}")
-        dead_buses |= sub.member_buses
-
+    targets = list(targets)
+    bus_on, branch_on = outage_masks(case, targets)
     arr = case.arrays
-    keep_bus = np.ones(len(case.buses), dtype=bool)
-    bus_index = case.bus_index
-    keep_bus[[bus_index[b] for b in dead_buses if b in bus_index]] = False
+    dead_buses = set().union(*(case.substation_index[sid].member_buses for sid in targets))
+    removed = [case.branches[k] for k in np.flatnonzero(arr.status & ~branch_on)]
+    gone = set(targets)
     # out-of-service branches incident to a dead bus vanish silently: they
     # were already disconnected and their endpoint is gone
-    keep_branch = keep_bus[arr.f] & keep_bus[arr.t]
-    removed = [case.branches[k] for k in np.flatnonzero(~keep_branch & arr.status)]
-    gone = set(target_list)
     reduced = GridCase(
         base_mva=case.base_mva,
-        buses=tuple(compress(case.buses, keep_bus)),
-        branches=tuple(compress(case.branches, keep_branch)),
+        buses=tuple(compress(case.buses, bus_on)),
+        branches=tuple(compress(case.branches, bus_on[arr.f] & bus_on[arr.t])),
         generators=tuple(g for g in case.generators if g.bus not in dead_buses),
         substations=tuple(s for s in case.substations if s.id not in gone),
     )
-    # Every array of the reduced case is a slice of the parent's: fill the
-    # ``arrays`` cache instead of compiling the reduced case again.
-    reduced.__dict__["arrays"] = case.arrays.restrict(keep_bus, keep_branch)
     removed_sorted = sorted(set(removed), key=lambda br: br.endpoints)
     return reduced, removed_sorted, sorted(dead_buses)
 
@@ -173,14 +188,20 @@ def apply_branch_outages(
     return case.with_(branches=new_branches)
 
 
-def find_islands(case: GridCase) -> IslandPartition:
-    """Partition in-service buses into connected components.
+def find_islands(
+    case: GridCase,
+    bus_on: np.ndarray | None = None,
+    branch_on: np.ndarray | None = None,
+) -> IslandPartition:
+    """Partition the buses still on into connected components.
 
-    Connectivity is taken over in-service branches only, read off the
-    pattern of the case's admittance matrix (``case.arrays.ybus``, which
-    the power flow then reuses); a bus with no in-service incident branch
-    forms a singleton island. Islands are ordered by their smallest member
-    bus id.
+    ``bus_on`` and ``branch_on`` mask the case's buses and branches
+    (default: every bus, and the branches in service). A branch connects
+    while it is on and both its ends are. Connectivity is read off the
+    pattern of the admittance over those branches (``case.arrays.ybus``
+    when neither mask is given), which the partition carries for the power
+    flow; a bus with no such branch forms a singleton island. Islands are
+    ordered by their smallest member bus id.
 
     An island is servable when it contains at least one generator
     (condensers do not count as generation). The island slack is the
@@ -192,14 +213,19 @@ def find_islands(case: GridCase) -> IslandPartition:
     from scipy.sparse.csgraph import connected_components
 
     arr = case.arrays
-    Y = arr.ybus
+    if bus_on is None and branch_on is None:
+        on, Y = arr.status, arr.ybus
+    else:
+        bus_on = np.ones(arr.load_p.size, dtype=bool) if bus_on is None else bus_on
+        on = (arr.status if branch_on is None else branch_on) & bus_on[arr.f] & bus_on[arr.t]
+        Y = arr.admittance(on)
     n = Y.shape[0]
     # The pattern only: csgraph would cast the complex values to real, and
     # an r = 0 branch has a purely imaginary admittance. The pattern is
     # symmetric (yft and ytf are both -y/a), so its strong components are
     # the islands, found without the transpose an undirected search builds.
     pattern = sp.csr_matrix((np.ones(Y.indices.size), Y.indices, Y.indptr), shape=(n, n))
-    count, labels = connected_components(pattern, directed=True, connection="strong")
+    _, labels = connected_components(pattern, directed=True, connection="strong")
 
     ids = np.fromiter(case.bus_index, dtype=int, count=n)
     generating = arr.unit_p > -np.inf
@@ -209,7 +235,9 @@ def find_islands(case: GridCase) -> IslandPartition:
     has_load = arr.load_p != 0.0
 
     islands = []
-    for label in range(count):
+    # a bus that is off touches no branch that is on: it is a component of
+    # its own, and no island
+    for label in np.unique(labels if bus_on is None else labels[bus_on]):
         at = np.flatnonzero(labels == label)
         members = ids[at]
         servable = bool(generating[at].any())
@@ -222,4 +250,4 @@ def find_islands(case: GridCase) -> IslandPartition:
             slack_bus=slack,
         ))
     islands.sort(key=lambda isl: min(isl.buses))
-    return IslandPartition(islands=tuple(islands))
+    return IslandPartition(islands=tuple(islands), ybus=Y, in_service=on)

@@ -133,3 +133,41 @@ def test_substation_ids_read_by_one_rule(token, expected):
     assert sub.id == expected and type(sub.id) is type(expected)
     (event,) = parse_schedule(f"1.0 remove_substation {token}\n").events
     assert event[1].substation == expected and type(event[1].substation) is type(expected)
+
+
+# tokens that int() reads as an integer but the ASCII -?[0-9]+ rule does not
+NOT_IDS = ["1_0", "١", "+5", "²"]  # underscore, Arabic-Indic one, sign, superscript
+
+
+@pytest.mark.parametrize("token", NOT_IDS)
+@pytest.mark.parametrize("old, new, line", [
+    (BUS_ROW, "{} PQ 1.0 0.0 138.0 50.0 20.0", 5),
+    (BRANCH_ROW, "{} 2 0.01 0.10 0.0 120.0 1.0 0 1", 7),
+    (BRANCH_ROW, "1 {} 0.01 0.10 0.0 120.0 1.0 0 1", 7),
+    (GEN_ROW, "{} 50.0 0.0 -9999.0 9999.0 1.0 100.0 0", 9),
+    (GEN_ROW, GEN_ROW + "\n[SUBSTATION]\nnorth 1 {}", 11),
+])
+def test_bus_ids_read_by_the_id_rule(token, old, new, line):
+    """Every bus id column, and a substation's member buses, take only an
+    ASCII ``-?[0-9]+`` token, whatever else the row holds."""
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(MINIMAL_CASE.replace(old, new.format(token), 1))
+    assert str(err.value) == f"line {line}: expected an integer, got {token!r}"
+
+
+def test_bus_ids_with_a_sign_or_leading_zeros_still_read():
+    """The "+" in the bus row's load sends that row through the id rule's
+    converter; the branch row, without one, through the builtin int()."""
+    case = loads_case(MINIMAL_CASE.replace(BUS_ROW, "-2 PQ 1.0 0.0 138.0 5e+1 20.0")
+                      .replace(BRANCH_ROW, "01 -2 0.01 0.10 0.0 120.0 1.0 0 1"), check=False)
+    assert [b.id for b in case.buses] == [1, -2]
+    assert case.buses[1].load_p == 50.0
+    assert (case.branches[0].from_bus, case.branches[0].to_bus) == (1, -2)
+
+
+@pytest.mark.parametrize("token", NOT_IDS)
+def test_schedule_bus_ids_read_by_the_id_rule(token):
+    line = f"1.0 open_branch 1 {token}"
+    with pytest.raises(ValueError) as err:
+        parse_schedule(f"0.5 open_branch 1 2\n{line}\n")
+    assert str(err.value) == f"line 2: bad bus id in {line!r}"

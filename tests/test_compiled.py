@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from dataclasses import replace
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from gridimpact.model import Branch, Bus, Generator, GridCase, load_case
 from gridimpact.powerflow import build_admittance, solve_islands
-from gridimpact.topology import apply_substation_outage
+from gridimpact.topology import apply_substation_outage, find_islands, outage_masks
 
 from conftest import CASE_PATH
 from screening_fixture import FIXTURE, describe, fixture_combinations
@@ -135,26 +134,23 @@ def test_arrays_compile_lazily():
     assert case.arrays.status.shape == (len(case.branches),)
 
 
-def test_reduced_arrays_equal_a_fresh_compile(case118):
-    """apply_substation_outage slices the parent's arrays; they equal what
-    compiling the reduced case from scratch gives, on every level-1
-    reduction and a seeded sample of level-2 ones."""
+def test_masked_admittance_equals_the_reduced_ybus(case118):
+    """The admittance over a combination's masks, restricted to the buses
+    still on, is the reduced case's Ybus bit for bit, on every level-1
+    reduction and a seeded sample of level-2 and level-3 ones; it is the
+    one find_islands returns."""
     ids = [s.id for s in case118.substations]
     rng = random.Random(42)
-    targets = [[i] for i in ids] + [rng.sample(ids, 2) for _ in range(60)]
+    targets = [[i] for i in ids] + [rng.sample(ids, k) for k in (2, 3) for _ in range(40)]
     for target in targets:
-        reduced, _, _ = apply_substation_outage(case118, target)
-        fresh = replace(reduced)  # the same case, nothing compiled yet
-        assert "arrays" not in fresh.__dict__
-        for field in dataclasses.fields(reduced.arrays):
-            got = getattr(reduced.arrays, field.name)
-            want = getattr(fresh.arrays, field.name)
-            if field.name == "kind":
-                assert got.tolist() == want.tolist(), target
-            else:
-                assert got.dtype == want.dtype, (target, field.name)
-                assert np.array_equal(got, want, equal_nan=True), (target, field.name)
-        assert reduced.bus_index == fresh.bus_index
+        bus_on, branch_on = outage_masks(case118, target)
+        Y = find_islands(case118, bus_on, branch_on).ybus
+        live = np.flatnonzero(bus_on)
+        got = Y[live][:, live]
+        want = apply_substation_outage(case118, target)[0].arrays.ybus
+        assert np.array_equal(got.indptr, want.indptr), target
+        assert np.array_equal(got.indices, want.indices), target
+        assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64)), target
 
 
 def test_screening_matches_frozen_fixture(case118):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import tracemalloc
 
@@ -88,6 +89,13 @@ class TestScheduleParsing:
     def test_non_finite_time_rejected(self, time):
         with pytest.raises(ValueError, match="finite"):
             parse_schedule(f"{time} open_branch 17 113\n")
+
+    @pytest.mark.parametrize("time", ["inf", "nan", "-inf", "1e999"])
+    def test_non_finite_time_reports_its_line(self, time):
+        """Rejected at its own line, before the lines after it are read."""
+        with pytest.raises(ValueError) as err:
+            parse_schedule(f"0.5 open_branch 1 2\n{time} open_branch 17 113\n9 close 1\n")
+        assert str(err.value) == f"line 2: event time must be finite, got {time!r}"
 
 
 class TestScheduleValidation:
@@ -522,3 +530,40 @@ class TestNetworkScale:
         assert trace.machine_island[-1, m] == -1
         assert np.isnan(trace.angles_deg[-1, m])
         assert trace.voltages[-1, trace.bus_ids.index(34)] == 0.0
+
+
+class TestEngineEventSemantics:
+    """Skips, re-openings and parallel circuits on the 118-bus case; the
+    records, the verdict and the trace's sha256 were recorded when every
+    event rebuilt a reduced case."""
+
+    SCHEDULE = SwitchingSchedule((
+        (0.5, OutageAction.remove_substation(100)),
+        (0.6, OutageAction.remove_substation(100)),  # already out
+        (0.7, OutageAction.open_branch(103, 100)),  # removed with 100
+        (0.8, OutageAction.open_branch(42, 49)),  # two circuits
+        (0.9, OutageAction.open_branch(49, 42)),  # already open
+        (1.0, OutageAction.open_branch(89, 92)),  # two circuits
+    ))
+
+    def test_records_verdict_and_trace(self, case118, models118):
+        trace, verdict = run_scenario(case118, self.SCHEDULE, models=models118,
+                                      options=ScenarioOptions(t_end=2.5))
+        assert [(ev.time, ev.status, ev.cause, ev.island_count) for ev in trace.events] == [
+            (0.5, "executed", None, 2),
+            (0.6, "skipped", "unknown substation id 100", None),
+            (0.7, "skipped", "no branch with endpoints [(100, 103)]", None),
+            (0.8, "executed", None, 2),
+            (0.9, "executed", None, 2),
+            (1.0, "executed", None, 2),
+        ]
+        assert [ev.action for ev in trace.events] == [a for _, a in self.SCHEDULE]
+        assert verdict == dynamics.StabilityVerdict(
+            overall="islanded_mixed",
+            per_island={1: "stable", 103: "frequency_unstable"},
+            time_of_first_violation=2.08,
+            growing_oscillation={1: False, 103: True},
+        )
+        assert len(trace.times) == 209
+        assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == (
+            "11610608bdaa4f898f85230d42d00e3445565c1179705a3774278f536b326a5d")

@@ -309,11 +309,11 @@ class TestRunScreening:
         n_buses = len(case118.buses)
         solve = screening.solve_islands
 
-        def solve_or_raise(reduced, *args, **kwargs):
-            ids = {b.id for b in reduced.buses}
+        def solve_or_raise(case, *args, partition, **kwargs):
+            ids = set().union(*(isl.buses for isl in partition.islands))
             if len(ids) == n_buses - len(members) and not ids & members:
                 raise RuntimeError("injected failure")
-            return solve(reduced, *args, **kwargs)
+            return solve(case, *args, partition=partition, **kwargs)
 
         clean = run_screening(case118, k_max=2, subset=subset, workers=1)
         assert clean.level(1).results[0].reason == "diverged"

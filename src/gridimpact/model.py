@@ -481,15 +481,9 @@ _TYPES = {
     "bool": ({"0": False, "1": True}.__getitem__, "0/1 flag", lambda x: str(int(x))),
     "str": (str, "a name", str),
 }
-# section -> (row class, one converter per column, the same with the faster
-# int() for ids: it takes what _ascii_int does where no "_", "+" or non-ASCII
-# character is)
+# section -> (row class, one converter per column)
 _ROW_CONVERTERS = {
-    section: (
-        cls,
-        tuple(_TYPES[f.type][0] for f in fields(cls)),
-        tuple(int if f.type == "int" else _TYPES[f.type][0] for f in fields(cls)),
-    )
+    section: (cls, tuple(_TYPES[f.type][0] for f in fields(cls)))
     for section, (cls, _, _) in _ROWS.items()
 }
 
@@ -539,9 +533,7 @@ def loads_case(text: str, check: bool = True) -> GridCase:
             members = frozenset(_parse("int", t, line_no) for t in toks[1:])
             subs.append(Substation(_substation_id(toks[0]), members))
             continue
-        cls, converters, plain = _ROW_CONVERTERS[section]
-        if line.isascii() and "_" not in line and "+" not in line:
-            converters = plain
+        cls, converters = _ROW_CONVERTERS[section]
         if len(toks) != len(converters):
             raise CaseFormatError(
                 line_no, f"{section} rows take {len(converters)} columns, got {len(toks)}"

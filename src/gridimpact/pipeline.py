@@ -93,6 +93,12 @@ class CrossCheckRecord:
         return self.dynamic_verdict != "stable"
 
 
+# The steady classes and the dynamic classes of a verified combination, in
+# report order.
+_STEADY = ("critical", "non_critical")
+_DYN = ("dyn_critical", "dyn_stable")
+
+
 @dataclass(frozen=True)
 class CrossCheckMatrix:
     """Two-level verdict tabulation.
@@ -102,25 +108,56 @@ class CrossCheckMatrix:
     of *dynamically verified* combinations into dyn-critical (any
     instability) / dyn-stable. Masses at each level sum to one; a
     conditional is None when its steady class has no verified member.
+    Only the records and the verified counts are stored; every total,
+    mass and conditional is computed from them.
     """
 
     records: tuple[CrossCheckRecord, ...]
-    n_critical_steady: int
-    n_noncritical_steady: int
-    p_critical_steady: float
-    p_noncritical_steady: float
     counts: dict[tuple[str, str], int]  # (steady, dyn) -> verified count
-    p_dyn_critical_given_critical: float | None
-    p_dyn_stable_given_critical: float | None
-    p_dyn_critical_given_noncritical: float | None
-    p_dyn_stable_given_noncritical: float | None
 
     @property
     def total(self) -> int:
-        return self.n_critical_steady + self.n_noncritical_steady
+        return len(self.records)
+
+    @property
+    def n_critical_steady(self) -> int:
+        return sum(1 for r in self.records if r.steady_verdict == "critical")
+
+    @property
+    def n_noncritical_steady(self) -> int:
+        return self.total - self.n_critical_steady
+
+    @property
+    def p_critical_steady(self) -> float:
+        return self.n_critical_steady / self.total
+
+    @property
+    def p_noncritical_steady(self) -> float:
+        return self.n_noncritical_steady / self.total
 
     def cell(self, steady: str, dyn: str) -> int:
         return self.counts.get((steady, dyn), 0)
+
+    def conditional(self, steady: str, dyn: str) -> float | None:
+        """P(dyn | steady) over the verified members of the steady class."""
+        verified = self.cell(steady, "dyn_critical") + self.cell(steady, "dyn_stable")
+        return self.cell(steady, dyn) / verified if verified else None
+
+    @property
+    def p_dyn_critical_given_critical(self) -> float | None:
+        return self.conditional("critical", "dyn_critical")
+
+    @property
+    def p_dyn_stable_given_critical(self) -> float | None:
+        return self.conditional("critical", "dyn_stable")
+
+    @property
+    def p_dyn_critical_given_noncritical(self) -> float | None:
+        return self.conditional("non_critical", "dyn_critical")
+
+    @property
+    def p_dyn_stable_given_noncritical(self) -> float | None:
+        return self.conditional("non_critical", "dyn_stable")
 
 
 def cross_check(
@@ -140,6 +177,8 @@ def cross_check(
     unmatched = [k for k in dynamic_verdicts if tuple(k) not in by_subs]
     if unmatched:
         raise ValueError(f"dynamic verdicts for unscreened combinations: {unmatched}")
+    if not results:
+        raise ValueError("cross_check needs at least one screening result")
 
     overall: dict[tuple, str] = {}
     for key, v in dynamic_verdicts.items():
@@ -153,11 +192,6 @@ def cross_check(
         )
         for r in results
     )
-    n_crit = sum(1 for r in records if r.steady_verdict == "critical")
-    n_non = len(records) - n_crit
-    if not records:
-        raise ValueError("cross_check needs at least one screening result")
-
     counts: dict[tuple[str, str], int] = {}
     for r in records:
         if r.dynamic_verdict is None:
@@ -165,29 +199,7 @@ def cross_check(
         dyn = "dyn_critical" if r.dyn_critical else "dyn_stable"
         key = (r.steady_verdict, dyn)
         counts[key] = counts.get(key, 0) + 1
-
-    def conditionals(steady: str) -> tuple[float | None, float | None]:
-        crit = counts.get((steady, "dyn_critical"), 0)
-        stab = counts.get((steady, "dyn_stable"), 0)
-        verified = crit + stab
-        if verified == 0:
-            return None, None
-        return crit / verified, stab / verified
-
-    p_cc, p_cs = conditionals("critical")
-    p_nc, p_ns = conditionals("non_critical")
-    return CrossCheckMatrix(
-        records=records,
-        n_critical_steady=n_crit,
-        n_noncritical_steady=n_non,
-        p_critical_steady=n_crit / len(records),
-        p_noncritical_steady=n_non / len(records),
-        counts=counts,
-        p_dyn_critical_given_critical=p_cc,
-        p_dyn_stable_given_critical=p_cs,
-        p_dyn_critical_given_noncritical=p_nc,
-        p_dyn_stable_given_noncritical=p_ns,
-    )
+    return CrossCheckMatrix(records=records, counts=counts)
 
 
 def _fmt_prob(x: float | None) -> str:
@@ -198,32 +210,19 @@ def matrix_csv(matrix: CrossCheckMatrix) -> str:
     """Render the cross-check matrix as name,value rows."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "value"])
-    w.writerow(["combinations_screened", matrix.total])
-    w.writerow(["n_critical_steady", matrix.n_critical_steady])
-    w.writerow(["n_noncritical_steady", matrix.n_noncritical_steady])
-    w.writerow(["p_critical_steady", _fmt_prob(matrix.p_critical_steady)])
-    w.writerow(["p_noncritical_steady", _fmt_prob(matrix.p_noncritical_steady)])
-    for steady in ("critical", "non_critical"):
-        for dyn in ("dyn_critical", "dyn_stable"):
-            w.writerow([f"count_{steady}_{dyn}", matrix.cell(steady, dyn)])
-    w.writerow(
-        ["p_dyn_critical_given_critical", _fmt_prob(matrix.p_dyn_critical_given_critical)]
-    )
-    w.writerow(
-        ["p_dyn_stable_given_critical", _fmt_prob(matrix.p_dyn_stable_given_critical)]
-    )
-    w.writerow(
-        [
-            "p_dyn_critical_given_noncritical",
-            _fmt_prob(matrix.p_dyn_critical_given_noncritical),
-        ]
-    )
-    w.writerow(
-        [
-            "p_dyn_stable_given_noncritical",
-            _fmt_prob(matrix.p_dyn_stable_given_noncritical),
-        ]
+    w.writerows([
+        ["name", "value"],
+        ["combinations_screened", matrix.total],
+        ["n_critical_steady", matrix.n_critical_steady],
+        ["n_noncritical_steady", matrix.n_noncritical_steady],
+        ["p_critical_steady", _fmt_prob(matrix.p_critical_steady)],
+        ["p_noncritical_steady", _fmt_prob(matrix.p_noncritical_steady)],
+    ])
+    w.writerows([f"count_{s}_{d}", matrix.cell(s, d)] for s in _STEADY for d in _DYN)
+    w.writerows(
+        [f"p_{d}_given_{s.replace('_', '')}", _fmt_prob(matrix.conditional(s, d))]
+        for s in _STEADY
+        for d in _DYN
     )
     return buf.getvalue()
 
@@ -324,12 +323,21 @@ class CascadeSummary:
     strategy: str
     interval: float
     runs: tuple[CascadeRun, ...]
-    fraction_unstable: float | None  # over successful runs; None if none
-    permutation_invariant: bool
 
     @property
     def canonical(self) -> CascadeRun:
         return self.runs[0]
+
+    @property
+    def fraction_unstable(self) -> float | None:
+        """The unstable share of the successful runs; None if none."""
+        ok = [r for r in self.runs if r.status == "ok"]
+        return sum(1 for r in ok if r.overall != "stable") / len(ok) if ok else None
+
+    @property
+    def permutation_invariant(self) -> bool:
+        """Whether all successful runs agree on the overall kind."""
+        return len({r.overall for r in self.runs if r.status == "ok"}) <= 1
 
 
 def combination_branch_set(
@@ -397,19 +405,11 @@ def cascade_confirm(
                 trace=trace if keep_traces and not runs else None,
             )
         )
-
-    ok = [r for r in runs if r.status == "ok"]
-    fraction = (
-        sum(1 for r in ok if r.overall != "stable") / len(ok) if ok else None
-    )
-    invariant = len({r.overall for r in ok}) <= 1
     return CascadeSummary(
         combination=combination,
         strategy=plan.resolve(len(pairs)),
         interval=plan.interval,
         runs=tuple(runs),
-        fraction_unstable=fraction,
-        permutation_invariant=invariant,
     )
 
 
@@ -511,13 +511,12 @@ def reeval_csv(records: Iterable[ReEvaluationRecord]) -> str:
 class DynPolicy:
     """Which screened combinations get dynamic verification.
 
-    Every steady-critical combination when ``verify_critical``, plus a
-    seeded uniform sample of the non-critical ones sized by
-    ``noncritical_fraction`` (at least ``min_noncritical`` whenever the
-    fraction or minimum is positive and candidates exist).
+    Every steady-critical combination, plus a seeded uniform sample of the
+    non-critical ones sized by ``noncritical_fraction`` (at least
+    ``min_noncritical`` whenever the fraction or minimum is positive and
+    candidates exist).
     """
 
-    verify_critical: bool = True
     noncritical_fraction: float = 0.05
     min_noncritical: int = 1
 
@@ -556,15 +555,26 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Everything a pipeline run produced."""
+    """Everything a pipeline run produced; ``cascades`` are in selection
+    order."""
 
     config: PipelineConfig
     screening: ScreeningRun
-    verified: tuple[tuple[OutageCombination, str], ...]  # combo, overall kind
     cascades: tuple[CascadeSummary, ...]
     matrix: CrossCheckMatrix
     reevaluations: tuple[ReEvaluationRecord, ...]
-    failed: tuple[tuple[OutageCombination, str], ...]  # combo, error detail
+
+    @property
+    def verified(self) -> tuple[tuple[OutageCombination, str], ...]:
+        """(combination, overall kind) of each canonical run that finished."""
+        return tuple((c.combination, c.canonical.overall)
+                     for c in self.cascades if c.canonical.status == "ok")
+
+    @property
+    def failed(self) -> tuple[tuple[OutageCombination, str], ...]:
+        """(combination, error detail) of each canonical run that raised."""
+        return tuple((c.combination, c.canonical.detail or "unknown error")
+                     for c in self.cascades if c.canonical.status != "ok")
 
 
 def _select_for_dynamics(
@@ -579,15 +589,8 @@ def _select_for_dynamics(
     noncriticals = sorted(
         (r for r in results if r.verdict != "critical"), key=combo_key
     )
-    selected: list[ScreeningResult] = []
-    if policy.verify_critical:
-        selected.extend(criticals)
-    n = policy.sample_size(len(noncriticals))
-    if n:
-        rng = random.Random(seed)
-        selected.extend(rng.sample(noncriticals, n))
-    selected.sort(key=combo_key)
-    return selected
+    sampled = random.Random(seed).sample(noncriticals, policy.sample_size(len(noncriticals)))
+    return sorted(criticals + sampled, key=combo_key)
 
 
 def _summary_text(report: PipelineReport, case: GridCase) -> str:
@@ -622,18 +625,11 @@ def _summary_text(report: PipelineReport, case: GridCase) -> str:
         f"P(critical)={m.p_critical_steady:.12g} "
         f"P(non-critical)={m.p_noncritical_steady:.12g}"
     )
-    lines.append(
-        "  P(dyn-critical|critical)="
-        + _fmt_prob(m.p_dyn_critical_given_critical)
-        + " P(dyn-stable|critical)="
-        + _fmt_prob(m.p_dyn_stable_given_critical)
-    )
-    lines.append(
-        "  P(dyn-critical|non-critical)="
-        + _fmt_prob(m.p_dyn_critical_given_noncritical)
-        + " P(dyn-stable|non-critical)="
-        + _fmt_prob(m.p_dyn_stable_given_noncritical)
-    )
+    for s in _STEADY:
+        lines.append("  " + " ".join(
+            f"P({d.replace('_', '-')}|{s.replace('_', '-')})=" + _fmt_prob(m.conditional(s, d))
+            for d in _DYN
+        ))
     lines.append(f"re-evaluations: {len(report.reevaluations)}")
     for rec in report.reevaluations:
         lines.append(f"  {rec.combination}: {rec.kind} -> {rec.resolution}")
@@ -655,7 +651,9 @@ def run_pipeline(
     With ``run_dir`` set, writes screening.csv, traces/<combo>.csv for
     each verified combination, matrix.csv, reeval.csv and summary.txt
     under it. Each trace file is written as soon as its combination is
-    verified, and the report keeps no trace. Identical inputs
+    verified, and the report keeps no trace. The report holds the
+    cascades in selection order; its verdict lists, the matrix and the
+    re-evaluations follow from them. Identical inputs
     (including seed) produce byte-identical files: nothing time- or
     host-dependent is emitted.
     """
@@ -676,9 +674,6 @@ def run_pipeline(
     selected = _select_for_dynamics(all_results, config.policy, config.seed)
 
     cascades: list[CascadeSummary] = []
-    verified: list[tuple[OutageCombination, str]] = []
-    failed: list[tuple[OutageCombination, str]] = []
-    verdict_map: dict[tuple, str] = {}
     traces_dir = None
     if run_dir is not None:
         traces_dir = Path(run_dir) / "traces"
@@ -697,45 +692,21 @@ def run_pipeline(
             path = traces_dir / f"combo_{_combo_slug(result.combination)}.csv"
             with path.open("w") as f:
                 f.writelines(_csv_lines(canonical.trace, config.trace_decimate))
-            canonical = replace(canonical, trace=None)
-            summary = replace(summary, runs=(canonical, *summary.runs[1:]))
+            summary = replace(summary, runs=(replace(canonical, trace=None), *summary.runs[1:]))
         cascades.append(summary)
-        if canonical.status != "ok":
-            failed.append((result.combination, canonical.detail or "unknown error"))
-            continue
-        verified.append((result.combination, canonical.overall))
-        verdict_map[result.combination.substations] = canonical.overall
 
-    matrix = cross_check(all_results, verdict_map)
-
-    reevaluations: list[ReEvaluationRecord] = []
-    for record in matrix.records:
-        if record.dynamic_verdict is None:
-            continue
-        steady_critical = record.steady_verdict == "critical"
-        if steady_critical == record.dyn_critical:
-            continue
-        reevaluations.append(
-            re_evaluate(
-                case,
-                record.combination,
-                record.steady_verdict,
-                record.dynamic_verdict,
-                models=models,
-                interval=config.plan.interval,
-                dt=config.dt,
-            )
-        )
-
-    report = PipelineReport(
-        config=config,
-        screening=screening,
-        verified=tuple(verified),
-        cascades=tuple(cascades),
-        matrix=matrix,
-        reevaluations=tuple(reevaluations),
-        failed=tuple(failed),
+    matrix = cross_check(all_results, {
+        c.combination.substations: c.canonical.overall
+        for c in cascades if c.canonical.status == "ok"
+    })
+    reevaluations = tuple(
+        re_evaluate(case, r.combination, r.steady_verdict, r.dynamic_verdict,
+                    models=models, interval=config.plan.interval, dt=config.dt)
+        for r in matrix.records
+        if r.dynamic_verdict is not None and (r.steady_verdict == "critical") != r.dyn_critical
     )
+    report = PipelineReport(config=config, screening=screening, cascades=tuple(cascades),
+                            matrix=matrix, reevaluations=reevaluations)
 
     if run_dir is not None:
         out = Path(run_dir)

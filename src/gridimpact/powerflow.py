@@ -121,7 +121,6 @@ class PowerFlowSolution:
     q_to: np.ndarray
     cause: str | None = None
     islands: tuple[IslandSolve, ...] = ()
-    violations: tuple[Violation, ...] = ()
 
     def vm_at(self, bus_id: int) -> float:
         return float(self.vm[self.bus_ids.index(bus_id)])
@@ -361,7 +360,9 @@ def solve_newton(
     The network is assumed connected with one slack bus; use
     :func:`solve_islands` for possibly-islanded cases. Non-convergence
     (iteration cap, singular Jacobian, numerical blow-up) is reported in
-    the returned solution, never raised.
+    the returned solution, never raised. An in-service branch with zero
+    impedance raises ``ValueError`` when the solve holds it: with
+    ``bus_subset``, when both its ends are in the subset.
 
     Args:
         case: The network.
@@ -377,13 +378,17 @@ def solve_newton(
     Y, on = arr.ybus, arr.status
     if partition is not None and partition.ybus is not None:
         Y, on = partition.ybus, partition.in_service
-    _reject_zero_impedance(case, on)
     if bus_subset is None:
         ids = list(case.bus_index)
         take = np.arange(len(ids))
+        _reject_zero_impedance(case, on)
     else:
         ids = list(bus_subset)
         take = np.fromiter(map(case.bus_index.__getitem__, ids), dtype=int, count=len(ids))
+        # only the branches this island's Newton sees: those with both ends in it
+        inside = np.zeros(len(case.buses), dtype=bool)
+        inside[take] = True
+        _reject_zero_impedance(case, on & inside[arr.f] & inside[arr.t])
     n = len(ids)
     base = case.base_mva
     pd, qd = arr.load_p[take], arr.load_q[take]
@@ -563,7 +568,6 @@ def solve_islands(
     vm = np.zeros(nb)
     va = np.zeros(nb)
     energized = np.zeros(nb, dtype=bool)
-    flows = np.zeros((4, len(case.branches)))
     records: list[IslandSolve] = []
     all_ok = True
     iters = 0
@@ -591,16 +595,12 @@ def solve_islands(
         vm[take] = sol.vm[take]
         va[take] = sol.va[take]
         energized[take] = True
-        # no branch joins two islands: each island's flows are zero on
-        # the branches of the others
-        flows += (sol.p_from, sol.q_from, sol.p_to, sol.q_to)
     servable = [r for r in records if r.cause != "dead_island"]
     if not servable:
         all_ok = False
-    p_from, q_from, p_to, q_to = flows
-    merged = PowerFlowSolution(
-        bus_ids=tuple(case.bus_index), vm=vm, va=va, energized=energized,
-        p_from=p_from, q_from=q_from, p_to=p_to, q_to=q_to,
+    on = arr.status if partition.in_service is None else partition.in_service
+    merged = _solution(
+        case, on, vm, va, energized,
         converged=all_ok,
         iterations=iters,
         max_mismatch=worst if servable else np.inf,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,10 +113,10 @@ def test_masked_screen_equals_the_reduced_case_screen(case118, monkeypatch):
 
 
 def test_zero_impedance_branch_fails_a_screen_that_solves_with_it():
-    """An in-service r = x = 0 branch whose ends both survive makes the
-    screen raise (a sweep records ``error``) as soon as any island reaches
-    Newton, as on the reduced case; a screen that removes one of its ends,
-    or solves nothing, is unaffected."""
+    """An in-service r = x = 0 branch makes the screen raise (a sweep records
+    ``error``) only when the island holding it reaches Newton, as the
+    dynamics engine checks only energized branches; in a dead island, or
+    with one of its ends removed, or when nothing solves, it is unaffected."""
     case = GridCase(
         base_mva=100.0,
         buses=(Bus(1, "slack"), Bus(2, load_p=10.0), Bus(3, load_p=5.0), Bus(4, load_p=5.0)),
@@ -123,7 +124,12 @@ def test_zero_impedance_branch_fails_a_screen_that_solves_with_it():
         generators=(Generator(1, 20.0),),
         substations=tuple(Substation(i, frozenset((i,))) for i in range(1, 5)),
     )
-    with pytest.raises(ValueError, match="^branch 3-4: zero impedance in service$"):
-        screen_combination(case, OutageCombination((2,)))  # {1} solves, {3, 4} is dead
+    dead = screen_combination(case, OutageCombination((2,)))  # {1} solves, {3, 4} is dead
+    assert (dead.verdict, dead.reason, dead.island_count, dead.unserved_mw) == (
+        "non_critical", "islanded_unserved_load", 2, 10.0)
     assert screen_combination(case, OutageCombination((4,))).reason == "clean"
     assert screen_combination(case, OutageCombination((1,))).reason == "dead_system"
+    # a unit at bus 3 makes {3, 4} servable: its Newton holds the branch
+    fed = replace(case, generators=(Generator(1, 20.0), Generator(3, 10.0)))
+    with pytest.raises(ValueError, match="^branch 3-4: zero impedance in service$"):
+        screen_combination(fed, OutageCombination((2,)))

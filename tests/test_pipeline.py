@@ -499,6 +499,32 @@ class TestRunPipeline:
         assert "100: islanded_mixed" in text
         assert [(str(c), o) for c, o in report.verified] == [("100", "islanded_mixed")]
 
+    def test_canonical_run_that_raises_is_reported_failed(self, tmp_path, monkeypatch):
+        """A combination whose canonical dynamics run raises is listed as
+        failed with its detail, gets no dynamic verdict, and the summary
+        carries its error line."""
+        case = two_machine_case()
+        broken = OutageCombination((2,))
+        opened = [OutageAction.open_branch(a, b) for a, b in combination_branch_set(case, broken)]
+        inner = pipeline.run_scenario
+
+        def run_scenario(case, schedule, *args, **kwargs):
+            if [action for _, action in schedule] == opened:
+                raise RuntimeError("solver blew up")
+            return inner(case, schedule, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
+        cfg = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=1.0))
+        report = run_pipeline(case, cfg, run_dir=tmp_path)
+
+        assert report.failed == ((broken, "solver blew up"),)
+        assert [str(c) for c, _ in report.verified] == ["1", "3"]
+        m = report.matrix
+        assert {r.combination: r.dynamic_verdict for r in m.records}[broken] is None
+        assert sum(m.counts.values()) == len(report.verified)
+        assert not (tmp_path / "traces" / "combo_2.csv").exists()
+        assert "  2: dynamics error: solver blew up\n" in (tmp_path / "summary.txt").read_text()
+
 
 class TestTraceFiles:
     """Each verified combination's trace file is written as soon as its

@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("case")
     p_pipe.add_argument("--k", type=_positive_int, default=1)
     p_pipe.add_argument("--seed", type=int, default=0)
-    p_pipe.add_argument("--budget", type=_non_negative_int, default=None)
+    p_pipe.add_argument("--budget", type=_positive_int, default=None)
     p_pipe.add_argument("--sample-fraction", type=_fraction, default=0.05,
                         help="non-critical fraction selected for dynamics")
     p_pipe.add_argument("--out", required=True, help="run directory for reports")

@@ -264,7 +264,6 @@ class ScenarioOptions:
     dt: float = 0.01
     t_end: float | None = None  # default: last event + 10 s
     sample_every: int = 1
-    thresholds: DetectionThresholds = field(default_factory=DetectionThresholds)
 
     def __post_init__(self) -> None:
         if not 0 < self.dt < math.inf:
@@ -284,7 +283,8 @@ class DynamicState:
     the regulator; ``pm`` is mechanical power on the system base.
     ``vref`` and ``pm_ref`` are the regulator/governor setpoints fixed
     at initialization. ``inertia`` holds each machine's 2*H*S/S_system
-    so COI weighting is available from the state alone.
+    so COI weighting is available from the state alone. ``models`` are
+    the machine models the state is an equilibrium of.
     """
 
     machine_buses: tuple[int, ...]
@@ -296,6 +296,7 @@ class DynamicState:
     pm_ref: np.ndarray
     inertia: np.ndarray
     voltages: np.ndarray  # complex, one per case bus
+    models: tuple[MachineModel, ...]
 
 
 @dataclass(frozen=True)
@@ -389,18 +390,13 @@ def init_dynamic_state(
             )
 
     base = case.base_mva
-    nb = len(case.buses)
     idx = case.bus_index
     V = pf.vm * np.exp(1j * pf.va)
 
-    adm = build_admittance(case)
-    s_inj = V * np.conj(adm.matrix @ V)  # p.u. net injection
+    s_inj = V * np.conj(build_admittance(case) @ V)  # p.u. net injection
 
     # net machine output per bus = injection + local load
-    s_gen_bus = {}
-    for b in case.buses:
-        j = idx[b.id]
-        s_gen_bus[b.id] = s_inj[j] + complex(b.load_p, b.load_q) / base
+    s_gen_bus = s_inj + (case.arrays.load_p / base + 1j * (case.arrays.load_q / base))
 
     nm = len(models)
     delta = np.zeros(nm)
@@ -417,7 +413,7 @@ def init_dynamic_state(
 
     s_mach = np.array([g.mva_base for g in case.generators])
     for bus, members in mach_by_bus.items():
-        total = s_gen_bus[bus]
+        total = s_gen_bus[idx[bus]]
         disp = sum(case.generators[i].p_output for i in members) / base
         share = s_mach[members] / s_mach[members].sum()
         extra = total.real - disp
@@ -445,6 +441,7 @@ def init_dynamic_state(
         pm_ref=pm.copy(),
         inertia=inertia,
         voltages=V.copy(),
+        models=tuple(models),
     )
 
     # defensive equilibrium check: the construction above should zero
@@ -504,13 +501,11 @@ class _Engine:
         self.models = tuple(models)
         self.nb = len(case.buses)
         self.nm = len(models)
-        self.bus_ids = tuple(b.id for b in case.buses)
-        self.bus_pos = {b: i for i, b in enumerate(self.bus_ids)}
         self.omega_s = 2.0 * math.pi * thresholds.f_nominal
 
         base = case.base_mva
         self.mach_bus_pos = np.array(
-            [self.bus_pos[m.bus] for m in self.models], dtype=int
+            [case.bus_index[m.bus] for m in self.models], dtype=int
         )
         s_mach = np.array([g.mva_base for g in case.generators])
         self.xd_sys = np.array(
@@ -554,8 +549,7 @@ class _Engine:
         # constant-impedance loads anchored at the initial operating point
         V0 = state.voltages
         self.y_load = np.zeros(self.nb, dtype=complex)
-        for b in case.buses:
-            j = self.bus_pos[b.id]
+        for j, b in enumerate(case.buses):
             s = complex(b.load_p, b.load_q) / base
             if s != 0:
                 self.y_load[j] = np.conj(s) / (abs(V0[j]) ** 2)
@@ -593,7 +587,6 @@ class _Engine:
         self.removed: set = set()
         self.bus_active = np.ones(self.nb, dtype=bool)
         self.mach_active = np.ones(self.nm, dtype=bool)
-        self.islands: list[tuple[int, frozenset[int]]] = []  # (key, buses)
         self.refresh_topology()
 
     # -- topology ------------------------------------------------------------
@@ -605,14 +598,15 @@ class _Engine:
         network (dead ones included, matching find_islands).
         """
         partition = find_islands(self.base_case, self.bus_on, self.branch_on)
-        self.islands = []
+        idx = self.base_case.bus_index
+        keys = []  # of the servable islands, each its lowest bus id
         alive = np.zeros(self.nb, dtype=bool)
         bus_island = np.full(self.nb, -1, dtype=int)
         for isl in partition.islands:
             if isl.servable:
                 key = min(isl.buses)
-                self.islands.append((key, isl.buses))
-                positions = [self.bus_pos[b] for b in isl.buses]
+                keys.append(key)
+                positions = [idx[b] for b in isl.buses]
                 alive[positions] = True
                 bus_island[positions] = key
         # buses formerly active that fell into dead islands or were
@@ -628,7 +622,7 @@ class _Engine:
             self.mach_active, bus_island[self.mach_bus_pos], -1
         )
         self.island_members = []
-        for key, _buses in self.islands:
+        for key in keys:
             members = np.flatnonzero(self.mach_island == key)
             if members.size:
                 w = self.M[members]
@@ -655,7 +649,7 @@ class _Engine:
         """
         arr = self.base_case.arrays
         on = self.branch_on & self.bus_active[arr.f] & self.bus_active[arr.t]
-        Y = build_admittance(self.base_case, on).matrix
+        Y = build_admittance(self.base_case, on)
         diag = Y.diagonal() + self.y_load
         act = self.mach_active
         np.add.at(diag, self.mach_bus_pos[act], self.y_mach[act])
@@ -883,12 +877,14 @@ def run_scenario(
     event the island pattern is re-detected; islands without a
     generating unit are de-energized immediately. The run halts at the
     first instability verdict and the remaining events are marked
-    skipped.
+    skipped. A run from ``state`` uses the models the state was built
+    for; ``models``, when given as well, must equal them.
     """
-    models = tuple(models) if models is not None else default_machine_models(case)
-    options = options or ScenarioOptions()
     if state is None:
-        state = initial_state(case, models)
+        state = initial_state(case, default_machine_models(case) if models is None else models)
+    elif models is not None and tuple(models) != state.models:
+        raise ValueError("models differ from the ones the state was initialized for")
+    options = options or ScenarioOptions()
 
     t_end = options.t_end
     if t_end is None:
@@ -896,23 +892,18 @@ def run_scenario(
     if schedule.events and schedule.end_time > t_end:
         raise ValueError("t_end must reach the last scheduled event")
 
-    th = options.thresholds
-    engine = _Engine(case, models, state, th)
+    th = DetectionThresholds()
+    engine = _Engine(case, state.models, state, th)
     monitor = _Monitor(th)
 
     # timeline segments between events, each with its step count; the
     # counts size the trace buffers, which are filled row by row, so a
     # halted run never touches their tail
-    boundaries = [t for t, _ in schedule.events if t > 0.0]
-    if not boundaries or boundaries[-1] < t_end:
-        boundaries = boundaries + [t_end]
-    segments = []
-    t_now = 0.0
-    for t_b in boundaries:
-        if t_now >= t_end:
-            break
-        segments.append((t_now, t_b, max(1, round((t_b - t_now) / options.dt))))
-        t_now = t_b
+    stops = [t for t, _ in schedule.events if t > 0.0]
+    if not stops or stops[-1] < t_end:
+        stops = stops + [t_end]
+    segments = [(t_a, t_b, max(1, round((t_b - t_a) / options.dt)))
+                for t_a, t_b in zip([0.0] + stops, stops) if t_a < t_end]
 
     every = options.sample_every
     capacity = 1 + sum(-(-n_steps // every) for _, _, n_steps in segments)
@@ -1001,7 +992,7 @@ def run_scenario(
         machine_island=mach_isl[:n],
         island_freq={key: freq[:n] for key, freq in island_freq.items()},
         voltages=volts[:n],
-        bus_ids=engine.bus_ids,
+        bus_ids=tuple(case.bus_index),
         events=tuple(events_log),
         dt=options.dt,
     )

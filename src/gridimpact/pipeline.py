@@ -372,45 +372,46 @@ def cascade_confirm(
     if not pairs:
         raise ValueError(f"combination {combination} touches no in-service branch")
     orders = plan.orders(pairs)
-
-    # every ordering starts from the same base state; when it cannot be
-    # built, every ordering records that failure
-    try:
-        state, base_error = initial_state(case, models), None
-    except Exception as exc:
-        state, base_error = None, str(exc)
-
-    runs: list[CascadeRun] = []
-    for order in orders:
-        if base_error is not None:
-            runs.append(
-                CascadeRun(order=order, status="error", overall=None, detail=base_error)
-            )
-            continue
-        actions = [OutageAction.open_branch(a, b) for a, b in order]
-        schedule = SwitchingSchedule.evenly_spaced(actions, interval=plan.interval)
-        try:
-            trace, verdict = run_scenario(case, schedule, models, options, state)
-        except Exception as exc:  # isolate failures per ordering
-            runs.append(
-                CascadeRun(order=order, status="error", overall=None, detail=str(exc))
-            )
-            continue
-        runs.append(
-            CascadeRun(
-                order=order,
-                status="ok",
-                overall=verdict.overall,
-                time_of_first_violation=verdict.time_of_first_violation,
-                trace=trace if keep_traces and not runs else None,
-            )
-        )
+    state = _base_state(case, models)  # every ordering starts from it
     return CascadeSummary(
         combination=combination,
         strategy=plan.resolve(len(pairs)),
         interval=plan.interval,
-        runs=tuple(runs),
+        runs=tuple(
+            _run_order(case, order, plan.interval, models, options, state,
+                       keep_trace=keep_traces and i == 0)
+            for i, order in enumerate(orders)
+        ),
     )
+
+
+def _base_state(case: GridCase, models: Sequence[MachineModel]) -> DynamicState | Exception:
+    """The state every dynamic run of a combination starts from, or the
+    exception that building it raised."""
+    try:
+        return initial_state(case, models)
+    except Exception as exc:  # each run from it records the failure
+        return exc
+
+
+def _run_order(
+    case: GridCase, order: tuple[tuple[int, int], ...], interval: float,
+    models: Sequence[MachineModel], options: ScenarioOptions | None,
+    state: DynamicState | Exception, keep_trace: bool = False,
+) -> CascadeRun:
+    """Open ``order``'s branches ``interval`` apart from ``state`` and read
+    the verdict. A run that raises, or a failed base state, is recorded
+    as an error; ``keep_trace`` keeps a finished run's trace."""
+    actions = [OutageAction.open_branch(a, b) for a, b in order]
+    schedule = SwitchingSchedule.evenly_spaced(actions, interval=interval)
+    try:
+        if isinstance(state, Exception):
+            raise state  # the base state could not be built
+        trace, verdict = run_scenario(case, schedule, models, options, state)
+    except Exception as exc:  # isolate failures per ordering
+        return CascadeRun(order, "error", None, detail=str(exc))
+    return CascadeRun(order, "ok", verdict.overall, verdict.time_of_first_violation,
+                      trace=trace if keep_trace else None)
 
 
 # --- re-evaluation ------------------------------------------------------------
@@ -449,26 +450,9 @@ def re_evaluate(
         raise ValueError(
             f"no disagreement: steady={steady_verdict!r} dynamic={dynamic_verdict!r}"
         )
-    kind = (
-        "steady_noncritical_dyn_unstable"
-        if dyn_critical
-        else "steady_critical_dyn_stable"
-    )
+    kind = "steady_noncritical_dyn_unstable" if dyn_critical else "steady_critical_dyn_stable"
     models = tuple(models) if models is not None else default_machine_models(case)
-    pairs = combination_branch_set(case, combination)
-    actions = [OutageAction.open_branch(a, b) for a, b in pairs]
     adjustments: list[str] = []
-    state: DynamicState | None = None  # built by the first dynamic rung
-
-    def dynamics_overall(run_dt: float, run_interval: float) -> str:
-        nonlocal state
-        if state is None:
-            state = initial_state(case, models)
-        schedule = SwitchingSchedule.evenly_spaced(actions, interval=run_interval)
-        _, verdict = run_scenario(
-            case, schedule, models, ScenarioOptions(dt=run_dt), state
-        )
-        return verdict.overall
 
     # rung 1: steady side, flat start at tight tolerance
     strict = screen_combination(
@@ -480,17 +464,18 @@ def re_evaluate(
     if (strict.verdict == "critical") == dyn_critical:
         return ReEvaluationRecord(combination, kind, tuple(adjustments), "reconciled")
 
-    # rung 2: dynamic side, halved step
-    overall = dynamics_overall(dt / 2.0, interval)
-    adjustments.append(f"half_dt -> {overall}")
-    if (overall != "stable") == steady_critical:
-        return ReEvaluationRecord(combination, kind, tuple(adjustments), "reconciled")
-
-    # rung 3: dynamic side, 15 s switching interval
-    overall = dynamics_overall(dt, 15.0)
-    adjustments.append(f"interval_15s -> {overall}")
-    if (overall != "stable") == steady_critical:
-        return ReEvaluationRecord(combination, kind, tuple(adjustments), "reconciled")
+    # rungs 2 and 3: dynamic side, halved step, then 15 s switching
+    # interval, both from one base state; a rung whose run raises records
+    # its error and reconciles nothing
+    pairs = combination_branch_set(case, combination)
+    state = _base_state(case, models)
+    for label, run_dt, run_interval in (("half_dt", dt / 2.0, interval),
+                                        ("interval_15s", dt, 15.0)):
+        run = _run_order(case, pairs, run_interval, models, ScenarioOptions(dt=run_dt), state)
+        outcome = run.overall if run.status == "ok" else f"error: {run.detail}"
+        adjustments.append(f"{label} -> {outcome}")
+        if run.status == "ok" and (run.overall != "stable") == steady_critical:
+            return ReEvaluationRecord(combination, kind, tuple(adjustments), "reconciled")
 
     return ReEvaluationRecord(combination, kind, tuple(adjustments), "persistent")
 
@@ -661,6 +646,9 @@ def run_pipeline(
     models = tuple(models) if models is not None else default_machine_models(case)
     if run_dir is not None and config.trace_decimate < 1:
         raise ValueError("trace_decimate must be >= 1")
+    if config.budget is not None and config.budget < 1:
+        raise ValueError(f"budget must be at least 1, got {config.budget}: "
+                         "the cross-check needs a screened combination")
 
     screening = run_screening(
         case,

@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "AdmittanceMatrix",
     "PowerFlowOptions",
     "PowerFlowSolution",
     "Violation",
@@ -37,18 +36,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdmittanceMatrix:
-    """Complex nodal admittance matrix over the case's bus ordering."""
-
-    bus_ids: tuple[int, ...]
-    matrix: sp.csr_matrix  # n x n complex
-
-
 def build_admittance(
     case: GridCase, in_service: np.ndarray | None = None
-) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix from the case's pi entries.
+) -> sp.csr_matrix:
+    """Assemble the complex nodal admittance matrix, over the case's bus
+    order, from the case's pi entries.
 
     ``in_service`` is a boolean mask over the case's branches (default:
     their statuses); masked-out branches contribute nothing. Transformer
@@ -58,8 +50,7 @@ def build_admittance(
     arr = case.arrays
     on = arr.status if in_service is None else np.asarray(in_service, dtype=bool)
     _reject_zero_impedance(case, on)
-    Y = arr.ybus.copy() if in_service is None else arr.admittance(on)
-    return AdmittanceMatrix(bus_ids=tuple(b.id for b in case.buses), matrix=Y)
+    return arr.ybus.copy() if in_service is None else arr.admittance(on)
 
 
 def _reject_zero_impedance(case: GridCase, on: np.ndarray) -> None:
@@ -610,14 +601,14 @@ def solve_islands(
     return merged, partition
 
 
-def check_violations(
-    case: GridCase,
-    solution: PowerFlowSolution,
-    v_min: float = 0.94,
-    v_max: float = 1.06,
-    max_loading: float = 1.0,
-) -> list[Violation]:
-    """Scan a converged solution for voltage and loading violations.
+# Screening limits: the voltage band in p.u. and the loading, as a share of
+# a branch's rating, above which a branch is overloaded.
+V_MIN, V_MAX, MAX_LOADING = 0.94, 1.06, 1.0
+
+
+def check_violations(case: GridCase, solution: PowerFlowSolution) -> list[Violation]:
+    """Scan a converged solution for voltage and loading violations
+    outside ``V_MIN`` .. ``V_MAX`` and ``MAX_LOADING``.
 
     De-energized buses and branches are skipped; branches without a
     rating (rating 0) are never flagged for overload. Results are
@@ -629,18 +620,18 @@ def check_violations(
     if not solution.converged:
         raise ValueError("violations are only defined for a converged solution")
     vm, on = solution.vm, solution.energized
-    low = on & (vm < v_min)
-    high = on & (vm > v_max)
+    low = on & (vm < V_MIN)
+    high = on & (vm > V_MAX)
     out: list[Violation] = []
     for j in np.flatnonzero(low | high):
-        kind, limit = ("undervoltage", v_min) if low[j] else ("overvoltage", v_max)
+        kind, limit = ("undervoltage", V_MIN) if low[j] else ("overvoltage", V_MAX)
         out.append(Violation(kind, str(solution.bus_ids[j]), float(vm[j]), limit))
     arr = case.arrays
     s = np.maximum(
         np.hypot(solution.p_from, solution.q_from),
         np.hypot(solution.p_to, solution.q_to),
     )
-    over = arr.status & (arr.rating > 0) & (s > max_loading * arr.rating)
+    over = arr.status & (arr.rating > 0) & (s > MAX_LOADING * arr.rating)
     for k in sorted(np.flatnonzero(over), key=lambda k: case.branches[k].endpoints):
         br = case.branches[k]
         out.append(Violation(

@@ -85,6 +85,22 @@ def test_bad_values_rejected_before_the_case_loads(command, option, value, tmp_p
     assert not (tmp_path / "run").exists()
 
 
+def test_pipeline_zero_budget_rejected_before_the_case_loads(tmp_path, capsys,
+                                                           monkeypatch):
+    """A pipeline must screen something to cross-check, so --budget 0 is
+    refused, while screen --budget 0 prints a header-only CSV."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the case was loaded")
+
+    monkeypatch.setattr(cli, "load_case", must_not_run)
+    run_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", CASE_PATH, "--budget", "0", "--out", str(run_dir)])
+    assert exc.value.code == 2
+    assert "--budget: must be at least 1, got 0" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 class TestSimulate:
     def test_scenario_run_with_trace(self, toy_case_file, tmp_path, capsys):
         scenario = tmp_path / "split.txt"

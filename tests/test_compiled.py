@@ -61,7 +61,7 @@ def test_branch_flows_sum_to_bus_injections(seed):
     sol, _ = solve_islands(case)
     assume(sol.converged)
     V = sol.vm * np.exp(1j * sol.va)
-    injected = V * np.conj(build_admittance(case).matrix @ V) * case.base_mva
+    injected = V * np.conj(build_admittance(case) @ V) * case.base_mva
     arr = case.arrays
     summed = np.zeros(len(case.buses), dtype=complex)
     np.add.at(summed, arr.f, sol.p_from + 1j * sol.q_from)
@@ -78,8 +78,8 @@ def test_branch_mask_equals_opened_branches(seed, case118):
         br if on else replace(br, status=False)
         for br, on in zip(case118.branches, mask)
     ))
-    masked = build_admittance(case118, mask).matrix
-    assert (masked != build_admittance(opened).matrix).nnz == 0
+    masked = build_admittance(case118, mask)
+    assert (masked != build_admittance(opened)).nnz == 0
 
 
 def reference_admittance(arr, on) -> sp.csr_matrix:

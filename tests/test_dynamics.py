@@ -500,6 +500,46 @@ class TestTraceBuffers:
         assert peak <= 1.5 * sum(a.nbytes for a in arrays)
 
 
+class TestStateModels:
+    """A base state carries the models it is an equilibrium of, and a run
+    from it uses them."""
+
+    @staticmethod
+    def slow_models(case):
+        return tuple(
+            dataclasses.replace(m, inertia_H=3.0, exciter=ExciterParams(gain=20.0))
+            for m in default_machine_models(case)
+        )
+
+    def test_run_without_models_uses_the_state_models(self):
+        case = two_machine_case()
+        models = self.slow_models(case)
+        state = initial_state(case, models)
+        assert state.models == models
+        options = ScenarioOptions(t_end=3.0)
+        omitted = run_scenario(case, split_schedule(), options=options, state=state)
+        explicit = run_scenario(case, split_schedule(), models, options, state)
+        assert trace_to_csv(omitted[0]) == trace_to_csv(explicit[0])
+        assert omitted[1] == explicit[1]
+        assert omitted[0].events == explicit[0].events
+
+    def test_state_stays_at_its_equilibrium(self):
+        case = two_machine_case()
+        state = initial_state(case, self.slow_models(case))
+        trace, verdict = run_scenario(
+            case, SwitchingSchedule(()), options=ScenarioOptions(t_end=1.0), state=state
+        )
+        assert verdict.overall == "stable"
+        assert np.max(np.abs(trace.angles_deg[-1] - trace.angles_deg[0])) < 1e-9
+
+    def test_other_models_rejected(self):
+        case = two_machine_case()
+        state = initial_state(case, self.slow_models(case))
+        with pytest.raises(ValueError, match="models differ"):
+            run_scenario(case, split_schedule(), default_machine_models(case),
+                         ScenarioOptions(t_end=2.0), state)
+
+
 class TestNetworkScale:
     """Short runs on the 118-bus fixture; the long scenarios live in the
     acceptance tests."""

@@ -86,14 +86,14 @@ def test_jacobian_base_case_stored_voltages(case118):
     take = np.arange(len(case118.buses))
     slack = case118.bus_index[69]
     pvpq, pq = bus_types(case118, take, slack)
-    Y = build_admittance(case118).matrix
+    Y = build_admittance(case118)
     assert_kernel_matches(Y, stored_voltages(case118, take), pvpq, pq)
 
 
 def test_jacobian_base_case_perturbed_voltages(case118):
     take = np.arange(len(case118.buses))
     pvpq, pq = bus_types(case118, take, case118.bus_index[69])
-    Y = build_admittance(case118).matrix
+    Y = build_admittance(case118)
     rng = np.random.default_rng(7)
     for _ in range(5):
         V = stored_voltages(case118, take) * (
@@ -108,7 +108,7 @@ def test_jacobian_islanded_reduction(case118):
     reduced, _, _ = apply_substation_outage(case118, [100])
     partition = find_islands(reduced)
     assert len(partition) > 1
-    Y = build_admittance(reduced).matrix
+    Y = build_admittance(reduced)
     solved = 0
     for isl in partition.islands:
         if not isl.servable or len(isl.buses) < 2:
@@ -129,7 +129,7 @@ def test_jacobian_after_pv_to_pq_switch(case118):
     switched = pv[::2]
     pv = pv[1::2]
     pq = np.sort(np.concatenate([pq, switched]))
-    Y = build_admittance(case118).matrix
+    Y = build_admittance(case118)
     V = stored_voltages(case118, take)
     assert_kernel_matches(Y, V, np.concatenate([pv, pq]), pq)
 
@@ -139,7 +139,7 @@ def test_split_reindexes_in_place(case118):
     Jacobian, not a stale one."""
     take = np.arange(len(case118.buses))
     pvpq, pq = bus_types(case118, take, case118.bus_index[69])
-    Y = build_admittance(case118).matrix
+    Y = build_admittance(case118)
     jac = _Jacobian(Y, take)
     kernel_jacobian(jac, stored_voltages(case118, take), pvpq, pq)
     pv = pvpq[: pvpq.size - pq.size]

@@ -169,7 +169,7 @@ def reference_newton(case, options=PowerFlowOptions(), bus_subset=None, slack_ov
     pd, qd = arr.load_p[take], arr.load_q[take]
     qmin, qmax, vset = arr.q_min[take], arr.q_max[take], arr.v_set[take]
     has_machine, kind = arr.has_machine[take], arr.kind[take]
-    Y = powerflow.build_admittance(case).matrix
+    Y = powerflow.build_admittance(case)
     if bus_subset is not None:
         Y = Y[take][:, take]
     islack = (ids.index(slack_override) if slack_override is not None

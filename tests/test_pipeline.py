@@ -418,6 +418,26 @@ class TestReEvaluate:
         assert rec.adjustments == ("flat_start_tol_1e-08 -> critical",)
         assert len(solves) == 1
 
+    def test_rung_that_raises_is_recorded_and_the_ladder_goes_on(self, monkeypatch):
+        """The half-dt run raises: its rung records the error, reconciles
+        nothing, and the 15 s interval rung still runs."""
+        inner = pipeline.run_scenario
+
+        def run_scenario(case, schedule, models, options, state):
+            if options.dt == 0.005:
+                raise RuntimeError("solver blew up")
+            return inner(case, schedule, models, options, state)
+
+        monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
+        rec = re_evaluate(two_machine_case(), OutageCombination((1, 3)),
+                          "non_critical", "islanded_mixed")
+        assert rec.adjustments == (
+            "flat_start_tol_1e-08 -> non_critical",
+            "half_dt -> error: solver blew up",
+            "interval_15s -> islanded_mixed",
+        )
+        assert rec.resolution == "persistent"
+
     def test_csv_rendering(self, case118, models118):
         rec = re_evaluate(
             case118, OutageCombination((100,)), "non_critical",
@@ -524,6 +544,43 @@ class TestRunPipeline:
         assert sum(m.counts.values()) == len(report.verified)
         assert not (tmp_path / "traces" / "combo_2.csv").exists()
         assert "  2: dynamics error: solver blew up\n" in (tmp_path / "summary.txt").read_text()
+
+
+class TestRunPipelineErrors:
+    def test_failed_rung_still_writes_every_artifact(self, tmp_path, monkeypatch):
+        """A disagreement whose half-dt rerun raises is recorded in
+        reeval.csv, and the run writes all its reports."""
+        inner = pipeline.run_scenario
+
+        def run_scenario(case, schedule, models, options, state):
+            if options.dt == 0.005:
+                raise RuntimeError("solver blew up")
+            return inner(case, schedule, models, options, state)
+
+        monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
+        cfg = PipelineConfig(k_max=1, subset=(1,), policy=DynPolicy(noncritical_fraction=1.0))
+        report = run_pipeline(two_machine_case(), cfg, run_dir=tmp_path)
+
+        assert [r.adjustments[1] for r in report.reevaluations] == [
+            "half_dt -> error: solver blew up"
+        ]
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "matrix.csv", "reeval.csv", "screening.csv", "summary.txt",
+            "traces", "traces/combo_1.csv",
+        ]
+        assert "half_dt -> error: solver blew up" in (tmp_path / "reeval.csv").read_text()
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected_before_screening(self, budget, tmp_path,
+                                                        monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("screening ran")
+
+        monkeypatch.setattr(pipeline, "run_screening", must_not_run)
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            run_pipeline(two_machine_case(), PipelineConfig(budget=budget), run_dir=run_dir)
+        assert not run_dir.exists()
 
 
 class TestTraceFiles:

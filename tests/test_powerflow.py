@@ -27,7 +27,7 @@ V2_EXPECTED = complex(0.9719067704536566, -0.048)
 class TestAdmittance:
     def test_plain_line_entries(self):
         case = two_bus_case()
-        Y = build_admittance(case).matrix.toarray()
+        Y = build_admittance(case).toarray()
         y = 1.0 / complex(0.01, 0.10)
         assert Y[0, 0] == pytest.approx(y)
         assert Y[1, 1] == pytest.approx(y)
@@ -41,7 +41,7 @@ class TestAdmittance:
                        total_charging=0.02, tap_ratio=0.95, is_transformer=True),
             )
         )
-        Y = build_admittance(case).matrix.toarray()
+        Y = build_admittance(case).toarray()
         y = 1.0 / complex(0.0, 0.08)
         sh = 0.5j * 0.02
         assert Y[0, 0] == pytest.approx((y + sh) / 0.95**2)
@@ -51,7 +51,7 @@ class TestAdmittance:
 
     def test_out_of_service_branch_contributes_nothing(self):
         case = apply_branch_outages(two_bus_case(), [(1, 2)])
-        Y = build_admittance(case).matrix.toarray()
+        Y = build_admittance(case).toarray()
         assert np.all(Y == 0)
 
     def test_zero_impedance_rejected(self):
@@ -95,7 +95,7 @@ class TestNewtonToy:
         sol = solve_newton(case, PowerFlowOptions(flat_start=True))
         if not sol.converged:
             return  # extreme loads may genuinely lack a solution
-        Y = build_admittance(case).matrix
+        Y = build_admittance(case)
         V = sol.vm * np.exp(1j * sol.va)
         S = V * np.conj(Y @ V)
         expect_p2 = -load / 100.0
@@ -145,7 +145,7 @@ class TestQLimits:
         # voltage sags below the unreachable setpoint
         assert sol.vm_at(3) < 1.05 - 1e-4
         # reactive output is parked at the ceiling
-        Y = build_admittance(case).matrix
+        Y = build_admittance(case)
         V = sol.vm * np.exp(1j * sol.va)
         S = V * np.conj(Y @ V)
         qg = S[2].imag * 100.0 + case.bus(3).load_q

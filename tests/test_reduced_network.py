@@ -59,7 +59,7 @@ def test_reduced_network_equals_sparse_solve(case118, models118, topology):
         assert engine.mach_active.all()
     else:
         engine = split_engine(case118, models118)
-        assert len(engine.islands) == 2
+        assert len(engine.island_members) == 2
         assert engine.mach_active.sum() == engine.nm - 2
         assert not engine.bus_active.all()
     rng = np.random.default_rng(7)

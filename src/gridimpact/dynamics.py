@@ -312,12 +312,15 @@ class EventRecord:
 class DynamicTrace:
     """Sampled trajectory of a scenario run.
 
-    ``angles_deg`` holds COI-relative machine angles (degrees, NaN once
-    a machine is dropped); ``machine_island`` the island key each
-    machine belonged to at each sample (-1 when dropped);
-    ``island_freq`` maps island key (its lowest bus id) to an
+    One row per recorded sample: every sample of a run with
+    ``trace_every=1``, every ``trace_every``-th otherwise, none with
+    ``trace_every=None``. ``angles_deg`` holds COI-relative machine
+    angles (degrees, NaN once a machine is dropped); ``machine_island``
+    the island key each machine belonged to at each row (-1 when
+    dropped); ``island_freq`` maps island key (its lowest bus id) to an
     inertia-weighted frequency trace in Hz (NaN before formation or
-    after death); ``voltages`` per-bus magnitudes (0 when de-energized).
+    after death), with a column for every island the run saw, recorded
+    or not; ``voltages`` per-bus magnitudes (0 when de-energized).
     """
 
     times: np.ndarray
@@ -832,6 +835,8 @@ class _Monitor:
         if len(hist) >= 3 and hist[-2] > hist[-3] and hist[-2] > hist[-1]:
             peaks = self._peaks.setdefault(island_key, [])
             peaks.append(hist[-2])
+            if len(peaks) > 3:  # only the last three are compared
+                del peaks[0]
             if len(peaks) >= 3 and peaks[-3] < peaks[-2] < peaks[-1]:
                 self.growing[island_key] = True
         if len(hist) > 3:
@@ -870,6 +875,7 @@ def run_scenario(
     models: Sequence[MachineModel] | None = None,
     options: ScenarioOptions | None = None,
     state: DynamicState | None = None,
+    trace_every: int | None = 1,
 ) -> tuple[DynamicTrace, StabilityVerdict]:
     """Integrate a switching scenario and judge per-island stability.
 
@@ -879,7 +885,16 @@ def run_scenario(
     first instability verdict and the remaining events are marked
     skipped. A run from ``state`` uses the models the state was built
     for; ``models``, when given as well, must equal them.
+
+    The monitors judge every sample, but the trace records only samples
+    0, ``trace_every``, 2 ``trace_every``, ... (the rows
+    ``trace_to_csv(full_trace, trace_every)`` would write; a halt sample
+    off that grid is not recorded), and ``trace_every=None`` records
+    none: the trace then holds the event log and zero rows. Either way
+    ``island_freq`` has a column for every island seen at any sample.
     """
+    if trace_every is not None and trace_every < 1:
+        raise ValueError("trace_every must be >= 1 or None")
     if state is None:
         state = initial_state(case, default_machine_models(case) if models is None else models)
     elif models is not None and tuple(models) != state.models:
@@ -897,8 +912,8 @@ def run_scenario(
     monitor = _Monitor(th)
 
     # timeline segments between events, each with its step count; the
-    # counts size the trace buffers, which are filled row by row, so a
-    # halted run never touches their tail
+    # counts size the trace buffers for the samples kept, which are
+    # filled row by row, so a halted run never touches their tail
     stops = [t for t, _ in schedule.events if t > 0.0]
     if not stops or stops[-1] < t_end:
         stops = stops + [t_end]
@@ -906,14 +921,16 @@ def run_scenario(
                 for t_a, t_b in zip([0.0] + stops, stops) if t_a < t_end]
 
     every = options.sample_every
-    capacity = 1 + sum(-(-n_steps // every) for _, _, n_steps in segments)
+    n_total = 1 + sum(-(-n_steps // every) for _, _, n_steps in segments)
+    capacity = 0 if trace_every is None else -(-n_total // trace_every)
     nm, nb = engine.nm, engine.nb
     times = np.empty(capacity)
     angles = np.empty((capacity, nm))
     mach_isl = np.empty((capacity, nm), dtype=int)
     volts = np.empty((capacity, nb))
     island_freq: dict[int, np.ndarray] = {}  # NaN before formation, after death
-    n_samples = 0
+    n_samples = 0  # judged by the monitors
+    n_rows = 0  # recorded in the trace
     events_log: list[EventRecord] = []
 
     y = engine.y  # advanced in place by engine.rk4_step
@@ -921,32 +938,38 @@ def run_scenario(
     pending = list(schedule.events)
 
     def record_sample(t: float) -> str | None:
-        nonlocal n_samples
-        i = n_samples
-        V = engine.bus_voltages(engine.emf(y))
-        np.abs(V, out=volts[i])
-        volts[i, engine.bus_dead] = 0.0
-        ang = angles[i]
-        ang.fill(np.nan)
+        """Judge the sample at t, and record it when it falls on the
+        trace's grid; returns the verdict of a monitor that fired."""
+        nonlocal n_samples, n_rows
+        keep = trace_every is not None and n_samples % trace_every == 0
+        n_samples += 1
+        i = n_rows
+        if keep:
+            V = engine.bus_voltages(engine.emf(y))
+            np.abs(V, out=volts[i])
+            volts[i, engine.bus_dead] = 0.0
+            angles[i].fill(np.nan)
+            times[i] = t
+            mach_isl[i] = engine.mach_island
+            n_rows += 1
         fired = None
         for key, members, w, w_sum, rel in engine.island_members:
             delta.take(members, out=rel)
             coi = float(np.dot(w, rel) / w_sum)
             np.subtract(rel, coi, out=rel)
             np.degrees(rel, out=rel)
-            ang[members] = rel
+            if keep:
+                angles[i, members] = rel
             spread = float(rel.max() - rel.min()) if members.size > 1 else 0.0
             omega.take(members, out=rel)
             f_isl = th.f_nominal * (1.0 + float(np.dot(w, rel) / w_sum))
             freq = island_freq.get(key)
             if freq is None:
                 freq = island_freq[key] = np.full(capacity, np.nan)
-            freq[i] = f_isl
+            if keep:
+                freq[i] = f_isl
             v = monitor.update(t, key, spread, f_isl)
             fired = fired or v
-        times[i] = t
-        mach_isl[i] = engine.mach_island
-        n_samples += 1
         return fired
 
     def apply_events(until: float) -> None:
@@ -984,7 +1007,7 @@ def run_scenario(
             EventRecord(t_ev, action, "skipped", "instability_halt", None)
         )
 
-    n = n_samples  # a halted run's buffers end in rows it never wrote
+    n = n_rows  # a halted run's buffers end in rows it never wrote
     trace = DynamicTrace(
         times=times[:n],
         machine_buses=state.machine_buses,
@@ -1007,7 +1030,9 @@ def detect_instability(
 
     Produces the same verdict the online run would have reached on the
     same samples: angle-spread threshold per island, frequency band
-    with dwell, growing-oscillation flags.
+    with dwell, growing-oscillation flags. A decimated trace is judged
+    on its rows only, so its verdict can differ from the run's, which
+    judged every sample.
     """
     th = thresholds or DetectionThresholds()
     monitor = _Monitor(th)

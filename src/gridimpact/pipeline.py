@@ -356,6 +356,7 @@ def cascade_confirm(
     models: Sequence[MachineModel] | None = None,
     options: ScenarioOptions | None = None,
     keep_traces: bool = False,
+    trace_every: int = 1,
 ) -> CascadeSummary:
     """Dynamically verify a combination over switching orderings.
 
@@ -364,7 +365,8 @@ def cascade_confirm(
     error without touching its siblings. The summary reports the
     unstable fraction over successful runs and whether all successful
     runs agree on the overall kind. ``keep_traces`` keeps the canonical
-    (first) ordering's trace only.
+    (first) ordering's trace only, recording every ``trace_every``-th
+    sample; every other run records no trace.
     """
     plan = plan or PermutationPlan()
     models = tuple(models) if models is not None else default_machine_models(case)
@@ -379,7 +381,7 @@ def cascade_confirm(
         interval=plan.interval,
         runs=tuple(
             _run_order(case, order, plan.interval, models, options, state,
-                       keep_trace=keep_traces and i == 0)
+                       trace_every=trace_every if keep_traces and i == 0 else None)
             for i, order in enumerate(orders)
         ),
     )
@@ -397,21 +399,23 @@ def _base_state(case: GridCase, models: Sequence[MachineModel]) -> DynamicState 
 def _run_order(
     case: GridCase, order: tuple[tuple[int, int], ...], interval: float,
     models: Sequence[MachineModel], options: ScenarioOptions | None,
-    state: DynamicState | Exception, keep_trace: bool = False,
+    state: DynamicState | Exception, trace_every: int | None = None,
 ) -> CascadeRun:
     """Open ``order``'s branches ``interval`` apart from ``state`` and read
     the verdict. A run that raises, or a failed base state, is recorded
-    as an error; ``keep_trace`` keeps a finished run's trace."""
+    as an error; with ``trace_every`` set, a finished run keeps its trace
+    of every ``trace_every``-th sample, and without it records none."""
     actions = [OutageAction.open_branch(a, b) for a, b in order]
     schedule = SwitchingSchedule.evenly_spaced(actions, interval=interval)
     try:
         if isinstance(state, Exception):
             raise state  # the base state could not be built
-        trace, verdict = run_scenario(case, schedule, models, options, state)
+        trace, verdict = run_scenario(case, schedule, models, options, state,
+                                      trace_every=trace_every)
     except Exception as exc:  # isolate failures per ordering
         return CascadeRun(order, "error", None, detail=str(exc))
     return CascadeRun(order, "ok", verdict.overall, verdict.time_of_first_violation,
-                      trace=trace if keep_trace else None)
+                      trace=None if trace_every is None else trace)
 
 
 # --- re-evaluation ------------------------------------------------------------
@@ -465,8 +469,8 @@ def re_evaluate(
         return ReEvaluationRecord(combination, kind, tuple(adjustments), "reconciled")
 
     # rungs 2 and 3: dynamic side, halved step, then 15 s switching
-    # interval, both from one base state; a rung whose run raises records
-    # its error and reconciles nothing
+    # interval, both from one base state and recording no trace; a rung
+    # whose run raises records its error and reconciles nothing
     pairs = combination_branch_set(case, combination)
     state = _base_state(case, models)
     for label, run_dt, run_interval in (("half_dt", dt / 2.0, interval),
@@ -635,12 +639,13 @@ def run_pipeline(
 
     With ``run_dir`` set, writes screening.csv, traces/<combo>.csv for
     each verified combination, matrix.csv, reeval.csv and summary.txt
-    under it. Each trace file is written as soon as its combination is
-    verified, and the report keeps no trace. The report holds the
-    cascades in selection order; its verdict lists, the matrix and the
-    re-evaluations follow from them. Identical inputs
-    (including seed) produce byte-identical files: nothing time- or
-    host-dependent is emitted.
+    under it. A trace file holds every ``trace_decimate``-th sample of its
+    combination's canonical run, the only samples that run records; it
+    is written as soon as the combination is verified, and the report
+    keeps no trace. The report holds the cascades in selection order;
+    its verdict lists, the matrix and the re-evaluations follow from
+    them. Identical inputs (including seed) produce byte-identical
+    files: nothing time- or host-dependent is emitted.
     """
     config = config or PipelineConfig()
     models = tuple(models) if models is not None else default_machine_models(case)
@@ -649,6 +654,7 @@ def run_pipeline(
     if config.budget is not None and config.budget < 1:
         raise ValueError(f"budget must be at least 1, got {config.budget}: "
                          "the cross-check needs a screened combination")
+    options = ScenarioOptions(dt=config.dt)  # checks dt before any work
 
     screening = run_screening(
         case,
@@ -672,14 +678,15 @@ def run_pipeline(
             result.combination,
             plan=config.plan,
             models=models,
-            options=ScenarioOptions(dt=config.dt),
+            options=options,
             keep_traces=traces_dir is not None,
+            trace_every=config.trace_decimate,
         )
         canonical = summary.canonical
         if canonical.trace is not None:
             path = traces_dir / f"combo_{_combo_slug(result.combination)}.csv"
             with path.open("w") as f:
-                f.writelines(_csv_lines(canonical.trace, config.trace_decimate))
+                f.writelines(_csv_lines(canonical.trace, 1))
             summary = replace(summary, runs=(replace(canonical, trace=None), *summary.runs[1:]))
         cascades.append(summary)
 

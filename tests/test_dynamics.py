@@ -31,6 +31,8 @@ from gridimpact.dynamics import (
     trace_to_csv,
 )
 from gridimpact.model import Branch, Bus, Generator, Substation
+from gridimpact.pipeline import combination_branch_set
+from gridimpact.screening import OutageCombination
 from gridimpact.topology import OutageAction
 
 from conftest import REPO_ROOT
@@ -336,6 +338,22 @@ class TestDetection:
         assert tight.unstable
         assert tight.time_of_first_violation < online.time_of_first_violation
 
+    def test_monitor_keeps_the_last_three_peaks(self):
+        """Only the last three spread peaks decide growing oscillation, so
+        the monitor holds no more than three."""
+        monitor = dynamics._Monitor(DetectionThresholds())
+        spreads = [0.0]
+        for peak in [*range(50, 0, -1), 2, 3]:  # 50 falling peaks, then 2 rising
+            spreads += [float(peak), 0.0]
+        for i, spread in enumerate(spreads[:-4]):
+            monitor.update(0.01 * i, 1, spread, 60.0)
+        assert monitor._peaks[1] == [3.0, 2.0, 1.0]
+        assert not monitor.growing[1]
+        for i, spread in enumerate(spreads[-4:], start=len(spreads) - 4):
+            monitor.update(0.01 * i, 1, spread, 60.0)
+        assert monitor._peaks[1] == [1.0, 2.0, 3.0]
+        assert monitor.growing[1]
+
 
 class TestTraceCsv:
     def test_header_and_decimation(self):
@@ -498,6 +516,95 @@ class TestTraceBuffers:
                   trace.voltages, *trace.island_freq.values())
         assert trace.times.shape[0] == 801
         assert peak <= 1.5 * sum(a.nbytes for a in arrays)
+
+
+@pytest.fixture(scope="module")
+def run118(case118, models118):
+    """Runs the case-2 schedule, the 17-113 opening or combination 100's
+    canonical schedule from one base state, the full-trace run of each
+    once."""
+    pairs = combination_branch_set(case118, OutageCombination((100,)))
+    scenarios = {
+        "case2": (load_schedule(REPO_ROOT / "scripts" / "case2_schedule.txt"),
+                  ScenarioOptions()),
+        "disturb_17_113": (SwitchingSchedule(((1.0, OutageAction.open_branch(17, 113)),)),
+                           ScenarioOptions(t_end=8.0)),
+        "combo100": (SwitchingSchedule.evenly_spaced(
+            [OutageAction.open_branch(a, b) for a, b in pairs], interval=5.0),
+            ScenarioOptions()),
+    }
+    state = initial_state(case118, models118)
+    full = {}
+
+    def run(name, trace_every=1):
+        if trace_every == 1 and name in full:
+            return full[name]
+        schedule, options = scenarios[name]
+        result = run_scenario(case118, schedule, models118, options, state,
+                              trace_every=trace_every)
+        if trace_every == 1:
+            full[name] = result
+        return result
+
+    return run
+
+
+def _same_bytes(a, b):
+    return (a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes()
+
+
+class TestTraceEvery:
+    """A run that records every k-th sample, or none, judges every sample
+    as the full run does and records exactly the full run's rows 0, k,
+    2k, ... in buffers sized for them."""
+
+    SCENARIOS = ["case2", "disturb_17_113", "combo100"]
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_decimated_rows_are_the_full_runs_rows(self, run118, name):
+        full, verdict = run118(name)
+        for k in (3, 10):
+            trace, kept_verdict = run118(name, k)
+            assert kept_verdict == verdict
+            assert trace.events == full.events
+            for field in ("times", "angles_deg", "machine_island", "voltages"):
+                assert _same_bytes(getattr(trace, field), getattr(full, field)[::k]), field
+            assert trace.island_freq.keys() == full.island_freq.keys()
+            for key, freq in full.island_freq.items():
+                assert _same_bytes(trace.island_freq[key], freq[::k]), key
+            assert trace.times.base.shape[0] == -(-full.times.base.shape[0] // k)
+            assert trace_to_csv(trace) == trace_to_csv(full, decimate=k)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_verdict_only_run_records_no_rows(self, run118, name):
+        full, verdict = run118(name)
+        trace, bare_verdict = run118(name, None)
+        assert bare_verdict == verdict  # time_of_first_violation included
+        assert trace.events == full.events
+        nm, nb = len(full.machine_buses), len(full.bus_ids)
+        assert trace.times.shape == (0,)
+        assert trace.angles_deg.shape == trace.machine_island.shape == (0, nm)
+        assert trace.voltages.shape == (0, nb)
+        assert trace.island_freq.keys() == full.island_freq.keys()
+        assert all(f.shape == (0,) for f in trace.island_freq.values())
+
+    @pytest.mark.parametrize("trace_every", [1, 4, None])
+    def test_bus_voltages_solved_for_recorded_rows_only(self, trace_every, monkeypatch):
+        solved = []
+        solve = dynamics._Engine.bus_voltages
+        monkeypatch.setattr(
+            dynamics._Engine, "bus_voltages",
+            lambda self, e: solved.append(1) or solve(self, e),
+        )
+        trace, _ = run_scenario(two_machine_case(), split_schedule(),
+                                options=ScenarioOptions(t_end=2.0),
+                                trace_every=trace_every)
+        assert len(solved) == trace.times.shape[0] == {1: 201, 4: 51, None: 0}[trace_every]
+
+    @pytest.mark.parametrize("trace_every", [0, -1])
+    def test_bad_trace_every_rejected(self, trace_every):
+        with pytest.raises(ValueError, match="trace_every"):
+            run_scenario(two_machine_case(), split_schedule(), trace_every=trace_every)
 
 
 class TestStateModels:

@@ -38,6 +38,20 @@ from toys import two_machine_case
 SUB_UNIVERSE = (80, 92, 94, 95, 96, 98, 99, 100, 101, 102)
 
 
+def _spy_trace_every(monkeypatch):
+    """Records the ``trace_every`` of each run_scenario call the pipeline
+    makes, in call order."""
+    seen = []
+    inner = pipeline.run_scenario
+
+    def run_scenario(*args, trace_every):
+        seen.append(trace_every)
+        return inner(*args, trace_every=trace_every)
+
+    monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
+    return seen
+
+
 def _screened(subs, verdict):
     return ScreeningResult(
         combination=OutageCombination(subs),
@@ -341,6 +355,18 @@ class TestCascadeConfirm:
             for r in plain.runs
         ]
 
+    def test_only_the_kept_canonical_run_records_a_trace(self, monkeypatch):
+        """The canonical run records every trace_every-th sample when traces
+        are kept; every other ordering records none."""
+        seen = _spy_trace_every(monkeypatch)
+        case, combo = two_machine_case(), OutageCombination((1, 3))
+        kept = cascade_confirm(case, combo, keep_traces=True, trace_every=4)
+        assert seen == [4] + [None] * 5
+        assert kept.canonical.trace is not None
+        seen.clear()
+        cascade_confirm(case, combo)
+        assert seen == [None] * 6
+
     def test_empty_branch_set_rejected(self, case118):
         # substation 117's bus hangs on one branch; removing 12 and 117
         # first would empty it, but a combination of nothing in service
@@ -423,10 +449,10 @@ class TestReEvaluate:
         nothing, and the 15 s interval rung still runs."""
         inner = pipeline.run_scenario
 
-        def run_scenario(case, schedule, models, options, state):
+        def run_scenario(case, schedule, models, options, state, **kwargs):
             if options.dt == 0.005:
                 raise RuntimeError("solver blew up")
-            return inner(case, schedule, models, options, state)
+            return inner(case, schedule, models, options, state, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
         rec = re_evaluate(two_machine_case(), OutageCombination((1, 3)),
@@ -552,10 +578,10 @@ class TestRunPipelineErrors:
         reeval.csv, and the run writes all its reports."""
         inner = pipeline.run_scenario
 
-        def run_scenario(case, schedule, models, options, state):
+        def run_scenario(case, schedule, models, options, state, **kwargs):
             if options.dt == 0.005:
                 raise RuntimeError("solver blew up")
-            return inner(case, schedule, models, options, state)
+            return inner(case, schedule, models, options, state, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
         cfg = PipelineConfig(k_max=1, subset=(1,), policy=DynPolicy(noncritical_fraction=1.0))
@@ -569,6 +595,31 @@ class TestRunPipelineErrors:
             "traces", "traces/combo_1.csv",
         ]
         assert "half_dt -> error: solver blew up" in (tmp_path / "reeval.csv").read_text()
+
+    def test_canonical_runs_record_at_the_trace_decimation(self, tmp_path, monkeypatch):
+        """With a run directory, each verified combination's canonical run
+        records every trace_decimate-th sample and the re-evaluation rungs
+        record none; without one, no run records a trace."""
+        seen = _spy_trace_every(monkeypatch)
+        cfg = PipelineConfig(k_max=1, subset=(1,), trace_decimate=7,
+                             policy=DynPolicy(noncritical_fraction=1.0))
+        report = run_pipeline(two_machine_case(), cfg, run_dir=tmp_path)
+        assert len(report.cascades) == 1 and len(report.reevaluations) == 1
+        assert seen == [7, None, None]
+        seen.clear()
+        run_pipeline(two_machine_case(), cfg)
+        assert seen == [None, None, None]
+
+    @pytest.mark.parametrize("dt", [0.0, float("nan")])
+    def test_bad_dt_rejected_before_screening(self, dt, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("screening ran")
+
+        monkeypatch.setattr(pipeline, "run_screening", must_not_run)
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="dt must be positive"):
+            run_pipeline(two_machine_case(), PipelineConfig(dt=dt), run_dir=run_dir)
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected_before_screening(self, budget, tmp_path,

@@ -33,10 +33,10 @@ _EXPORTS = {
         "enumerate_combinations", "run_screening", "screen_combination",
     ),
     "dynamics": (
-        "DetectionThresholds", "DynamicTrace", "ExciterParams", "GovernorParams",
-        "MachineModel", "ScenarioOptions", "StabilityVerdict", "SwitchingSchedule",
-        "default_machine_models", "detect_instability", "init_dynamic_state",
-        "load_schedule", "parse_schedule", "run_scenario", "trace_to_csv",
+        "DynamicTrace", "ExciterParams", "GovernorParams", "MachineModel",
+        "ScenarioOptions", "StabilityVerdict", "SwitchingSchedule",
+        "default_machine_models", "init_dynamic_state", "load_schedule",
+        "parse_schedule", "run_scenario", "trace_to_csv",
     ),
     "aging": (
         "OverloadEpisode", "SwitchStressLedger", "TransformerRating",

@@ -67,7 +67,6 @@ __all__ = [
     "parse_schedule",
     "load_schedule",
     "dumps_schedule",
-    "DetectionThresholds",
     "ScenarioOptions",
     "DynamicState",
     "EventRecord",
@@ -76,7 +75,6 @@ __all__ = [
     "init_dynamic_state",
     "initial_state",
     "run_scenario",
-    "detect_instability",
     "trace_to_csv",
 ]
 
@@ -249,14 +247,11 @@ def dumps_schedule(schedule: SwitchingSchedule) -> str:
 # --- options and result types ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetectionThresholds:
-    """Instability monitors: angle spread, frequency band with dwell."""
-
-    angle_separation_deg: float = 360.0
-    freq_band_hz: float = 2.5
-    f_nominal: float = 60.0
-    dwell_s: float = 1.0
+# Instability limits: an island whose COI-relative angle spread exceeds
+# the separation (degrees) is transient-unstable at once; one whose
+# frequency stays outside the band around nominal (Hz) for the dwell (s)
+# is frequency-unstable.
+ANGLE_SEPARATION_DEG, FREQ_BAND_HZ, F_NOMINAL, DWELL_S = 360.0, 2.5, 60.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,6 @@ class DynamicState:
     the machine models the state is an equilibrium of.
     """
 
-    machine_buses: tuple[int, ...]
     delta: np.ndarray
     omega: np.ndarray
     efd: np.ndarray
@@ -331,7 +325,6 @@ class DynamicTrace:
     voltages: np.ndarray
     bus_ids: tuple[int, ...]
     events: tuple[EventRecord, ...]
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -435,7 +428,6 @@ def init_dynamic_state(
             inertia[i] = 2.0 * m.inertia_H * g.mva_base / base
 
     state = DynamicState(
-        machine_buses=tuple(g.bus for g in case.generators),
         delta=delta,
         omega=np.zeros(nm),
         efd=efd,
@@ -449,7 +441,7 @@ def init_dynamic_state(
 
     # defensive equilibrium check: the construction above should zero
     # every derivative to solver precision
-    engine = _Engine(case, models, state, DetectionThresholds())
+    engine = _Engine(case, models, state)
     dy = engine.rhs(engine.y)
     worst = float(np.max(np.abs(dy))) if dy.size else 0.0
     if worst > 1e-8:
@@ -498,13 +490,12 @@ class _Engine:
         case: GridCase,
         models: Sequence[MachineModel],
         state: DynamicState,
-        thresholds: DetectionThresholds,
     ):
         self.base_case = case
         self.models = tuple(models)
         self.nb = len(case.buses)
         self.nm = len(models)
-        self.omega_s = 2.0 * math.pi * thresholds.f_nominal
+        self.omega_s = 2.0 * math.pi * F_NOMINAL
 
         base = case.base_mva
         self.mach_bus_pos = np.array(
@@ -806,10 +797,10 @@ class _Engine:
 
 
 class _Monitor:
-    """Online instability detection over the sampled trajectory."""
+    """Online instability detection over the sampled trajectory: the one
+    judge of every run's stability verdict."""
 
-    def __init__(self, thresholds: DetectionThresholds):
-        self.th = thresholds
+    def __init__(self):
         self.per_island: dict[int, str] = {}
         self.growing: dict[int, bool] = {}
         self.first_violation: float | None = None
@@ -842,12 +833,12 @@ class _Monitor:
         if len(hist) > 3:
             del hist[0]
 
-        if spread_deg > self.th.angle_separation_deg:
+        if spread_deg > ANGLE_SEPARATION_DEG:
             return self._fire(island_key, "transient_unstable", t)
 
-        if abs(freq_hz - self.th.f_nominal) > self.th.freq_band_hz:
+        if abs(freq_hz - F_NOMINAL) > FREQ_BAND_HZ:
             since = self._outside_since.setdefault(island_key, t)
-            if t - since >= self.th.dwell_s:
+            if t - since >= DWELL_S:
                 return self._fire(island_key, "frequency_unstable", t)
         else:
             self._outside_since.pop(island_key, None)
@@ -907,9 +898,8 @@ def run_scenario(
     if schedule.events and schedule.end_time > t_end:
         raise ValueError("t_end must reach the last scheduled event")
 
-    th = DetectionThresholds()
-    engine = _Engine(case, state.models, state, th)
-    monitor = _Monitor(th)
+    engine = _Engine(case, state.models, state)
+    monitor = _Monitor()
 
     # timeline segments between events, each with its step count; the
     # counts size the trace buffers for the samples kept, which are
@@ -962,7 +952,7 @@ def run_scenario(
                 angles[i, members] = rel
             spread = float(rel.max() - rel.min()) if members.size > 1 else 0.0
             omega.take(members, out=rel)
-            f_isl = th.f_nominal * (1.0 + float(np.dot(w, rel) / w_sum))
+            f_isl = F_NOMINAL * (1.0 + float(np.dot(w, rel) / w_sum))
             freq = island_freq.get(key)
             if freq is None:
                 freq = island_freq[key] = np.full(capacity, np.nan)
@@ -1010,47 +1000,15 @@ def run_scenario(
     n = n_rows  # a halted run's buffers end in rows it never wrote
     trace = DynamicTrace(
         times=times[:n],
-        machine_buses=state.machine_buses,
+        machine_buses=tuple(m.bus for m in state.models),
         angles_deg=angles[:n],
         machine_island=mach_isl[:n],
         island_freq={key: freq[:n] for key, freq in island_freq.items()},
         voltages=volts[:n],
         bus_ids=tuple(case.bus_index),
         events=tuple(events_log),
-        dt=options.dt,
     )
     return trace, monitor.verdict()
-
-
-def detect_instability(
-    trace: DynamicTrace,
-    thresholds: DetectionThresholds | None = None,
-) -> StabilityVerdict:
-    """Replay a sampled trace through the instability monitors.
-
-    Produces the same verdict the online run would have reached on the
-    same samples: angle-spread threshold per island, frequency band
-    with dwell, growing-oscillation flags. A decimated trace is judged
-    on its rows only, so its verdict can differ from the run's, which
-    judged every sample.
-    """
-    th = thresholds or DetectionThresholds()
-    monitor = _Monitor(th)
-    n_samples = trace.times.shape[0]
-    for si in range(n_samples):
-        t = float(trace.times[si])
-        keys = set(int(k) for k in np.unique(trace.machine_island[si]) if k >= 0)
-        for key in sorted(keys):
-            members = np.where(trace.machine_island[si] == key)[0]
-            rel = trace.angles_deg[si, members]
-            rel = rel[~np.isnan(rel)]
-            spread = float(rel.max() - rel.min()) if rel.size > 1 else 0.0
-            farr = trace.island_freq.get(key)
-            f = float(farr[si]) if farr is not None and not np.isnan(farr[si]) \
-                else th.f_nominal
-            if monitor.update(t, key, spread, f):
-                return monitor.verdict()
-    return monitor.verdict()
 
 
 def trace_to_csv(trace: DynamicTrace, decimate: int = 1) -> str:

@@ -355,24 +355,22 @@ def cascade_confirm(
     plan: PermutationPlan | None = None,
     models: Sequence[MachineModel] | None = None,
     options: ScenarioOptions | None = None,
-    keep_traces: bool = False,
-    trace_every: int = 1,
+    trace_every: int | None = None,
 ) -> CascadeSummary:
     """Dynamically verify a combination over switching orderings.
 
     Each selected ordering of the combination's branch set becomes an
     evenly spaced switching schedule; a failed run is recorded as an
-    error without touching its siblings. The summary reports the
+    error without touching its siblings, and a combination that touches
+    no in-service branch gets one such error run. The summary reports the
     unstable fraction over successful runs and whether all successful
-    runs agree on the overall kind. ``keep_traces`` keeps the canonical
-    (first) ordering's trace only, recording every ``trace_every``-th
-    sample; every other run records no trace.
+    runs agree on the overall kind. With ``trace_every`` set, the
+    canonical (first) ordering keeps its trace of every
+    ``trace_every``-th sample; every other run records no trace.
     """
     plan = plan or PermutationPlan()
     models = tuple(models) if models is not None else default_machine_models(case)
     pairs = combination_branch_set(case, combination)
-    if not pairs:
-        raise ValueError(f"combination {combination} touches no in-service branch")
     orders = plan.orders(pairs)
     state = _base_state(case, models)  # every ordering starts from it
     return CascadeSummary(
@@ -381,7 +379,7 @@ def cascade_confirm(
         interval=plan.interval,
         runs=tuple(
             _run_order(case, order, plan.interval, models, options, state,
-                       trace_every=trace_every if keep_traces and i == 0 else None)
+                       trace_every=trace_every if i == 0 else None)
             for i, order in enumerate(orders)
         ),
     )
@@ -402,9 +400,13 @@ def _run_order(
     state: DynamicState | Exception, trace_every: int | None = None,
 ) -> CascadeRun:
     """Open ``order``'s branches ``interval`` apart from ``state`` and read
-    the verdict. A run that raises, or a failed base state, is recorded
-    as an error; with ``trace_every`` set, a finished run keeps its trace
-    of every ``trace_every``-th sample, and without it records none."""
+    the verdict. A run that raises, an empty order or a failed base state
+    is recorded as an error; with ``trace_every`` set, a finished run keeps
+    its trace of every ``trace_every``-th sample, and without it records
+    none."""
+    if not order:
+        return CascadeRun(order, "error", None,
+                          detail="the combination touches no in-service branch")
     actions = [OutageAction.open_branch(a, b) for a, b in order]
     schedule = SwitchingSchedule.evenly_spaced(actions, interval=interval)
     try:
@@ -679,8 +681,7 @@ def run_pipeline(
             plan=config.plan,
             models=models,
             options=options,
-            keep_traces=traces_dir is not None,
-            trace_every=config.trace_decimate,
+            trace_every=None if traces_dir is None else config.trace_decimate,
         )
         canonical = summary.canonical
         if canonical.trace is not None:

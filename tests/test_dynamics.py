@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 
 from gridimpact import dynamics
 from gridimpact.dynamics import (
-    DetectionThresholds,
+    ANGLE_SEPARATION_DEG,
+    DWELL_S,
+    F_NOMINAL,
+    FREQ_BAND_HZ,
     ExciterParams,
     GovernorParams,
     MachineModel,
     ScenarioOptions,
     SwitchingSchedule,
     default_machine_models,
-    detect_instability,
     dumps_schedule,
     initial_state,
     load_schedule,
@@ -306,42 +308,60 @@ class TestIslandingRun:
 
 
 class TestDetection:
-    def test_replay_matches_online_verdict(self):
-        case = two_machine_case()
-        trace, online = run_scenario(
-            case, split_schedule(), options=ScenarioOptions(t_end=10.0)
-        )
-        replay = detect_instability(trace)
-        assert replay.overall == online.overall
-        assert replay.per_island == online.per_island
-        assert replay.time_of_first_violation == online.time_of_first_violation
+    """The online monitor's rules at the module's limits, fed synthetic
+    samples: (time, island key, angle spread in degrees, frequency in Hz)."""
 
-    def test_dwell_requirement(self):
-        """A frequency excursion must persist for the dwell time; a replay
-        with a huge dwell never fires on the same trace."""
-        case = two_machine_case()
-        trace, online = run_scenario(
-            case, split_schedule(), options=ScenarioOptions(t_end=6.0)
-        )
-        assert online.unstable
-        lenient = detect_instability(
-            trace, DetectionThresholds(freq_band_hz=20.0, dwell_s=1e9)
-        )
-        assert lenient.overall == "stable"
+    OUT = FREQ_BAND_HZ + 0.1  # a frequency deviation outside the band
 
-    def test_tight_band_fires_earlier(self):
-        case = two_machine_case()
-        trace, online = run_scenario(
-            case, split_schedule(), options=ScenarioOptions(t_end=10.0)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_frequency_excursion_fires_at_the_dwell(self, sign):
+        monitor = dynamics._Monitor()
+        f_out = F_NOMINAL + sign * self.OUT
+        for t in (2.0, 2.5, 2.0 + 0.99 * DWELL_S):
+            assert monitor.update(t, 1, 0.0, f_out) is None
+        assert monitor.update(2.0 + DWELL_S, 1, 0.0, f_out) == "frequency_unstable"
+        verdict = monitor.verdict()
+        assert verdict.per_island == {1: "frequency_unstable"}
+        assert verdict.time_of_first_violation == 2.0 + DWELL_S
+
+    def test_reentering_the_band_resets_the_dwell(self):
+        monitor = dynamics._Monitor()
+        f_out = F_NOMINAL + self.OUT
+        assert monitor.update(0.0, 1, 0.0, f_out) is None
+        assert monitor.update(0.5, 1, 0.0, F_NOMINAL + 0.99 * FREQ_BAND_HZ) is None
+        assert monitor.update(0.6, 1, 0.0, f_out) is None  # the clock restarts
+        assert monitor.update(0.6 + 0.99 * DWELL_S, 1, 0.0, f_out) is None
+        assert monitor.update(0.6 + DWELL_S, 1, 0.0, f_out) == "frequency_unstable"
+        assert monitor.verdict().time_of_first_violation == 0.6 + DWELL_S
+
+    def test_spread_beyond_the_angle_limit_fires_at_once(self):
+        monitor = dynamics._Monitor()
+        assert monitor.update(0.2, 1, ANGLE_SEPARATION_DEG, F_NOMINAL) is None
+        assert monitor.update(0.3, 1, ANGLE_SEPARATION_DEG + 1.0, F_NOMINAL) == (
+            "transient_unstable"
         )
-        tight = detect_instability(trace, DetectionThresholds(freq_band_hz=0.5))
-        assert tight.unstable
-        assert tight.time_of_first_violation < online.time_of_first_violation
+        verdict = monitor.verdict()
+        assert verdict.overall == "transient_unstable"
+        assert verdict.time_of_first_violation == 0.3
+
+    def test_first_violation_is_the_earliest_across_islands(self):
+        """Island 2 leaves the band at 0 s and fires at the dwell; island 1
+        crosses the angle limit later. A fired island is judged no more."""
+        monitor = dynamics._Monitor()
+        f_out = F_NOMINAL - self.OUT
+        for t in (0.0, 0.5, DWELL_S, DWELL_S + 0.5):
+            spread = ANGLE_SEPARATION_DEG + 1.0 if t > DWELL_S else 10.0
+            monitor.update(t, 1, spread, F_NOMINAL)
+            monitor.update(t, 2, 10.0, f_out)
+        verdict = monitor.verdict()
+        assert verdict.per_island == {1: "transient_unstable", 2: "frequency_unstable"}
+        assert verdict.overall == "islanded_mixed"
+        assert verdict.time_of_first_violation == DWELL_S
 
     def test_monitor_keeps_the_last_three_peaks(self):
         """Only the last three spread peaks decide growing oscillation, so
         the monitor holds no more than three."""
-        monitor = dynamics._Monitor(DetectionThresholds())
+        monitor = dynamics._Monitor()
         spreads = [0.0]
         for peak in [*range(50, 0, -1), 2, 3]:  # 50 falling peaks, then 2 rising
             spreads += [float(peak), 0.0]

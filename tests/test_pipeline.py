@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gridimpact.dynamics import (
     run_scenario,
     trace_to_csv,
 )
+from gridimpact.model import Branch, Bus, Substation
 from gridimpact.pipeline import (
     CrossCheckRecord,
     DynPolicy,
@@ -33,7 +35,7 @@ from gridimpact.pipeline import (
 from gridimpact.screening import OutageCombination, ScreeningResult
 from gridimpact.topology import OutageAction
 
-from toys import two_machine_case
+from toys import two_bus_case, two_machine_case
 
 SUB_UNIVERSE = (80, 92, 94, 95, 96, 98, 99, 100, 101, 102)
 
@@ -343,7 +345,7 @@ class TestCascadeConfirm:
 
     def test_kept_trace_is_the_canonical_one_only(self):
         case = two_machine_case()
-        kept = cascade_confirm(case, OutageCombination((1, 3)), keep_traces=True)
+        kept = cascade_confirm(case, OutageCombination((1, 3)), trace_every=1)
         plain = cascade_confirm(case, OutageCombination((1, 3)))
         assert kept.strategy == "exhaustive"
         assert len(kept.runs) == 6
@@ -356,27 +358,30 @@ class TestCascadeConfirm:
         ]
 
     def test_only_the_kept_canonical_run_records_a_trace(self, monkeypatch):
-        """The canonical run records every trace_every-th sample when traces
-        are kept; every other ordering records none."""
+        """The canonical run records every trace_every-th sample when
+        trace_every is set; every other ordering records none."""
         seen = _spy_trace_every(monkeypatch)
         case, combo = two_machine_case(), OutageCombination((1, 3))
-        kept = cascade_confirm(case, combo, keep_traces=True, trace_every=4)
+        kept = cascade_confirm(case, combo, trace_every=4)
         assert seen == [4] + [None] * 5
         assert kept.canonical.trace is not None
         seen.clear()
         cascade_confirm(case, combo)
         assert seen == [None] * 6
 
-    def test_empty_branch_set_rejected(self, case118):
-        # substation 117's bus hangs on one branch; removing 12 and 117
-        # first would empty it, but a combination of nothing in service
-        # can only be provoked artificially
+    def test_empty_branch_set_recorded_as_error(self):
+        # a combination of nothing in service can only be provoked
+        # artificially: here by opening every branch of substation 3
         case = two_machine_case()
         from gridimpact.topology import apply_branch_outages
 
         cut = apply_branch_outages(case, [(1, 3), (2, 3)])
-        with pytest.raises(ValueError, match="no in-service branch"):
-            cascade_confirm(cut, OutageCombination((3,)))
+        summary = cascade_confirm(cut, OutageCombination((3,)), trace_every=1)
+        assert [(r.order, r.status, r.overall, r.trace) for r in summary.runs] == [
+            ((), "error", None, None)
+        ]
+        assert "no in-service branch" in summary.canonical.detail
+        assert summary.fraction_unstable is None
 
 
 class TestReEvaluate:
@@ -632,6 +637,29 @@ class TestRunPipelineErrors:
         with pytest.raises(ValueError, match="budget must be at least 1"):
             run_pipeline(two_machine_case(), PipelineConfig(budget=budget), run_dir=run_dir)
         assert not run_dir.exists()
+
+    def test_combination_without_in_service_branch_is_a_dynamics_error(self, tmp_path):
+        """A verified combination that opens no branch is recorded as a
+        dynamics error, and every report is still written."""
+        base = two_bus_case()
+        case = replace(
+            base,
+            buses=(*base.buses, Bus(id=3, kind="PQ", base_kv=138.0)),
+            branches=(*base.branches, Branch(from_bus=2, to_bus=3, resistance=0.01,
+                                             reactance=0.10, status=False)),
+            substations=(*base.substations, Substation(id=3, member_buses=frozenset({3}))),
+        )
+        cfg = PipelineConfig(k_max=1, subset=(3,), policy=DynPolicy(noncritical_fraction=1.0))
+        report = run_pipeline(case, cfg, run_dir=tmp_path)
+        assert report.verified == ()
+        assert report.failed == (
+            (OutageCombination((3,)), "the combination touches no in-service branch"),
+        )
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "matrix.csv", "reeval.csv", "screening.csv", "summary.txt", "traces",
+        ]
+        assert ("  3: dynamics error: the combination touches no in-service branch\n"
+                in (tmp_path / "summary.txt").read_text())
 
 
 class TestTraceFiles:

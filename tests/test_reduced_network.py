@@ -12,7 +12,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from gridimpact.dynamics import (
-    DetectionThresholds,
     ScenarioOptions,
     SwitchingSchedule,
     _Engine,
@@ -41,7 +40,7 @@ def sparse_bus_voltages(engine: _Engine, e_ph: np.ndarray) -> np.ndarray:
 def split_engine(case, models) -> _Engine:
     """Case 2 up to its island split, then substation 100 removed (its
     machine drops) and 110-112 opened (condenser bus 112 dies)."""
-    engine = _Engine(case, models, initial_state(case, models), DetectionThresholds())
+    engine = _Engine(case, models, initial_state(case, models))
     schedule = load_schedule(REPO_ROOT / "scripts" / "case2_schedule.txt")
     actions = [a for _, a in schedule.events[:3]]
     actions += [OutageAction.remove_substation(100), OutageAction.open_branch(110, 112)]
@@ -54,8 +53,7 @@ def split_engine(case, models) -> _Engine:
 @pytest.mark.parametrize("topology", ["base", "split"])
 def test_reduced_network_equals_sparse_solve(case118, models118, topology):
     if topology == "base":
-        engine = _Engine(case118, models118, initial_state(case118, models118),
-                         DetectionThresholds())
+        engine = _Engine(case118, models118, initial_state(case118, models118))
         assert engine.mach_active.all()
     else:
         engine = split_engine(case118, models118)
@@ -78,7 +76,7 @@ def test_initial_state_is_an_equilibrium(case118, models118):
     """init_dynamic_state's own check passes, and the fused derivative of
     the initial state is zero to solver precision."""
     state = initial_state(case118, models118)
-    engine = _Engine(case118, models118, state, DetectionThresholds())
+    engine = _Engine(case118, models118, state)
     assert np.max(np.abs(engine.rhs(_state_vector(state)))) < 1e-8
 
 
@@ -89,7 +87,7 @@ def test_box_bounds_stop_outward_derivatives(sign):
     case = two_machine_case()
     models = default_machine_models(case)
     state = initial_state(case, models)
-    engine = _Engine(case, models, state, DetectionThresholds())
+    engine = _Engine(case, models, state)
     n = engine.nm
     y = _state_vector(state)
     y[n:2 * n] = -0.01 * sign  # speed error opens (closes) the governors
@@ -190,8 +188,7 @@ def random_states(engine: _Engine, rng, count: int):
 
 @pytest.fixture(scope="module")
 def kernel_engines(case118, models118):
-    base = _Engine(case118, models118, initial_state(case118, models118),
-                   DetectionThresholds())
+    base = _Engine(case118, models118, initial_state(case118, models118))
     return {"base": base, "split": split_engine(case118, models118)}
 
 
@@ -236,7 +233,7 @@ def test_reassigned_box_is_honoured_by_step_and_rhs():
     """hi and lo are read at every call, not cached at construction."""
     case = two_machine_case()
     models = default_machine_models(case)
-    engine = _Engine(case, models, initial_state(case, models), DetectionThresholds())
+    engine = _Engine(case, models, initial_state(case, models))
     n = engine.nm
     y = engine.y.copy()
     y[2 * n : 3 * n] = 0.5  # EMFs sag: the regulators push up

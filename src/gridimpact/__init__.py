@@ -3,7 +3,8 @@
 Screens multi-substation outage combinations with steady-state AC
 power flow, verifies critical candidates with sequential-switching
 time-domain simulation, and cross-classifies the two verdicts,
-together with islanding analysis and transformer thermal aging.
+together with islanding analysis and two transformer aging laws (the
+aging acceleration factor and parallel-bank load sharing).
 
 Importing the package loads no submodule: each public name below is
 imported from its submodule on first access (PEP 562), so a caller that
@@ -38,11 +39,7 @@ _EXPORTS = {
         "default_machine_models", "init_dynamic_state", "load_schedule",
         "parse_schedule", "run_scenario", "trace_to_csv",
     ),
-    "aging": (
-        "OverloadEpisode", "SwitchStressLedger", "TransformerRating",
-        "aging_acceleration", "classify_overload", "hotspot_from_loading",
-        "ledger_from_events", "loss_of_life", "parallel_overload",
-    ),
+    "aging": ("aging_acceleration", "parallel_overload"),
     "pipeline": (
         "CascadeSummary", "CrossCheckMatrix", "DynPolicy", "PermutationPlan",
         "PipelineConfig", "PipelineReport", "ReEvaluationRecord", "cascade_confirm",

@@ -1,105 +1,21 @@
-"""Transformer thermal aging and switching-stress bookkeeping.
+"""Transformer thermal aging laws for overload scenarios.
 
-Implements the IEEE loading-guide style aging model used for overload
-scenarios: an aging acceleration factor ``F_AA`` as a function of the
-winding hottest-spot temperature, percent loss of insulation life for
-an overload episode, equal-sharing load split across parallel units,
-and a class ladder (normal / short-term emergency / long-term
-emergency / out of standard) for overload episodes.
+Two IEEE loading-guide style laws: the aging acceleration factor
+``F_AA`` as a function of the winding hottest-spot temperature, and the
+equal-sharing load split across a parallel transformer bank, which gives
+each unit's loading fraction when some units are out of service.
 
-A small operation-count ledger covers the switching-stress side:
-breaker and isolator failure likelihood grows with the number of
-operations, so executed switching events are tallied per device and
-flagged once a threshold is exceeded. The ledger does not model the
-failure mechanism itself, it only counts.
-
-Hotspot temperature is an input, not the output of a thermal ODE. For
-convenience :func:`hotspot_from_loading` maps a loading fraction to a
-hotspot estimate by linear interpolation through the documented
-operating points (100% -> 110 C, 160% -> 160 C, 200% -> 200 C); a full
+Hotspot temperature is an input, not the output of a thermal ODE; a full
 thermal model with cooling stages is out of scope.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from numbers import Integral
+from typing import Iterable, Sequence
 
-__all__ = [
-    "TransformerRating",
-    "OverloadEpisode",
-    "SwitchStressLedger",
-    "aging_acceleration",
-    "hotspot_from_loading",
-    "loss_of_life",
-    "parallel_overload",
-    "classify_overload",
-    "record_switch_operation",
-    "ledger_from_events",
-    "aging_report_csv",
-]
-
-# Normal insulation life basis: 180,000 hours (~21 years) at the
-# 110 C reference hottest-spot temperature.
-NORMAL_LIFE_HOURS = 180_000.0
-REFERENCE_HOTSPOT_C = 110.0
-
-# Loading fraction -> hottest-spot temperature anchor points used by
-# the default interpolation. 1.0 pu sits at the 110 C reference; the
-# 1.6 and 2.0 pu points follow the documented emergency examples.
-HOTSPOT_ANCHORS: tuple[tuple[float, float], ...] = (
-    (1.0, 110.0),
-    (1.6, 160.0),
-    (2.0, 200.0),
-)
-
-
-@dataclass(frozen=True)
-class TransformerRating:
-    """Nameplate data relevant to thermal aging."""
-
-    rated_mva: float
-    normal_life_hours: float = NORMAL_LIFE_HOURS
-    reference_hotspot: float = REFERENCE_HOTSPOT_C
-    ambient: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.rated_mva <= 0.0:
-            raise ValueError(f"rated_mva must be positive, got {self.rated_mva}")
-        if self.normal_life_hours <= 0.0:
-            raise ValueError(
-                f"normal_life_hours must be positive, got {self.normal_life_hours}"
-            )
-
-
-@dataclass(frozen=True)
-class OverloadEpisode:
-    """A constant-loading interval on one transformer.
-
-    ``loading_fraction`` is per unit of nameplate (1.6 means 160%),
-    ``hotspot_temp`` is the hottest-spot winding temperature in C and
-    ``duration_hours`` the length of the interval. The episode class is
-    derived, see :func:`classify_overload`.
-    """
-
-    loading_fraction: float
-    hotspot_temp: float
-    duration_hours: float
-
-    def __post_init__(self) -> None:
-        if self.loading_fraction < 0.0:
-            raise ValueError("loading_fraction must be non-negative")
-        if self.hotspot_temp <= -273.0:
-            raise ValueError("hotspot_temp must be above absolute zero")
-        if self.duration_hours < 0.0:
-            raise ValueError("duration_hours must be non-negative")
-
-    @property
-    def category(self) -> str:
-        return classify_overload(self)
+__all__ = ["aging_acceleration", "parallel_overload"]
 
 
 def aging_acceleration(hotspot: float) -> float:
@@ -108,42 +24,11 @@ def aging_acceleration(hotspot: float) -> float:
     F_AA = exp(15000/383 - 15000/(theta + 273)); unity at the 110 C
     reference, 92.1 at 160 C, about 1723 at 200 C.
     """
+    if not math.isfinite(hotspot):
+        raise ValueError(f"hotspot must be finite, got {hotspot}")
     if hotspot <= -273.0:
         raise ValueError("hotspot must be above absolute zero")
     return math.exp(15000.0 / 383.0 - 15000.0 / (hotspot + 273.0))
-
-
-def hotspot_from_loading(
-    loading_fraction: float,
-    anchors: Sequence[tuple[float, float]] = HOTSPOT_ANCHORS,
-) -> float:
-    """Estimate hottest-spot temperature (C) from a loading fraction.
-
-    Linear interpolation through ``anchors`` (sorted by loading), with
-    linear extrapolation from the end segments outside the anchor range.
-    """
-    pts = sorted(anchors)
-    if len(pts) < 2:
-        raise ValueError("need at least two anchor points")
-    if loading_fraction <= pts[0][0]:
-        (x0, y0), (x1, y1) = pts[0], pts[1]
-    elif loading_fraction >= pts[-1][0]:
-        (x0, y0), (x1, y1) = pts[-2], pts[-1]
-    else:
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= loading_fraction <= x1:
-                break
-    return y0 + (y1 - y0) * (loading_fraction - x0) / (x1 - x0)
-
-
-def loss_of_life(episode: OverloadEpisode, rating: TransformerRating) -> float:
-    """Percent of normal insulation life consumed by one episode.
-
-    percent = 100 * F_AA(hotspot) * duration / normal_life_hours.
-    Linear in duration, so episode losses add.
-    """
-    f_aa = aging_acceleration(episode.hotspot_temp)
-    return 100.0 * f_aa * episode.duration_hours / rating.normal_life_hours
 
 
 def parallel_overload(
@@ -155,11 +40,18 @@ def parallel_overload(
 
     The bank carries ``total_load`` MVA split equally across in-service
     units; each unit's loading fraction is its share over its own
-    rating. Out-of-service units (by index into ``units``) carry 0.
+    rating. Out-of-service units (by integer index into ``units``)
+    carry 0. The load and every rating must be finite.
     """
-    if total_load < 0.0:
-        raise ValueError("total_load must be non-negative")
+    if not (math.isfinite(total_load) and total_load >= 0.0):
+        raise ValueError(f"total_load must be finite and non-negative, got {total_load}")
+    for i, rating in enumerate(units):
+        if not (math.isfinite(rating) and rating > 0.0):
+            raise ValueError(f"unit {i} has non-positive or non-finite rating {rating}")
     out = set(out_of_service)
+    not_int = [i for i in out if not isinstance(i, Integral)]
+    if not_int:
+        raise ValueError(f"out_of_service indices must be integers, got {not_int}")
     bad = [i for i in out if not 0 <= i < len(units)]
     if bad:
         raise ValueError(f"out_of_service indices out of range: {sorted(bad)}")
@@ -167,120 +59,4 @@ def parallel_overload(
     if not in_service:
         raise ValueError("all units out of service")
     share = total_load / len(in_service)
-    fractions = [0.0] * len(units)
-    for i in in_service:
-        if units[i] <= 0.0:
-            raise ValueError(f"unit {i} has non-positive rating {units[i]}")
-        fractions[i] = share / units[i]
-    return fractions
-
-
-def classify_overload(episode: OverloadEpisode) -> str:
-    """Classify an overload episode against the loading-standard bands.
-
-    Ladder: at or below nameplate and reference hotspot -> ``normal``;
-    else up to 200% loading for at most half an hour with hotspot no
-    more than 180 C -> ``short_term_emergency``; else hotspot within
-    the 120-140 C continuous-emergency band -> ``long_term_emergency``;
-    anything hotter, heavier or longer -> ``out_of_standard``.
-    """
-    if (
-        episode.loading_fraction <= 1.0
-        and episode.hotspot_temp <= REFERENCE_HOTSPOT_C
-    ):
-        return "normal"
-    if (
-        episode.loading_fraction <= 2.0
-        and episode.duration_hours <= 0.5
-        and episode.hotspot_temp <= 180.0
-    ):
-        return "short_term_emergency"
-    if 120.0 <= episode.hotspot_temp <= 140.0:
-        return "long_term_emergency"
-    return "out_of_standard"
-
-
-@dataclass
-class SwitchStressLedger:
-    """Operation counts per switching device with threshold flags.
-
-    Counts only accumulate (never decrease). A device's flag goes up
-    once its count exceeds its threshold and stays up.
-    """
-
-    default_threshold: int = 100
-    counts: dict[str, int] = field(default_factory=dict)
-    thresholds: dict[str, int] = field(default_factory=dict)
-
-    def register(self, device: str, threshold: int | None = None) -> None:
-        if device not in self.counts:
-            self.counts[device] = 0
-        if threshold is not None:
-            self.thresholds[device] = threshold
-        else:
-            self.thresholds.setdefault(device, self.default_threshold)
-
-    def record(self, device: str, count: int = 1) -> bool:
-        """Accumulate ``count`` operations; returns the device's flag."""
-        if device not in self.counts:
-            raise KeyError(f"device not registered: {device!r}")
-        if count < 0:
-            raise ValueError("operation count cannot decrease")
-        self.counts[device] += count
-        return self.flagged(device)
-
-    def flagged(self, device: str) -> bool:
-        return self.counts[device] > self.thresholds[device]
-
-    @property
-    def flags(self) -> dict[str, bool]:
-        return {dev: self.flagged(dev) for dev in self.counts}
-
-
-def record_switch_operation(
-    ledger: SwitchStressLedger, device: str, count: int = 1
-) -> SwitchStressLedger:
-    """Accumulate operations on a registered device and return the ledger."""
-    ledger.record(device, count)
-    return ledger
-
-
-def ledger_from_events(
-    events: Iterable,
-    threshold: int | None = None,
-) -> SwitchStressLedger:
-    """Build a stress ledger from a switching-event log.
-
-    Each executed event counts one operation against the device named
-    by its action string; skipped events do not operate any equipment.
-    Works directly on ``DynamicTrace.events``.
-    """
-    ledger = SwitchStressLedger()
-    if threshold is not None:
-        ledger.default_threshold = threshold
-    for ev in events:
-        if getattr(ev, "status", "executed") != "executed":
-            continue
-        device = str(ev.action)
-        ledger.register(device)
-        ledger.record(device)
-    return ledger
-
-
-def aging_report_csv(
-    entries: Iterable[tuple[str, OverloadEpisode, TransformerRating]],
-) -> str:
-    """CSV report: device, episode class, F_AA and percent life loss."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["device", "category", "f_aa", "percent_loss"])
-    for device, episode, rating in entries:
-        writer.writerow(
-            [
-                device,
-                classify_overload(episode),
-                f"{aging_acceleration(episode.hotspot_temp):.6g}",
-                f"{loss_of_life(episode, rating):.6g}",
-            ]
-        )
-    return buf.getvalue()
+    return [0.0 if i in out else share / rating for i, rating in enumerate(units)]

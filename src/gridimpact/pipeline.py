@@ -372,7 +372,9 @@ def cascade_confirm(
     models = tuple(models) if models is not None else default_machine_models(case)
     pairs = combination_branch_set(case, combination)
     orders = plan.orders(pairs)
-    state = _base_state(case, models)  # every ordering starts from it
+    # every ordering starts from one base state; an empty branch set's
+    # only run is an error that never reads it
+    state = _base_state(case, models) if pairs else None
     return CascadeSummary(
         combination=combination,
         strategy=plan.resolve(len(pairs)),
@@ -397,13 +399,13 @@ def _base_state(case: GridCase, models: Sequence[MachineModel]) -> DynamicState 
 def _run_order(
     case: GridCase, order: tuple[tuple[int, int], ...], interval: float,
     models: Sequence[MachineModel], options: ScenarioOptions | None,
-    state: DynamicState | Exception, trace_every: int | None = None,
+    state: DynamicState | Exception | None, trace_every: int | None = None,
 ) -> CascadeRun:
     """Open ``order``'s branches ``interval`` apart from ``state`` and read
-    the verdict. A run that raises, an empty order or a failed base state
-    is recorded as an error; with ``trace_every`` set, a finished run keeps
-    its trace of every ``trace_every``-th sample, and without it records
-    none."""
+    the verdict. A run that raises, an empty order (which never reads
+    ``state``) or a failed base state is recorded as an error; with
+    ``trace_every`` set, a finished run keeps its trace of every
+    ``trace_every``-th sample, and without it records none."""
     if not order:
         return CascadeRun(order, "error", None,
                           detail="the combination touches no in-service branch")
@@ -497,6 +499,10 @@ def reeval_csv(records: Iterable[ReEvaluationRecord]) -> str:
 
 # --- full pipeline ------------------------------------------------------------
 
+# A report's trace file holds every TRACE_EVERY-th sample of its
+# combination's canonical run (every 0.1 s at the default 10 ms step).
+TRACE_EVERY = 10
+
 
 @dataclass(frozen=True)
 class DynPolicy:
@@ -541,7 +547,6 @@ class PipelineConfig:
     subset: tuple[int, ...] | None = None
     prune: bool = True
     workers: int | None = None
-    trace_decimate: int = 10
 
 
 @dataclass(frozen=True)
@@ -641,7 +646,7 @@ def run_pipeline(
 
     With ``run_dir`` set, writes screening.csv, traces/<combo>.csv for
     each verified combination, matrix.csv, reeval.csv and summary.txt
-    under it. A trace file holds every ``trace_decimate``-th sample of its
+    under it. A trace file holds every ``TRACE_EVERY``-th sample of its
     combination's canonical run, the only samples that run records; it
     is written as soon as the combination is verified, and the report
     keeps no trace. The report holds the cascades in selection order;
@@ -651,8 +656,6 @@ def run_pipeline(
     """
     config = config or PipelineConfig()
     models = tuple(models) if models is not None else default_machine_models(case)
-    if run_dir is not None and config.trace_decimate < 1:
-        raise ValueError("trace_decimate must be >= 1")
     if config.budget is not None and config.budget < 1:
         raise ValueError(f"budget must be at least 1, got {config.budget}: "
                          "the cross-check needs a screened combination")
@@ -681,7 +684,7 @@ def run_pipeline(
             plan=config.plan,
             models=models,
             options=options,
-            trace_every=None if traces_dir is None else config.trace_decimate,
+            trace_every=None if traces_dir is None else TRACE_EVERY,
         )
         canonical = summary.canonical
         if canonical.trace is not None:

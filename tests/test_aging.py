@@ -1,35 +1,21 @@
-"""Thermal aging factors, life loss, parallel sharing, stress ledger."""
+"""Thermal aging acceleration factor and parallel-bank load sharing."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridimpact.aging import (
-    HOTSPOT_ANCHORS,
-    NORMAL_LIFE_HOURS,
-    OverloadEpisode,
-    SwitchStressLedger,
-    TransformerRating,
-    aging_acceleration,
-    aging_report_csv,
-    classify_overload,
-    hotspot_from_loading,
-    ledger_from_events,
-    loss_of_life,
-    parallel_overload,
-    record_switch_operation,
-)
-from gridimpact.dynamics import EventRecord
-from gridimpact.topology import OutageAction
+from gridimpact.aging import aging_acceleration, parallel_overload
 
 # independent recomputation of the published operating points:
 #   F_AA(theta) = exp(15000/383 - 15000/(theta + 273))
 F_AA_160 = math.exp(15000.0 / 383.0 - 15000.0 / 433.0)  # 92.0616562...
 F_AA_200 = math.exp(15000.0 / 383.0 - 15000.0 / 473.0)  # 1723.336107...
+NAN, INF = float("nan"), float("inf")
 
 
 class TestAccelerationFactor:
@@ -48,6 +34,17 @@ class TestAccelerationFactor:
         with pytest.raises(ValueError):
             aging_acceleration(-300.0)
 
+    def test_pole_of_the_law_rejected(self):
+        """At -273 C the exponent divides by zero; the law refuses it
+        with a ValueError rather than a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="absolute zero"):
+            aging_acceleration(-273.0)
+
+    def test_cool_winding_ages_slower_than_normal(self):
+        expected = math.exp(15000.0 / 383.0 - 15000.0 / 371.0)
+        assert aging_acceleration(98.0) == pytest.approx(expected, rel=1e-12)
+        assert aging_acceleration(98.0) < 1.0
+
     @given(theta=st.floats(-50.0, 250.0))
     @settings(max_examples=100)
     def test_monotone_increasing(self, theta):
@@ -63,72 +60,6 @@ class TestAccelerationFactor:
         """Near the reference temperature; the interval stretches when hot."""
         ratio = aging_acceleration(theta + 6.0) / aging_acceleration(theta)
         assert 1.6 <= ratio <= 2.1
-
-
-class TestHotspotInterpolation:
-    def test_anchor_points_exact(self):
-        for loading, temp in HOTSPOT_ANCHORS:
-            assert hotspot_from_loading(loading) == temp
-
-    def test_midpoint(self):
-        assert hotspot_from_loading(1.3) == pytest.approx(135.0)
-
-    def test_extrapolation_below(self):
-        # slope of first segment: 50 C per 0.6 pu
-        assert hotspot_from_loading(0.7) == pytest.approx(110.0 - 0.3 * 50 / 0.6)
-
-    def test_extrapolation_above(self):
-        assert hotspot_from_loading(2.2) == pytest.approx(220.0)
-
-    def test_needs_two_anchors(self):
-        with pytest.raises(ValueError):
-            hotspot_from_loading(1.0, anchors=((1.0, 110.0),))
-
-
-class TestLossOfLife:
-    def test_short_emergency_episode(self):
-        """160% for 1.96 h against the 180,000 h basis."""
-        episode = OverloadEpisode(1.6, 160.0, 1.96)
-        rating = TransformerRating(rated_mva=50.0)
-        assert loss_of_life(episode, rating) == pytest.approx(0.1002449, abs=1e-5)
-
-    def test_zero_duration_zero_loss(self):
-        episode = OverloadEpisode(1.6, 160.0, 0.0)
-        assert loss_of_life(episode, TransformerRating(50.0)) == 0.0
-
-    def test_reference_consumes_life_at_unit_rate(self):
-        episode = OverloadEpisode(1.0, 110.0, NORMAL_LIFE_HOURS)
-        assert loss_of_life(episode, TransformerRating(50.0)) == \
-            pytest.approx(100.0)
-
-    @given(
-        hours=st.floats(0.0, 100.0),
-        split=st.floats(0.0, 1.0),
-        theta=st.floats(20.0, 220.0),
-    )
-    @settings(max_examples=100)
-    def test_linear_and_additive_in_duration(self, hours, split, theta):
-        rating = TransformerRating(40.0)
-        whole = loss_of_life(OverloadEpisode(1.5, theta, hours), rating)
-        first = loss_of_life(OverloadEpisode(1.5, theta, hours * split), rating)
-        rest = loss_of_life(
-            OverloadEpisode(1.5, theta, hours * (1.0 - split)), rating
-        )
-        assert whole == pytest.approx(first + rest, rel=1e-9, abs=1e-12)
-
-    def test_rating_validation(self):
-        with pytest.raises(ValueError):
-            TransformerRating(rated_mva=0.0)
-        with pytest.raises(ValueError):
-            TransformerRating(rated_mva=10.0, normal_life_hours=-1.0)
-
-    def test_episode_validation(self):
-        with pytest.raises(ValueError):
-            OverloadEpisode(-0.1, 110.0, 1.0)
-        with pytest.raises(ValueError):
-            OverloadEpisode(1.0, -280.0, 1.0)
-        with pytest.raises(ValueError):
-            OverloadEpisode(1.0, 110.0, -1.0)
 
 
 class TestParallelSharing:
@@ -159,6 +90,31 @@ class TestParallelSharing:
         with pytest.raises(ValueError):
             parallel_overload(-1.0, [12.5])
 
+    def test_empty_bank_rejected(self):
+        with pytest.raises(ValueError, match="all units"):
+            parallel_overload(10.0, [])
+
+    def test_negative_index_rejected(self):
+        """Indices count from the first unit; -1 is not the last one."""
+        with pytest.raises(ValueError, match="out of range"):
+            parallel_overload(10.0, [12.5, 12.5], out_of_service=[-1])
+
+    def test_numpy_integer_index_accepted(self):
+        assert parallel_overload(20.0, [12.5, 12.5], out_of_service=[np.int64(0)]) == \
+            [0.0, 1.6]
+
+    def test_repeated_index_counts_once(self):
+        assert parallel_overload(30.0, [10.0, 10.0, 10.0], out_of_service=[0, 0]) == \
+            [0.0, 1.5, 1.5]
+
+    def test_out_of_service_from_a_generator(self):
+        tripped = (i for i in (1,))
+        assert parallel_overload(20.0, [12.5, 12.5], out_of_service=tripped) == \
+            [1.6, 0.0]
+
+    def test_zero_load_leaves_every_unit_unloaded(self):
+        assert parallel_overload(0.0, [12.5, 20.0], out_of_service=[1]) == [0.0, 0.0]
+
     @given(
         load=st.floats(0.0, 500.0),
         ratings=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=6),
@@ -168,6 +124,18 @@ class TestParallelSharing:
         fractions = parallel_overload(load, ratings)
         carried = sum(f * r for f, r in zip(fractions, ratings))
         assert carried == pytest.approx(load, rel=1e-9, abs=1e-9)
+
+    @given(
+        load=st.floats(0.0, 500.0),
+        scale=st.floats(0.5, 4.0),
+        ratings=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=100)
+    def test_fractions_scale_linearly_with_load(self, load, scale, ratings):
+        base = parallel_overload(load, ratings)
+        scaled = parallel_overload(load * scale, ratings)
+        for b, s in zip(base, scaled):
+            assert s == pytest.approx(b * scale, rel=1e-9, abs=1e-12)
 
     @given(
         load=st.floats(1.0, 100.0),
@@ -184,104 +152,19 @@ class TestParallelSharing:
             assert reduced[i] > base[i]
 
 
-class TestClassification:
-    def test_normal(self):
-        assert classify_overload(OverloadEpisode(0.95, 105.0, 8.0)) == "normal"
-
-    def test_nameplate_boundary_is_normal(self):
-        assert classify_overload(OverloadEpisode(1.0, 110.0, 100.0)) == "normal"
-
-    def test_short_term_emergency(self):
-        episode = OverloadEpisode(1.9, 175.0, 0.4)
-        assert episode.category == "short_term_emergency"
-
-    def test_short_term_limits(self):
-        # half-hour and 180 C are inclusive bounds
-        assert classify_overload(OverloadEpisode(2.0, 180.0, 0.5)) == \
-            "short_term_emergency"
-        # a minute longer drops it out of the short-term band
-        assert classify_overload(OverloadEpisode(2.0, 180.0, 0.52)) == \
-            "out_of_standard"
-
-    def test_long_term_emergency(self):
-        assert classify_overload(OverloadEpisode(1.25, 130.0, 6.0)) == \
-            "long_term_emergency"
-
-    def test_long_term_band_edges(self):
-        assert classify_overload(OverloadEpisode(1.1, 120.0, 4.0)) == \
-            "long_term_emergency"
-        assert classify_overload(OverloadEpisode(1.3, 140.0, 4.0)) == \
-            "long_term_emergency"
-        assert classify_overload(OverloadEpisode(1.3, 141.0, 4.0)) == \
-            "out_of_standard"
-
-    def test_out_of_standard(self):
-        assert classify_overload(OverloadEpisode(2.3, 210.0, 1.0)) == \
-            "out_of_standard"
-
-
-class TestSwitchLedger:
-    def test_flag_raises_strictly_above_threshold(self):
-        ledger = SwitchStressLedger()
-        ledger.register("breaker_17_113")
-        ledger.record("breaker_17_113", 99)
-        assert not ledger.flagged("breaker_17_113")
-        assert not ledger.record("breaker_17_113")  # 100 == threshold
-        assert ledger.record("breaker_17_113")  # 101 > threshold
-        assert ledger.flags == {"breaker_17_113": True}
-
-    def test_custom_threshold(self):
-        ledger = SwitchStressLedger(default_threshold=2)
-        ledger.register("a")
-        ledger.register("b", threshold=5)
-        record_switch_operation(ledger, "a", 3)
-        record_switch_operation(ledger, "b", 3)
-        assert ledger.flags == {"a": True, "b": False}
-
-    def test_unregistered_device_rejected(self):
-        with pytest.raises(KeyError):
-            SwitchStressLedger().record("ghost")
-
-    def test_negative_count_rejected(self):
-        ledger = SwitchStressLedger()
-        ledger.register("a")
-        with pytest.raises(ValueError):
-            ledger.record("a", -1)
-
-    def test_ledger_from_event_log(self):
-        act = OutageAction.open_branch(17, 113)
-        events = [
-            EventRecord(0.0, act, "executed"),
-            EventRecord(5.0, act, "executed"),
-            EventRecord(10.0, OutageAction.remove_substation(34), "executed"),
-            EventRecord(15.0, act, "skipped", cause="instability_halt"),
-        ]
-        ledger = ledger_from_events(events, threshold=1)
-        assert ledger.counts == {"open_branch 17-113": 2,
-                                 "remove_substation 34": 1}
-        assert ledger.flags == {"open_branch 17-113": True,
-                                "remove_substation 34": False}
-
-    @given(ops=st.lists(st.integers(0, 40), min_size=1, max_size=20))
-    @settings(max_examples=50)
-    def test_count_accumulates_exactly(self, ops):
-        ledger = SwitchStressLedger()
-        ledger.register("d")
-        for n in ops:
-            ledger.record("d", n)
-        assert ledger.counts["d"] == sum(ops)
-
-
-class TestReport:
-    def test_csv_shape_and_values(self):
-        entries = [
-            ("tx_patio_a", OverloadEpisode(1.6, 160.0, 1.96),
-             TransformerRating(12.5)),
-            ("tx_patio_b", OverloadEpisode(0.8, 95.0, 4.0),
-             TransformerRating(12.5)),
-        ]
-        lines = aging_report_csv(entries).splitlines()
-        assert lines[0] == "device,category,f_aa,percent_loss"
-        # 1.96 h is far past the half-hour short-term window
-        assert lines[1] == "tx_patio_a,out_of_standard,92.0617,0.100245"
-        assert lines[2].startswith("tx_patio_b,normal,")
+@pytest.mark.parametrize("law, args", [
+    pytest.param(aging_acceleration, (NAN,), id="nan-hotspot"),
+    pytest.param(aging_acceleration, (INF,), id="inf-hotspot"),
+    pytest.param(aging_acceleration, (-INF,), id="minus-inf-hotspot"),
+    pytest.param(parallel_overload, (NAN, [1.0, 1.0]), id="nan-load"),
+    pytest.param(parallel_overload, (INF, [1.0, 1.0]), id="inf-load"),
+    pytest.param(parallel_overload, (1.0, [1.0, -INF]), id="minus-inf-rating"),
+    pytest.param(parallel_overload, (1.0, [NAN, 1.0]), id="nan-rating"),
+    pytest.param(parallel_overload, (1.0, [1.0, INF], [1]), id="inf-rating-out-of-service"),
+    pytest.param(parallel_overload, (1.0, [1.0, 1.0], [0.5]), id="fractional-index"),
+    pytest.param(parallel_overload, (1.0, [1.0, 1.0], ["0"]), id="string-index"),
+    pytest.param(parallel_overload, (1.0, [1.0, 1.0], [NAN]), id="nan-index"),
+])
+def test_non_finite_input_and_non_integer_index_rejected(law, args):
+    with pytest.raises(ValueError, match="finite|integers"):
+        law(*args)

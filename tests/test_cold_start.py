@@ -6,6 +6,7 @@ has imported scipy long before.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from gridimpact import _EXPORTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CASE_PATH = SRC / "gridimpact" / "data" / "ieee118.grid"
@@ -81,7 +84,7 @@ case = gridimpact.load_case(CASE)
 gridimpact.default_machine_models(case)
 loaded = sorted(m for m in sys.modules if m.startswith("gridimpact."))
 listed = set(dir(gridimpact))
-from gridimpact import run_pipeline, run_screening, loss_of_life
+from gridimpact import run_pipeline, run_screening, aging_acceleration
 from gridimpact.pipeline import run_pipeline as in_pipeline
 print(json.dumps({
     "loaded": loaded,
@@ -94,6 +97,16 @@ print(json.dumps({
         assert f"gridimpact.{module}" not in out["loaded"]
     assert out["listed"] == []
     assert out["resolved"] and out["same"]
+
+
+@pytest.mark.parametrize("module", sorted(_EXPORTS))
+def test_lazy_exports_follow_module_all(module):
+    """Each name the package exports from a module is in that module's
+    ``__all__``, and every ``__all__`` name resolves on the module, so a
+    deletion cannot leave a stale export behind."""
+    mod = importlib.import_module(f"gridimpact.{module}")
+    assert sorted(set(_EXPORTS[module]) - set(mod.__all__)) == []
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_cli_imports_its_stages_lazily():

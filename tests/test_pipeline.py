@@ -369,17 +369,28 @@ class TestCascadeConfirm:
         cascade_confirm(case, combo)
         assert seen == [None] * 6
 
-    def test_empty_branch_set_recorded_as_error(self):
+    def test_empty_branch_set_recorded_as_error(self, monkeypatch):
+        """The one error run of an empty branch set needs no base state,
+        so none is built."""
         # a combination of nothing in service can only be provoked
         # artificially: here by opening every branch of substation 3
         case = two_machine_case()
         from gridimpact.topology import apply_branch_outages
 
+        builds = []
+        inner = pipeline.initial_state
+
+        def initial_state(*args, **kwargs):
+            builds.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "initial_state", initial_state)
         cut = apply_branch_outages(case, [(1, 3), (2, 3)])
         summary = cascade_confirm(cut, OutageCombination((3,)), trace_every=1)
         assert [(r.order, r.status, r.overall, r.trace) for r in summary.runs] == [
             ((), "error", None, None)
         ]
+        assert builds == []
         assert "no in-service branch" in summary.canonical.detail
         assert summary.fraction_unstable is None
 
@@ -603,11 +614,11 @@ class TestRunPipelineErrors:
 
     def test_canonical_runs_record_at_the_trace_decimation(self, tmp_path, monkeypatch):
         """With a run directory, each verified combination's canonical run
-        records every trace_decimate-th sample and the re-evaluation rungs
+        records every TRACE_EVERY-th sample and the re-evaluation rungs
         record none; without one, no run records a trace."""
         seen = _spy_trace_every(monkeypatch)
-        cfg = PipelineConfig(k_max=1, subset=(1,), trace_decimate=7,
-                             policy=DynPolicy(noncritical_fraction=1.0))
+        monkeypatch.setattr(pipeline, "TRACE_EVERY", 7)
+        cfg = PipelineConfig(k_max=1, subset=(1,), policy=DynPolicy(noncritical_fraction=1.0))
         report = run_pipeline(two_machine_case(), cfg, run_dir=tmp_path)
         assert len(report.cascades) == 1 and len(report.reevaluations) == 1
         assert seen == [7, None, None]
@@ -667,13 +678,13 @@ class TestTraceFiles:
     cascade returns, and the report keeps no trace."""
 
     @pytest.mark.parametrize("strategy", ["single_canonical", "exhaustive"])
-    def test_trace_files_match_independent_runs(self, strategy, tmp_path):
+    def test_trace_files_match_independent_runs(self, strategy, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "TRACE_EVERY", 3)
         case = two_machine_case()
         cfg = PipelineConfig(
             k_max=1,
             policy=DynPolicy(noncritical_fraction=1.0),
             plan=PermutationPlan(strategy=strategy),
-            trace_decimate=3,
         )
         report = run_pipeline(case, cfg, run_dir=tmp_path)
         assert len(report.verified) >= 2
@@ -694,9 +705,9 @@ class TestTraceFiles:
             written = (tmp_path / "traces" / f"combo_{slug}.csv").read_bytes()
             assert written == trace_to_csv(trace, decimate=3).encode()
 
-    def test_bad_decimation_writes_nothing(self, tmp_path):
-        run_dir = tmp_path / "run"
-        with pytest.raises(ValueError, match="trace_decimate"):
-            run_pipeline(two_machine_case(), PipelineConfig(trace_decimate=0),
-                         run_dir=run_dir)
-        assert not run_dir.exists()
+    def test_decimation_is_a_constant_not_an_option(self):
+        """Reports keep every tenth sample (0.1 s at the 10 ms step), and
+        no configuration can change it."""
+        assert pipeline.TRACE_EVERY == 10
+        with pytest.raises(TypeError, match="trace_decimate"):
+            PipelineConfig(trace_decimate=10)

@@ -43,7 +43,7 @@ from gridimpact.model import (
     validate,
     summarize,
 )
-from gridimpact.powerflow import PowerFlowOptions, solve_newton
+from gridimpact.powerflow import PowerFlowOptions, branch_flows, solve_newton
 from gridimpact.topology import find_islands
 
 # --- standard tables ------------------------------------------------------
@@ -480,12 +480,10 @@ def solve_and_finalize(case: GridCase) -> GridCase:
         for i, b in enumerate(case.buses)
     )
 
+    p_from, q_from, p_to, q_to = branch_flows(case, sol)
     branches = []
     for k, br in enumerate(case.branches):
-        s = max(
-            math.hypot(sol.p_from[k], sol.q_from[k]),
-            math.hypot(sol.p_to[k], sol.q_to[k]),
-        )
+        s = max(math.hypot(p_from[k], q_from[k]), math.hypot(p_to[k], q_to[k]))
         rating = max(math.ceil(RATING_MARGIN * s), RATING_FLOOR_MVA)
         branches.append(Branch(
             from_bus=br.from_bus, to_bus=br.to_bus, resistance=br.resistance,

@@ -263,8 +263,8 @@ class ScenarioOptions:
     def __post_init__(self) -> None:
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if self.t_end is not None and not math.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
+        if self.t_end is not None and not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be non-negative and finite")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 
@@ -592,7 +592,6 @@ class _Engine:
         network (dead ones included, matching find_islands).
         """
         partition = find_islands(self.base_case, self.bus_on, self.branch_on)
-        idx = self.base_case.bus_index
         keys = []  # of the servable islands, each its lowest bus id
         alive = np.zeros(self.nb, dtype=bool)
         bus_island = np.full(self.nb, -1, dtype=int)
@@ -600,9 +599,8 @@ class _Engine:
             if isl.servable:
                 key = min(isl.buses)
                 keys.append(key)
-                positions = [idx[b] for b in isl.buses]
-                alive[positions] = True
-                bus_island[positions] = key
+                alive[isl.at] = True
+                bus_island[isl.at] = key
         # buses formerly active that fell into dead islands or were
         # removed (and so are in no island) are de-energized now
         self.bus_active &= alive

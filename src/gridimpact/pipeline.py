@@ -646,13 +646,15 @@ def run_pipeline(
 
     With ``run_dir`` set, writes screening.csv, traces/<combo>.csv for
     each verified combination, matrix.csv, reeval.csv and summary.txt
-    under it. A trace file holds every ``TRACE_EVERY``-th sample of its
-    combination's canonical run, the only samples that run records; it
-    is written as soon as the combination is verified, and the report
-    keeps no trace. The report holds the cascades in selection order;
-    its verdict lists, the matrix and the re-evaluations follow from
-    them. Identical inputs (including seed) produce byte-identical
-    files: nothing time- or host-dependent is emitted.
+    under it; a ``run_dir`` that is neither new nor empty is refused
+    before any work. A trace file holds every ``TRACE_EVERY``-th sample
+    of its combination's canonical run, the only samples that run
+    records; it is written as soon as the combination is verified, and
+    the report keeps no trace. The report holds the cascades in
+    selection order; its verdict lists, the matrix and the
+    re-evaluations follow from them. Identical inputs (including seed)
+    produce byte-identical files: nothing time- or host-dependent is
+    emitted.
     """
     config = config or PipelineConfig()
     models = tuple(models) if models is not None else default_machine_models(case)
@@ -660,6 +662,11 @@ def run_pipeline(
         raise ValueError(f"budget must be at least 1, got {config.budget}: "
                          "the cross-check needs a screened combination")
     options = ScenarioOptions(dt=config.dt)  # checks dt before any work
+    run_dir = None if run_dir is None else Path(run_dir)
+    # a second run into one directory would leave the first run's traces
+    if run_dir is not None and run_dir.exists() and (
+            not run_dir.is_dir() or any(run_dir.iterdir())):
+        raise ValueError(f"run directory {run_dir} is neither new nor empty")
 
     screening = run_screening(
         case,
@@ -675,7 +682,7 @@ def run_pipeline(
     cascades: list[CascadeSummary] = []
     traces_dir = None
     if run_dir is not None:
-        traces_dir = Path(run_dir) / "traces"
+        traces_dir = run_dir / "traces"
         traces_dir.mkdir(parents=True, exist_ok=True)
     for result in selected:
         summary = cascade_confirm(
@@ -708,10 +715,9 @@ def run_pipeline(
                             matrix=matrix, reevaluations=reevaluations)
 
     if run_dir is not None:
-        out = Path(run_dir)
-        (out / "screening.csv").write_text(screening_report_csv(screening))
-        (out / "matrix.csv").write_text(matrix_csv(matrix))
-        (out / "reeval.csv").write_text(reeval_csv(reevaluations))
-        (out / "summary.txt").write_text(_summary_text(report, case))
+        (run_dir / "screening.csv").write_text(screening_report_csv(screening))
+        (run_dir / "matrix.csv").write_text(matrix_csv(matrix))
+        (run_dir / "reeval.csv").write_text(reeval_csv(reevaluations))
+        (run_dir / "summary.txt").write_text(_summary_text(report, case))
 
     return report

@@ -8,19 +8,21 @@ set accordingly and a ``cause`` tag when it failed.
 
 Islanded cases are handled by :func:`solve_islands`, which solves each
 servable island separately (with the island slack designated by the
-topology layer) and de-energizes dead islands.
+topology layer) and de-energizes dead islands. Solutions hold voltages,
+not flows; :func:`branch_flows` computes the flows for the callers that
+read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import GridCase
-from .topology import IslandPartition, find_islands
+from .topology import Island, IslandPartition, find_islands
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -32,6 +34,7 @@ __all__ = [
     "build_admittance",
     "solve_newton",
     "solve_islands",
+    "branch_flows",
     "check_violations",
 ]
 
@@ -80,10 +83,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class IslandSolve:
-    """Per-island convergence record inside a multi-island solution."""
+    """Per-island convergence record inside a multi-island solution, one
+    per island of the partition solved, in its order."""
 
-    buses: frozenset[int]
-    slack_bus: int | None
     converged: bool
     iterations: int
     max_mismatch: float
@@ -95,8 +97,8 @@ class PowerFlowSolution:
     """Power flow result over a case's full bus/branch ordering.
 
     ``vm``/``va`` align with ``bus_ids``; de-energized buses carry zero
-    voltage and ``energized`` False. Flow arrays align with the case's
-    branch tuple; out-of-service branches carry zero flow.
+    voltage and ``energized`` False. ``in_service`` masks the case's
+    branches the solve ran on, for :func:`branch_flows`.
     """
 
     converged: bool
@@ -106,10 +108,7 @@ class PowerFlowSolution:
     vm: np.ndarray
     va: np.ndarray
     energized: np.ndarray
-    p_from: np.ndarray
-    q_from: np.ndarray
-    p_to: np.ndarray
-    q_to: np.ndarray
+    in_service: np.ndarray
     cause: str | None = None
     islands: tuple[IslandSolve, ...] = ()
 
@@ -342,26 +341,24 @@ def _q_limit_pass(qg, vm, vset, qmin, qmax, is_pv, q_mode, switch_count) -> bool
 def solve_newton(
     case: GridCase,
     options: PowerFlowOptions = PowerFlowOptions(),
-    bus_subset: Sequence[int] | None = None,
-    slack_override: int | None = None,
+    island: Island | None = None,
     partition: IslandPartition | None = None,
 ) -> PowerFlowSolution:
-    """Full Newton-Raphson solve of the (sub)network.
+    """Full Newton-Raphson solve of the network, or of one island of it.
 
     The network is assumed connected with one slack bus; use
     :func:`solve_islands` for possibly-islanded cases. Non-convergence
     (iteration cap, singular Jacobian, numerical blow-up) is reported in
     the returned solution, never raised. An in-service branch with zero
     impedance raises ``ValueError`` when the solve holds it: with
-    ``bus_subset``, when both its ends are in the subset.
+    ``island``, when both its ends are in the island.
 
     Args:
         case: The network.
         options: Solver controls.
-        bus_subset: Restrict the solve to these buses (an island).
-        slack_override: Use this bus as the angle/balance reference
-            instead of the case slack (island solves).
-        partition: The partition ``bus_subset`` is an island of, as
+        island: Restrict the solve to this island's buses, with its slack
+            as the angle/balance reference instead of the case slack.
+        partition: The partition ``island`` belongs to, as
             :func:`find_islands` returns it: the solve runs on its
             admittance and in-service branches instead of the case's.
     """
@@ -369,35 +366,30 @@ def solve_newton(
     Y, on = arr.ybus, arr.status
     if partition is not None and partition.ybus is not None:
         Y, on = partition.ybus, partition.in_service
-    if bus_subset is None:
-        ids = list(case.bus_index)
-        take = np.arange(len(ids))
+    nb = len(case.buses)
+    if island is None:
+        take = np.arange(nb)
         _reject_zero_impedance(case, on)
+        slacks = np.flatnonzero(arr.kind == "slack")
+        if not slacks.size:
+            return PowerFlowSolution(False, 0, np.inf, tuple(case.bus_index), np.zeros(nb),
+                                     np.zeros(nb), np.zeros(nb, dtype=bool), on,
+                                     cause="no_slack")
+        islack = int(slacks[0])
     else:
-        ids = list(bus_subset)
-        take = np.fromiter(map(case.bus_index.__getitem__, ids), dtype=int, count=len(ids))
+        take = island.at
         # only the branches this island's Newton sees: those with both ends in it
-        inside = np.zeros(len(case.buses), dtype=bool)
+        inside = np.zeros(nb, dtype=bool)
         inside[take] = True
         _reject_zero_impedance(case, on & inside[arr.f] & inside[arr.t])
-    n = len(ids)
+        islack = int(np.flatnonzero(take == case.bus_index[island.slack_bus])[0])
+    n = take.size
     base = case.base_mva
     pd, qd = arr.load_p[take], arr.load_q[take]
     pg, qg_fixed = arr.gen_p[take], arr.gen_q[take]
     qmin, qmax = arr.q_min[take], arr.q_max[take]
     vset, has_machine = arr.v_set[take], arr.has_machine[take]
     kind = arr.kind[take]
-
-    if slack_override is not None:
-        islack = ids.index(slack_override)
-    else:
-        slacks = np.flatnonzero(kind == "slack")
-        if not slacks.size:
-            nb = len(case.buses)
-            return _solution(case, on, np.zeros(nb), np.zeros(nb), np.zeros(nb, dtype=bool),
-                             converged=False, iterations=0, max_mismatch=np.inf,
-                             cause="no_slack")
-        islack = int(slacks[0])
 
     # A PV bus without any in-service machine cannot hold its setpoint;
     # a former slack bus inside an island keeps PV behaviour when another
@@ -486,51 +478,22 @@ def solve_newton(
         x[unknown] += dx
         iterations += 1
 
-    vm_out = np.zeros(len(case.buses))
-    va_out = np.zeros(len(case.buses))
-    energized = np.zeros(len(case.buses), dtype=bool)
+    vm_out = np.zeros(nb)
+    va_out = np.zeros(nb)
+    energized = np.zeros(nb, dtype=bool)
     vm_out[take] = vm
     va_out[take] = va
     energized[take] = True
-    record = IslandSolve(
-        buses=frozenset(ids),
-        slack_bus=ids[islack],
-        converged=converged,
-        iterations=iterations,
-        max_mismatch=max_mismatch,
-        cause=cause,
-    )
-    return _solution(
-        case, on, vm_out, va_out, energized,
-        converged=converged,
-        iterations=iterations,
-        max_mismatch=max_mismatch,
-        cause=cause,
-        islands=(record,),
-    )
-
-
-def _solution(case: GridCase, on, vm, va, energized, **verdict) -> PowerFlowSolution:
-    """Wrap full-length bus voltages into a solution, adding the branch
-    flows (MW/MVAr at both ends; zero unless ``on`` and energized)."""
-    arr = case.arrays
-    live = np.flatnonzero(on & energized[arr.f] & energized[arr.t])
-    V = vm * np.exp(1j * va)
-    Vf, Vt = V[arr.f[live]], V[arr.t[live]]
-    sf = np.zeros(len(case.branches), dtype=complex)
-    st = np.zeros(len(case.branches), dtype=complex)
-    sf[live] = Vf * np.conj(arr.yff[live] * Vf + arr.yft[live] * Vt) * case.base_mva
-    st[live] = Vt * np.conj(arr.ytf[live] * Vf + arr.ytt[live] * Vt) * case.base_mva
     return PowerFlowSolution(
+        converged=converged,
+        iterations=iterations,
+        max_mismatch=max_mismatch,
         bus_ids=tuple(case.bus_index),
-        vm=vm,
-        va=va,
+        vm=vm_out,
+        va=va_out,
         energized=energized,
-        p_from=sf.real.copy(),
-        q_from=sf.imag.copy(),
-        p_to=st.real.copy(),
-        q_to=st.imag.copy(),
-        **verdict,
+        in_service=on,
+        cause=cause,
     )
 
 
@@ -564,41 +527,57 @@ def solve_islands(
     iters = 0
     worst = 0.0
     for isl in partition.islands:
+        at = isl.at
         if not isl.servable:
-            records.append(IslandSolve(isl.buses, None, converged=False, iterations=0,
-                                       max_mismatch=0.0, cause="dead_island"))
+            records.append(IslandSolve(False, 0, 0.0, "dead_island"))
             continue
-        sub = sorted(isl.buses)
-        take = [case.bus_index[b] for b in sub]
-        if enforce_capability and arr.load_p[take].sum() > arr.gen_mva[take].sum():
-            records.append(IslandSolve(isl.buses, isl.slack_bus, converged=False, iterations=0,
-                                       max_mismatch=np.inf, cause="generation_deficit"))
+        if enforce_capability and arr.load_p[at].sum() > arr.gen_mva[at].sum():
+            records.append(IslandSolve(False, 0, np.inf, "generation_deficit"))
             all_ok = False
             worst = np.inf
             continue
-        sol = solve_newton(case, options, bus_subset=sub, slack_override=isl.slack_bus,
-                           partition=partition)
-        rec = replace(sol.islands[0], buses=isl.buses)
-        records.append(rec)
+        sol = solve_newton(case, options, island=isl, partition=partition)
+        records.append(IslandSolve(sol.converged, sol.iterations, sol.max_mismatch, sol.cause))
         all_ok &= sol.converged
         iters = max(iters, sol.iterations)
         worst = max(worst, sol.max_mismatch) if np.isfinite(sol.max_mismatch) else np.inf
-        vm[take] = sol.vm[take]
-        va[take] = sol.va[take]
-        energized[take] = True
-    servable = [r for r in records if r.cause != "dead_island"]
-    if not servable:
-        all_ok = False
+        vm[at] = sol.vm[at]
+        va[at] = sol.va[at]
+        energized[at] = True
+    servable = any(isl.servable for isl in partition.islands)
+    all_ok &= servable
     on = arr.status if partition.in_service is None else partition.in_service
-    merged = _solution(
-        case, on, vm, va, energized,
+    merged = PowerFlowSolution(
         converged=all_ok,
         iterations=iters,
         max_mismatch=worst if servable else np.inf,
+        bus_ids=tuple(case.bus_index),
+        vm=vm,
+        va=va,
+        energized=energized,
+        in_service=on,
         cause=None if all_ok else "island_divergence" if servable else "dead_system",
         islands=tuple(records),
     )
     return merged, partition
+
+
+def branch_flows(
+    case: GridCase, solution: PowerFlowSolution
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(p_from, q_from, p_to, q_to)`` in MW/MVAr, aligned with the case's
+    branches: zero unless the branch was in service for the solve and both
+    its ends are energized."""
+    arr = case.arrays
+    energized = solution.energized
+    live = np.flatnonzero(solution.in_service & energized[arr.f] & energized[arr.t])
+    V = solution.vm * np.exp(1j * solution.va)
+    Vf, Vt = V[arr.f[live]], V[arr.t[live]]
+    sf = np.zeros(len(case.branches), dtype=complex)
+    st = np.zeros(len(case.branches), dtype=complex)
+    sf[live] = Vf * np.conj(arr.yff[live] * Vf + arr.yft[live] * Vt) * case.base_mva
+    st[live] = Vt * np.conj(arr.ytf[live] * Vf + arr.ytt[live] * Vt) * case.base_mva
+    return sf.real, sf.imag, st.real, st.imag
 
 
 # Screening limits: the voltage band in p.u. and the loading, as a share of
@@ -627,10 +606,8 @@ def check_violations(case: GridCase, solution: PowerFlowSolution) -> list[Violat
         kind, limit = ("undervoltage", V_MIN) if low[j] else ("overvoltage", V_MAX)
         out.append(Violation(kind, str(solution.bus_ids[j]), float(vm[j]), limit))
     arr = case.arrays
-    s = np.maximum(
-        np.hypot(solution.p_from, solution.q_from),
-        np.hypot(solution.p_to, solution.q_to),
-    )
+    p_from, q_from, p_to, q_to = branch_flows(case, solution)
+    s = np.maximum(np.hypot(p_from, q_from), np.hypot(p_to, q_to))
     over = arr.status & (arr.rating > 0) & (s > MAX_LOADING * arr.rating)
     for k in sorted(np.flatnonzero(over), key=lambda k: case.branches[k].endpoints):
         br = case.branches[k]

@@ -223,8 +223,9 @@ def screen_combination(case: GridCase, combo: OutageCombination,
     options = options or PowerFlowOptions()
     partition = find_islands(case, *outage_masks(case, combo.substations))
     solution, _ = solve_islands(case, options, partition=partition, enforce_capability=True)
+    load_p = case.arrays.load_p
     unserved = sum(
-        case.bus(b).load_p for isl in partition.islands if isl.dead for b in isl.buses
+        p for isl in partition.islands if not isl.servable for p in load_p[isl.at].tolist()
     )
     common = dict(combination=combo, island_count=len(partition), unserved_mw=unserved)
     if solution.cause == "dead_system":

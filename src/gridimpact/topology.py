@@ -4,10 +4,11 @@ A topology is two masks over a case's compiled arrays, ``bus_on`` and
 ``branch_on``. A substation outage clears the member buses of the
 targeted substations and every branch incident to them; a switching
 event clears branch bits. What is left on is partitioned into islands
-(connected components); each island is classified as servable (has at
-least one generator), dead (no generation, possibly condensers only), or
-load-free. ``apply_substation_outage`` and ``apply_branch_outages`` still
-build a reduced ``GridCase`` for callers that want one.
+(connected components); each island is servable (has at least one
+generator) or dead (no generation, possibly condensers only), and carries
+its bus positions for the layers that solve it. ``apply_substation_outage``
+and ``apply_branch_outages`` still build a reduced ``GridCase`` for
+callers that want one.
 
 All functions here are pure: they take immutable cases and return new
 objects, so they are safe to call concurrently.
@@ -76,20 +77,15 @@ class OutageAction:
 
 @dataclass(frozen=True)
 class Island:
-    """One connected component of the in-service network."""
+    """One connected component of the in-service network: its bus ids,
+    whether it holds generation, and its designated slack (None if dead).
+    ``at`` holds its buses' positions in the case, in ascending bus-id
+    order; it takes no part in comparisons."""
 
     buses: frozenset[int]
-    has_generation: bool
-    has_load: bool
-    slack_bus: int | None  # designated per-island slack, None if dead
-
-    @property
-    def servable(self) -> bool:
-        return self.has_generation
-
-    @property
-    def dead(self) -> bool:
-        return not self.has_generation
+    servable: bool
+    slack_bus: int | None
+    at: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -232,7 +228,6 @@ def find_islands(
     # the slack candidates sort first: a slack bus, else the largest unit
     rank = -arr.unit_p
     rank[arr.kind == "slack"] = -np.inf
-    has_load = arr.load_p != 0.0
 
     islands = []
     # a bus that is off touches no branch that is on: it is a component of
@@ -245,9 +240,9 @@ def find_islands(
         slack = int(members[np.lexsort((members, rank[at]))[0]]) if servable else None
         islands.append(Island(
             buses=frozenset(members.tolist()),
-            has_generation=servable,
-            has_load=bool(has_load[at].any()),
+            servable=servable,
             slack_bus=slack,
+            at=at[members.argsort()],
         ))
     islands.sort(key=lambda isl: min(isl.buses))
     return IslandPartition(islands=tuple(islands), ybus=Y, in_service=on)

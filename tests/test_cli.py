@@ -196,6 +196,10 @@ class TestPipelineAndReport:
         csv_text = capsys.readouterr().out
         assert csv_text.splitlines()[0] == "name,value"
 
+        # a second run into the same directory is refused
+        assert main(["pipeline", toy_case_file, "--out", str(run_dir)]) == 1
+        assert "neither new nor empty" in capsys.readouterr().err
+
     def test_report_missing_artifact(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -145,6 +145,7 @@ class TestScheduleValidation:
     @pytest.mark.parametrize("options", [
         dict(dt=float("nan")), dict(dt=float("inf")), dict(dt=0.0),
         dict(t_end=float("nan")), dict(t_end=float("inf")), dict(t_end=float("-inf")),
+        dict(t_end=-1.0),
     ])
     def test_scenario_options_need_finite_times(self, options):
         with pytest.raises(ValueError):

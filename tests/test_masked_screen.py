@@ -43,7 +43,8 @@ def reference_screen(case, combo, options=PowerFlowOptions()) -> ScreeningResult
     partition = find_islands(reduced)
     solution, _ = solve_islands(reduced, options, partition=partition, enforce_capability=True)
     unserved = sum(
-        reduced.bus(b).load_p for isl in partition.islands if isl.dead for b in isl.buses
+        reduced.bus(b).load_p for isl in partition.islands if not isl.servable
+        for b in isl.buses
     )
     common = dict(combination=combo, island_count=len(partition), unserved_mw=unserved)
     if solution.cause == "dead_system":
@@ -83,9 +84,9 @@ def recorded_solves(monkeypatch):
 
     def recording(case, *args, **kwargs):
         sol = inner(case, *args, **kwargs)
-        ids = kwargs.get("bus_subset")
-        take = [case.bus_index[b] for b in ids]
-        solves.append((tuple(ids), sol.iterations, sol.cause, sol.converged,
+        isl = kwargs["island"]
+        take = isl.at
+        solves.append((tuple(sorted(isl.buses)), sol.iterations, sol.cause, sol.converged,
                        np.float64(sol.max_mismatch).tobytes(),
                        sol.vm[take].tobytes(), sol.va[take].tobytes()))
         return sol

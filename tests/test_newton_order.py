@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,15 +239,20 @@ def reference_newton(case, options=PowerFlowOptions(), bus_subset=None, slack_ov
     return vm, va, iterations, converged, cause
 
 
-def assert_same_solve(case, bus_subset=None, slack_override=None, options=PowerFlowOptions()):
+def assert_same_solve(case, island=None, options=PowerFlowOptions()):
+    """``solve_newton`` on the whole case or on ``island``, whose buses the
+    reference takes in the order of the island's positions."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MatrixRankWarning)
-        sol = solve_newton(case, options, bus_subset=bus_subset, slack_override=slack_override)
-    vm, va, iterations, converged, cause = reference_newton(
-        case, options, bus_subset, slack_override
-    )
-    ids = [b.id for b in case.buses] if bus_subset is None else list(bus_subset)
-    take = np.array([case.bus_index[b] for b in ids], dtype=int)
+        sol = solve_newton(case, options, island=island)
+    if island is None:
+        take = np.arange(len(case.buses))
+        vm, va, iterations, converged, cause = reference_newton(case, options)
+    else:
+        take = island.at
+        vm, va, iterations, converged, cause = reference_newton(
+            case, options, [case.buses[j].id for j in take], island.slack_bus
+        )
     assert (sol.iterations, sol.converged, sol.cause) == (iterations, converged, cause)
     assert np.array_equal(sol.vm[take], vm, equal_nan=True)
     assert np.array_equal(sol.va[take], va, equal_nan=True)
@@ -261,20 +267,19 @@ def test_fixture_islands_equal_the_plain_loop(case118):
         reduced, _, _ = apply_substation_outage(case118, combo.substations)
         for isl in find_islands(reduced).islands:
             if isl.servable:
-                assert_same_solve(reduced, sorted(isl.buses), isl.slack_bus)
+                assert_same_solve(reduced, isl)
                 solves += 1
     assert solves >= 163
 
 
-def test_unsorted_bus_subset_equals_the_plain_loop(case118):
-    """An island given in any bus order: the kernel sorts its restriction
-    of Y as slicing does."""
+def test_unsorted_island_positions_equal_the_plain_loop(case118):
+    """An island whose positions come in any order: the kernel sorts its
+    restriction of Y as slicing does."""
     reduced, _, _ = apply_substation_outage(case118, [100])
     rng = np.random.default_rng(5)
     for isl in find_islands(reduced).islands:
-        ids = sorted(isl.buses)
-        for order in (ids[::-1], [int(b) for b in rng.permutation(ids)]):
-            assert_same_solve(reduced, order, isl.slack_bus)
+        for at in (isl.at[::-1], rng.permutation(isl.at)):
+            assert_same_solve(reduced, replace(isl, at=at))
 
 
 def test_whole_case_equals_the_plain_loop(case118):
@@ -524,4 +529,4 @@ def test_random_reductions_equal_the_plain_loop(case118):
         reduced, _, _ = apply_substation_outage(case118, rng.sample(ids, 3))
         for isl in find_islands(reduced).islands:
             if isl.servable:
-                assert_same_solve(reduced, sorted(isl.buses), isl.slack_bus)
+                assert_same_solve(reduced, isl)

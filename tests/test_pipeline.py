@@ -649,6 +649,28 @@ class TestRunPipelineErrors:
             run_pipeline(two_machine_case(), PipelineConfig(budget=budget), run_dir=run_dir)
         assert not run_dir.exists()
 
+    def test_run_dir_with_files_rejected_before_screening(self, tmp_path, monkeypatch):
+        """A second run into one directory would leave the first run's
+        traces beside its own reports, so a directory that holds files is
+        refused before screening and left as it was; a new directory, as
+        the CLI's --out and each benchmark pass give, is accepted."""
+        run_dir = tmp_path / "run"
+        cfg = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=1.0))
+        run_pipeline(two_machine_case(), cfg, run_dir=run_dir)
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        assert any(p.parent.name == "traces" for p in before)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("screening ran")
+
+        monkeypatch.setattr(pipeline, "run_screening", must_not_run)
+        again = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=0.0))
+        with pytest.raises(ValueError, match="neither new nor empty"):
+            run_pipeline(two_machine_case(), again, run_dir=run_dir)
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+        with pytest.raises(ValueError, match="neither new nor empty"):
+            run_pipeline(two_machine_case(), again, run_dir=run_dir / "summary.txt")
+
     def test_combination_without_in_service_branch_is_a_dynamics_error(self, tmp_path):
         """A verified combination that opens no branch is recorded as a
         dynamics error, and every report is still written."""

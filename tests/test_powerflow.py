@@ -180,13 +180,23 @@ class TestDivergenceAsVerdict:
             check_violations(two_bus_case(load_p=500.0), sol)
 
 
+def islands_with(sol, part, cause):
+    """The buses of the partition's islands whose records read ``cause``,
+    after checking that ``sol.islands[i]`` is the record of
+    ``part.islands[i]``: dead islands, and only they, read dead_island."""
+    assert len(sol.islands) == len(part.islands)
+    for rec, isl in zip(sol.islands, part.islands):
+        assert (rec.cause == "dead_island") == (not isl.servable)
+    return [isl.buses for rec, isl in zip(sol.islands, part.islands) if rec.cause == cause]
+
+
 class TestIslands:
     def test_both_islands_solved(self):
         sol, part = solve_islands(two_island_case())
         assert sol.converged
         assert len(part) == 2
         assert all(sol.energized)
-        assert len(sol.islands) == 2
+        assert islands_with(sol, part, None) == [frozenset({1, 2}), frozenset({3, 4})]
         assert all(rec.converged for rec in sol.islands)
 
     def test_dead_island_deenergized(self):
@@ -196,9 +206,7 @@ class TestIslands:
         j = case.bus_index[4]
         assert not sol.energized[j]
         assert sol.vm[j] == 0.0
-        dead = [rec for rec in sol.islands if rec.cause == "dead_island"]
-        assert len(dead) == 1
-        assert dead[0].buses == frozenset({4})
+        assert islands_with(sol, part, "dead_island") == [frozenset({4})]
         # the rest still converges; overall verdict remains True
         assert sol.converged
 
@@ -210,11 +218,9 @@ class TestIslands:
             Generator(bus=3, p_output=12.0, v_setpoint=1.0, mva_base=15.0),
         )
         case = case.with_(generators=gens)
-        sol, _ = solve_islands(case, enforce_capability=True)
+        sol, part = solve_islands(case, enforce_capability=True)
         assert not sol.converged
-        deficit = [rec for rec in sol.islands if rec.cause == "generation_deficit"]
-        assert len(deficit) == 1
-        assert deficit[0].buses == frozenset({3, 4})
+        assert islands_with(sol, part, "generation_deficit") == [frozenset({3, 4})]
 
     def test_capability_gate_off_by_default(self):
         case = two_island_case()
@@ -223,16 +229,17 @@ class TestIslands:
             Generator(bus=3, p_output=12.0, v_setpoint=1.0, mva_base=15.0),
         )
         case = case.with_(generators=gens)
-        sol, _ = solve_islands(case)
+        sol, part = solve_islands(case)
         assert sol.converged
+        assert islands_with(sol, part, None) == [frozenset({1, 2}), frozenset({3, 4})]
 
     def test_nothing_servable_is_dead_system(self):
         case = two_bus_case()
         case = case.with_(generators=(Generator(bus=1, p_output=0.0,
                                                 is_condenser=True),))
-        sol, _ = solve_islands(case)
+        sol, part = solve_islands(case)
         assert not sol.converged
-        assert all(rec.cause == "dead_island" for rec in sol.islands)
+        assert islands_with(sol, part, "dead_island") == [frozenset({1, 2})]
 
 
 class TestViolations:

@@ -114,7 +114,7 @@ class TestFindIslands:
         case = apply_branch_outages(two_bus_case(), [(1, 2)])
         part = find_islands(case)
         assert part.island_of(1).servable
-        assert part.island_of(2).dead
+        assert not part.island_of(2).servable
         assert part.island_of(2).slack_bus is None
 
     def test_condenser_only_island_is_dead(self):
@@ -125,7 +125,7 @@ class TestFindIslands:
         )
         case = apply_branch_outages(case, [(1, 2)])
         part = find_islands(case)
-        assert part.island_of(2).dead
+        assert not part.island_of(2).servable
 
     def test_island_slack_prefers_original_slack(self):
         part = find_islands(two_island_case())
@@ -177,11 +177,21 @@ def reference_find_islands(case: GridCase) -> IslandPartition:
                      else min(gens, key=lambda g: (-g.p_output, g.bus)).bus)
         islands.append(Island(
             buses=frozenset(comp),
-            has_generation=bool(gens),
-            has_load=any(case.bus(b).has_load for b in comp),
+            servable=bool(gens),
             slack_bus=slack,
+            at=np.array([case.bus_index[b] for b in sorted(comp)], dtype=int),
         ))
     return IslandPartition(islands=tuple(islands))
+
+
+def assert_matches_reference(case: GridCase) -> IslandPartition:
+    """find_islands equals the reference, and each island's positions
+    (which take no part in ``==``) are its buses' in ascending id order."""
+    part = find_islands(case)
+    assert part == reference_find_islands(case)
+    for isl in part.islands:
+        assert isl.at.tolist() == [case.bus_index[b] for b in sorted(isl.buses)]
+    return part
 
 
 class TestIslandsFromAdmittance:
@@ -196,7 +206,7 @@ class TestIslandsFromAdmittance:
             warnings.simplefilter("error")  # no ComplexWarning from csgraph
             for target in targets:
                 reduced, _, _ = apply_substation_outage(case118, target)
-                assert find_islands(reduced) == reference_find_islands(reduced), target
+                assert_matches_reference(reduced)
 
     def test_zero_resistance_and_open_branch(self):
         """An r = 0 branch (purely imaginary admittance) connects; an
@@ -218,10 +228,9 @@ class TestIslandsFromAdmittance:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            part = find_islands(case)
-        assert part == reference_find_islands(case)
+            part = assert_matches_reference(case)
         assert [sorted(isl.buses) for isl in part.islands] == [[1, 3], [2, 5, 7]]
-        assert part.islands[0].dead
+        assert not part.islands[0].servable
         assert part.island_of(7).slack_bus == 5
 
     def test_empty_and_branchless_cases(self):
@@ -230,12 +239,12 @@ class TestIslandsFromAdmittance:
         lone = GridCase(base_mva=100.0, buses=(Bus(id=4, kind="slack", load_p=5.0), Bus(id=2)),
                         branches=(), generators=(Generator(bus=4, p_output=5.0),),
                         substations=())
-        assert find_islands(lone) == reference_find_islands(lone)
+        assert_matches_reference(lone)
 
     @given(seed=st.integers(0, 10_000))
     def test_random_cases_equal_the_branch_graph(self, seed):
         case = random_case(random.Random(seed))
-        assert find_islands(case) == reference_find_islands(case)
+        assert_matches_reference(case)
 
 
 class TestApplyOutages:
@@ -273,7 +282,7 @@ class TestApplyOutages:
         part = find_islands(reduced)
         assert len(part) == 3
         assert part.island_of(3).servable
-        assert part.island_of(2).dead and part.island_of(4).dead
+        assert not part.island_of(2).servable and not part.island_of(4).servable
 
     def test_case1_substations_remove_exactly_the_printed_branches(self, case118):
         _, removed, dead = apply_substation_outage(case118, CASE1_SUBSTATIONS)

@@ -185,10 +185,10 @@ class SwitchingSchedule:
     @staticmethod
     def evenly_spaced(
         actions: Sequence[OutageAction],
-        interval: float = 5.0,
+        interval: float,
         start: float = 0.0,
     ) -> "SwitchingSchedule":
-        """Actions at ``start``, ``start+interval``, ... (default 5 s apart)."""
+        """Actions at ``start``, ``start+interval``, ..."""
         if not 0 < interval < math.inf:
             raise ValueError("interval must be positive and finite")
         return SwitchingSchedule(

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .dynamics import (
     DynamicState,
     DynamicTrace,
-    MachineModel,
     ScenarioOptions,
     StabilityVerdict,
     SwitchingSchedule,
@@ -229,35 +228,36 @@ def matrix_csv(matrix: CrossCheckMatrix) -> str:
 
 # --- cascade confirmation -----------------------------------------------------
 
+# Every dynamic run opens its branches SWITCH_INTERVAL seconds apart at
+# the library's step, ScenarioOptions().dt. A plan runs every ordering of
+# a branch set only up to MAX_EXHAUSTIVE (7!) orderings; a sampled plan
+# runs SAMPLED_ORDERS distinct orderings drawn with seed 0.
+SWITCH_INTERVAL = 5.0
+MAX_EXHAUSTIVE = 5040
+SAMPLED_ORDERS = 20
+
 
 @dataclass(frozen=True)
 class PermutationPlan:
     """How to order a combination's branch removals for dynamics.
 
-    ``auto`` runs every ordering when the branch set is small enough
-    (factorial at most ``cap``, default 7!) and falls back to a seeded
-    uniform sample of ``samples`` distinct orderings otherwise;
-    ``single_canonical`` runs just the sorted-endpoint order.
+    ``auto`` runs every ordering when there are at most
+    ``MAX_EXHAUSTIVE`` of them and a sample otherwise; ``sample`` runs
+    the canonical order and then seeded uniform draws, ``SAMPLED_ORDERS``
+    distinct orderings in all; ``single_canonical`` runs just the
+    sorted-endpoint order.
     """
 
     strategy: str = "auto"  # auto | exhaustive | sample | single_canonical
-    interval: float = 5.0
-    cap: int = 5040
-    samples: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.strategy not in ("auto", "exhaustive", "sample", "single_canonical"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not 0 < self.interval < math.inf:
-            raise ValueError("interval must be positive and finite")
-        if self.cap < 1 or self.samples < 1:
-            raise ValueError("cap and samples must be positive")
 
     def resolve(self, n_actions: int) -> str:
         if self.strategy != "auto":
             return self.strategy
-        return "exhaustive" if math.factorial(n_actions) <= self.cap else "sample"
+        return "exhaustive" if math.factorial(n_actions) <= MAX_EXHAUSTIVE else "sample"
 
     def orders(
         self, pairs: Sequence[tuple[int, int]]
@@ -265,7 +265,7 @@ class PermutationPlan:
         """The orderings to run, canonical first.
 
         Raises ValueError, before yielding anything, when an exhaustive
-        plan would run more than ``cap`` orderings.
+        plan would run more than ``MAX_EXHAUSTIVE`` orderings.
         """
         canonical = tuple(sorted(pairs))
         strategy = self.resolve(len(canonical))
@@ -273,10 +273,10 @@ class PermutationPlan:
             return iter((canonical,))
         if strategy == "exhaustive":
             n_orders = math.factorial(len(canonical))
-            if n_orders > self.cap:
+            if n_orders > MAX_EXHAUSTIVE:
                 raise ValueError(
                     f"exhaustive plan over {len(canonical)} branches would run "
-                    f"{len(canonical)}! = {n_orders} orderings, above cap={self.cap}"
+                    f"{len(canonical)}! = {n_orders} orderings, above {MAX_EXHAUSTIVE}"
                 )
             return itertools.permutations(canonical)
         return self._sampled(canonical)
@@ -285,14 +285,14 @@ class PermutationPlan:
         self, canonical: tuple[tuple[int, int], ...]
     ) -> Iterator[tuple[tuple[int, int], ...]]:
         # distinct uniform sample, canonical order always included first
-        rng = random.Random(self.seed)
+        rng = random.Random(0)
         seen = {canonical}
         yield canonical
         produced = 1
         attempts = 0
-        limit = self.samples * 50
+        limit = SAMPLED_ORDERS * 50
         order = list(canonical)
-        while produced < self.samples and attempts < limit:
+        while produced < SAMPLED_ORDERS and attempts < limit:
             attempts += 1
             rng.shuffle(order)
             candidate = tuple(order)
@@ -321,7 +321,6 @@ class CascadeSummary:
 
     combination: OutageCombination
     strategy: str
-    interval: float
     runs: tuple[CascadeRun, ...]
 
     @property
@@ -353,69 +352,69 @@ def cascade_confirm(
     case: GridCase,
     combination: OutageCombination,
     plan: PermutationPlan | None = None,
-    models: Sequence[MachineModel] | None = None,
-    options: ScenarioOptions | None = None,
     trace_every: int | None = None,
 ) -> CascadeSummary:
     """Dynamically verify a combination over switching orderings.
 
-    Each selected ordering of the combination's branch set becomes an
-    evenly spaced switching schedule; a failed run is recorded as an
-    error without touching its siblings, and a combination that touches
-    no in-service branch gets one such error run. The summary reports the
+    Each selected ordering of the combination's branch set becomes a
+    switching schedule ``SWITCH_INTERVAL`` apart, run from the default
+    machine models; a failed run is recorded as an error without touching
+    its siblings. A combination that touches no in-service branch, or
+    whose exhaustive plan would run more than ``MAX_EXHAUSTIVE``
+    orderings, gets one error run instead. The summary reports the
     unstable fraction over successful runs and whether all successful
     runs agree on the overall kind. With ``trace_every`` set, the
     canonical (first) ordering keeps its trace of every
     ``trace_every``-th sample; every other run records no trace.
     """
     plan = plan or PermutationPlan()
-    models = tuple(models) if models is not None else default_machine_models(case)
     pairs = combination_branch_set(case, combination)
-    orders = plan.orders(pairs)
+    strategy = plan.resolve(len(pairs))
+    try:
+        orders = plan.orders(pairs)
+    except ValueError as exc:  # too many orderings to run them all
+        return CascadeSummary(combination, strategy,
+                              (CascadeRun(pairs, "error", None, detail=str(exc)),))
     # every ordering starts from one base state; an empty branch set's
     # only run is an error that never reads it
-    state = _base_state(case, models) if pairs else None
-    return CascadeSummary(
-        combination=combination,
-        strategy=plan.resolve(len(pairs)),
-        interval=plan.interval,
-        runs=tuple(
-            _run_order(case, order, plan.interval, models, options, state,
-                       trace_every=trace_every if i == 0 else None)
-            for i, order in enumerate(orders)
-        ),
-    )
+    state = _base_state(case) if pairs else None
+    dt = ScenarioOptions().dt
+    return CascadeSummary(combination, strategy, tuple(
+        _run_order(case, order, SWITCH_INTERVAL, dt, state,
+                   trace_every=trace_every if i == 0 else None)
+        for i, order in enumerate(orders)
+    ))
 
 
-def _base_state(case: GridCase, models: Sequence[MachineModel]) -> DynamicState | Exception:
-    """The state every dynamic run of a combination starts from, or the
-    exception that building it raised."""
+def _base_state(case: GridCase) -> DynamicState | Exception:
+    """The state every dynamic run of a combination starts from, built
+    for the default machine models, or the exception that building it
+    raised."""
     try:
-        return initial_state(case, models)
+        return initial_state(case, default_machine_models(case))
     except Exception as exc:  # each run from it records the failure
         return exc
 
 
 def _run_order(
-    case: GridCase, order: tuple[tuple[int, int], ...], interval: float,
-    models: Sequence[MachineModel], options: ScenarioOptions | None,
+    case: GridCase, order: tuple[tuple[int, int], ...], interval: float, dt: float,
     state: DynamicState | Exception | None, trace_every: int | None = None,
 ) -> CascadeRun:
-    """Open ``order``'s branches ``interval`` apart from ``state`` and read
-    the verdict. A run that raises, an empty order (which never reads
-    ``state``) or a failed base state is recorded as an error; with
-    ``trace_every`` set, a finished run keeps its trace of every
+    """Open ``order``'s branches ``interval`` apart from ``state`` at step
+    ``dt`` and read the verdict. A run that raises, an empty order (which
+    never reads ``state``) or a failed base state is recorded as an error;
+    with ``trace_every`` set, a finished run keeps its trace of every
     ``trace_every``-th sample, and without it records none."""
     if not order:
         return CascadeRun(order, "error", None,
                           detail="the combination touches no in-service branch")
     actions = [OutageAction.open_branch(a, b) for a, b in order]
-    schedule = SwitchingSchedule.evenly_spaced(actions, interval=interval)
+    schedule = SwitchingSchedule.evenly_spaced(actions, interval)
     try:
         if isinstance(state, Exception):
             raise state  # the base state could not be built
-        trace, verdict = run_scenario(case, schedule, models, options, state,
-                                      trace_every=trace_every)
+        trace, verdict = run_scenario(case, schedule, options=ScenarioOptions(dt=dt),
+                                      state=state, trace_every=trace_every)
     except Exception as exc:  # isolate failures per ordering
         return CascadeRun(order, "error", None, detail=str(exc))
     return CascadeRun(order, "ok", verdict.overall, verdict.time_of_first_violation,
@@ -440,17 +439,15 @@ def re_evaluate(
     combination: OutageCombination,
     steady_verdict: str,
     dynamic_verdict: str,
-    models: Sequence[MachineModel] | None = None,
-    interval: float = 5.0,
-    dt: float = 0.01,
 ) -> ReEvaluationRecord:
     """Walk the deterministic adjustment ladder for a disagreeing pair.
 
     Rungs, in order: (1) re-screen from a flat start at tolerance 1e-8;
-    (2) re-run dynamics with dt halved; (3) re-run dynamics with the
-    switching interval stretched to the 15 s upper bound. The first
-    rung whose re-run agrees with the other simulator reconciles the
-    pair; if none does the disagreement is persistent.
+    (2) re-run dynamics with the step halved; (3) re-run dynamics with
+    the switching interval stretched from ``SWITCH_INTERVAL`` to the 15 s
+    upper bound. Both dynamic rungs use the default machine models. The
+    first rung whose re-run agrees with the other simulator reconciles
+    the pair; if none does the disagreement is persistent.
     """
     steady_critical = steady_verdict == "critical"
     dyn_critical = dynamic_verdict != "stable"
@@ -459,7 +456,6 @@ def re_evaluate(
             f"no disagreement: steady={steady_verdict!r} dynamic={dynamic_verdict!r}"
         )
     kind = "steady_noncritical_dyn_unstable" if dyn_critical else "steady_critical_dyn_stable"
-    models = tuple(models) if models is not None else default_machine_models(case)
     adjustments: list[str] = []
 
     # rung 1: steady side, flat start at tight tolerance
@@ -476,10 +472,11 @@ def re_evaluate(
     # interval, both from one base state and recording no trace; a rung
     # whose run raises records its error and reconciles nothing
     pairs = combination_branch_set(case, combination)
-    state = _base_state(case, models)
-    for label, run_dt, run_interval in (("half_dt", dt / 2.0, interval),
-                                        ("interval_15s", dt, 15.0)):
-        run = _run_order(case, pairs, run_interval, models, ScenarioOptions(dt=run_dt), state)
+    state = _base_state(case)
+    dt = ScenarioOptions().dt
+    for label, run_interval, run_dt in (("half_dt", SWITCH_INTERVAL, dt / 2.0),
+                                        ("interval_15s", 15.0, dt)):
+        run = _run_order(case, pairs, run_interval, run_dt, state)
         outcome = run.overall if run.status == "ok" else f"error: {run.detail}"
         adjustments.append(f"{label} -> {outcome}")
         if run.status == "ok" and (run.overall != "stable") == steady_critical:
@@ -543,7 +540,6 @@ class PipelineConfig:
     plan: PermutationPlan = field(
         default_factory=lambda: PermutationPlan(strategy="single_canonical")
     )
-    dt: float = 0.01
     subset: tuple[int, ...] | None = None
     prune: bool = True
     workers: int | None = None
@@ -640,7 +636,6 @@ def run_pipeline(
     case: GridCase,
     config: PipelineConfig | None = None,
     run_dir: str | Path | None = None,
-    models: Sequence[MachineModel] | None = None,
 ) -> PipelineReport:
     """Screen, verify dynamically per policy, cross-check, re-evaluate.
 
@@ -657,11 +652,9 @@ def run_pipeline(
     emitted.
     """
     config = config or PipelineConfig()
-    models = tuple(models) if models is not None else default_machine_models(case)
     if config.budget is not None and config.budget < 1:
         raise ValueError(f"budget must be at least 1, got {config.budget}: "
                          "the cross-check needs a screened combination")
-    options = ScenarioOptions(dt=config.dt)  # checks dt before any work
     run_dir = None if run_dir is None else Path(run_dir)
     # a second run into one directory would leave the first run's traces
     if run_dir is not None and run_dir.exists() and (
@@ -689,8 +682,6 @@ def run_pipeline(
             case,
             result.combination,
             plan=config.plan,
-            models=models,
-            options=options,
             trace_every=None if traces_dir is None else TRACE_EVERY,
         )
         canonical = summary.canonical
@@ -706,8 +697,7 @@ def run_pipeline(
         for c in cascades if c.canonical.status == "ok"
     })
     reevaluations = tuple(
-        re_evaluate(case, r.combination, r.steady_verdict, r.dynamic_verdict,
-                    models=models, interval=config.plan.interval, dt=config.dt)
+        re_evaluate(case, r.combination, r.steady_verdict, r.dynamic_verdict)
         for r in matrix.records
         if r.dynamic_verdict is not None and (r.steady_verdict == "critical") != r.dyn_critical
     )

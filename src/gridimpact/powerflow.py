@@ -112,12 +112,6 @@ class PowerFlowSolution:
     cause: str | None = None
     islands: tuple[IslandSolve, ...] = ()
 
-    def vm_at(self, bus_id: int) -> float:
-        return float(self.vm[self.bus_ids.index(bus_id)])
-
-    def va_at(self, bus_id: int) -> float:
-        return float(self.va[self.bus_ids.index(bus_id)])
-
 
 # What ``splu`` and ``spsolve(..., permc_spec="NATURAL")`` pass to SuperLU.
 _SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)

@@ -243,13 +243,12 @@ def screen_combination(case: GridCase, combo: OutageCombination,
                            **common)
 
 
-def _screen_isolated(case: GridCase, combo: OutageCombination,
-                     options: PowerFlowOptions) -> ScreeningResult:
-    """screen_combination, recording a screen that raises as critical
-    with reason ``error`` (and logging its traceback) instead of aborting
-    the sweep."""
+def _screen_isolated(case: GridCase, combo: OutageCombination) -> ScreeningResult:
+    """screen_combination at the default options, recording a screen that
+    raises as critical with reason ``error`` (and logging its traceback)
+    instead of aborting the sweep."""
     try:
-        return screen_combination(case, combo, options)
+        return screen_combination(case, combo)
     except Exception:
         import logging
 
@@ -265,18 +264,17 @@ def _screen_isolated(case: GridCase, combo: OutageCombination,
         )
 
 
-# (case, options) of a pool worker, set once by its initializer
-_worker_job: tuple[GridCase, PowerFlowOptions] | None = None
+# the case of a pool worker, set once by its initializer
+_worker_case: GridCase | None = None
 
 
-def _init_worker(case: GridCase, options: PowerFlowOptions) -> None:
-    global _worker_job
-    _worker_job = (case, options)
+def _init_worker(case: GridCase) -> None:
+    global _worker_case
+    _worker_case = case
 
 
 def _screen_in_worker(combo: OutageCombination) -> ScreeningResult:
-    case, options = _worker_job
-    return _screen_isolated(case, combo, options)
+    return _screen_isolated(_worker_case, combo)
 
 
 def run_screening(
@@ -285,7 +283,6 @@ def run_screening(
     budget: int | None = None,
     subset: Sequence[int | str] | None = None,
     prune: bool = True,
-    options: PowerFlowOptions | None = None,
     workers: int | None = None,
 ) -> ScreeningRun:
     """Level-wise screening sweep for levels 1..k_max.
@@ -303,7 +300,6 @@ def run_screening(
         raise ValueError("k_max must be at least 1")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must not be negative, got {budget}")
-    options = options or PowerFlowOptions()
     nworkers = (
         worker_count() if workers is None else max(1, min(workers, os.cpu_count() or 1))
     )
@@ -348,7 +344,7 @@ def run_screening(
             import scipy.sparse.linalg  # noqa: F401
 
             with ProcessPoolExecutor(
-                max_workers=nworkers, initializer=_init_worker, initargs=(case, options)
+                max_workers=nworkers, initializer=_init_worker, initargs=(case,)
             ) as pool:
                 solved = list(
                     pool.map(
@@ -358,7 +354,7 @@ def run_screening(
                     )
                 )
         else:
-            solved = [_screen_isolated(case, c, options) for c in to_solve]
+            solved = [_screen_isolated(case, c) for c in to_solve]
         evaluations += len(solved)
         results.extend(solved)
 

@@ -102,12 +102,6 @@ class IslandPartition:
     def __len__(self) -> int:
         return len(self.islands)
 
-    def island_of(self, bus_id: int) -> Island:
-        for isl in self.islands:
-            if bus_id in isl.buses:
-                return isl
-        raise KeyError(f"bus {bus_id} is in no island")
-
 
 def outage_masks(
     case: GridCase, targets: Iterable[SubstationId]

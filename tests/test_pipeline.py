@@ -5,6 +5,7 @@ from __future__ import annotations
 import subprocess
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from gridimpact.pipeline import (
     reeval_csv,
     run_pipeline,
 )
-from gridimpact.screening import OutageCombination, ScreeningResult
+from gridimpact.screening import OutageCombination, ScreeningResult, run_screening
 from gridimpact.topology import OutageAction
 
 from toys import two_bus_case, two_machine_case
@@ -46,9 +47,9 @@ def _spy_trace_every(monkeypatch):
     seen = []
     inner = pipeline.run_scenario
 
-    def run_scenario(*args, trace_every):
+    def run_scenario(*args, trace_every, **kwargs):
         seen.append(trace_every)
-        return inner(*args, trace_every=trace_every)
+        return inner(*args, trace_every=trace_every, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
     return seen
@@ -203,7 +204,7 @@ class TestMatrixCsv:
 
 class TestPermutationPlan:
     def test_auto_resolution_by_factorial(self):
-        plan = PermutationPlan(cap=5040)
+        plan = PermutationPlan()
         assert plan.resolve(3) == "exhaustive"
         assert plan.resolve(7) == "exhaustive"
         assert plan.resolve(8) == "sample"
@@ -217,42 +218,32 @@ class TestPermutationPlan:
         assert orders[0] == ((1, 2), (3, 4), (5, 9))  # canonical first
         assert all(sorted(o) == sorted(pairs) for o in orders)
 
-    def test_exhaustive_refused_above_cap(self):
+    def test_exhaustive_refused_above_cap(self, monkeypatch):
         pairs = [(i, i + 1) for i in range(1, 9)]
-        with pytest.raises(ValueError, match=r"8! = 40320 orderings, above cap=5040"):
+        with pytest.raises(ValueError, match=r"8! = 40320 orderings, above 5040"):
             PermutationPlan(strategy="exhaustive").orders(pairs)
-        assert len(list(PermutationPlan(strategy="exhaustive", cap=40320).orders(pairs))) \
-            == 40320
+        monkeypatch.setattr(pipeline, "MAX_EXHAUSTIVE", 40320)
+        assert len(list(PermutationPlan(strategy="exhaustive").orders(pairs))) == 40320
 
     def test_single_canonical(self):
         plan = PermutationPlan(strategy="single_canonical")
         orders = list(plan.orders([(9, 12), (1, 4)]))
         assert orders == [((1, 4), (9, 12))]
 
-    def test_sampled_orders_distinct_and_seeded(self):
+    def test_sampled_orders_distinct_and_seeded(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "SAMPLED_ORDERS", 6)
         pairs = [(i, i + 1) for i in range(1, 9)]
-        plan = PermutationPlan(strategy="sample", samples=6, seed=3)
+        plan = PermutationPlan(strategy="sample")
         a = list(plan.orders(pairs))
         b = list(plan.orders(pairs))
         assert a == b
         assert len(a) == 6
         assert len(set(a)) == 6
         assert a[0] == tuple(sorted(pairs))
-        other = list(PermutationPlan(strategy="sample", samples=6, seed=4).orders(pairs))
-        assert other != a
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PermutationPlan(strategy="clever")
-        with pytest.raises(ValueError):
-            PermutationPlan(interval=0.0)
-        with pytest.raises(ValueError):
-            PermutationPlan(samples=0)
-
-    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
-    def test_non_finite_interval_rejected(self, interval):
-        with pytest.raises(ValueError, match="finite"):
-            PermutationPlan(interval=interval)
 
 
 class TestBranchSets:
@@ -401,14 +392,12 @@ class TestReEvaluate:
             re_evaluate(case118, OutageCombination((100,)), "critical",
                         "islanded_mixed")
 
-    def test_false_dynamic_alarm_reconciles_on_half_dt(self, case118, models118):
+    def test_false_dynamic_alarm_reconciles_on_half_dt(self, case118):
         """A claimed instability for the benign substation-34 outage fails
         rung 1 (the strict re-screen still says non-critical) and is
         resolved by the halved-step rerun coming back stable."""
-        rec = re_evaluate(
-            case118, OutageCombination((34,)), "non_critical",
-            "transient_unstable", models=models118,
-        )
+        rec = re_evaluate(case118, OutageCombination((34,)), "non_critical",
+                          "transient_unstable")
         assert rec.kind == "steady_noncritical_dyn_unstable"
         assert rec.resolution == "reconciled"
         assert rec.adjustments == (
@@ -416,13 +405,11 @@ class TestReEvaluate:
             "half_dt -> stable",
         )
 
-    def test_missed_steady_critical_reconciles_on_rescreen(self, case118, models118):
+    def test_missed_steady_critical_reconciles_on_rescreen(self, case118):
         """If screening had called the pocket substation non-critical, the
         strict flat-start re-screen alone recovers the critical verdict."""
-        rec = re_evaluate(
-            case118, OutageCombination((100,)), "non_critical",
-            "islanded_mixed", models=models118,
-        )
+        rec = re_evaluate(case118, OutageCombination((100,)), "non_critical",
+                          "islanded_mixed")
         assert rec.resolution == "reconciled"
         assert rec.adjustments == ("flat_start_tol_1e-08 -> critical",)
 
@@ -465,10 +452,10 @@ class TestReEvaluate:
         nothing, and the 15 s interval rung still runs."""
         inner = pipeline.run_scenario
 
-        def run_scenario(case, schedule, models, options, state, **kwargs):
+        def run_scenario(case, schedule, options, state, **kwargs):
             if options.dt == 0.005:
                 raise RuntimeError("solver blew up")
-            return inner(case, schedule, models, options, state, **kwargs)
+            return inner(case, schedule, options=options, state=state, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
         rec = re_evaluate(two_machine_case(), OutageCombination((1, 3)),
@@ -480,11 +467,9 @@ class TestReEvaluate:
         )
         assert rec.resolution == "persistent"
 
-    def test_csv_rendering(self, case118, models118):
-        rec = re_evaluate(
-            case118, OutageCombination((100,)), "non_critical",
-            "islanded_mixed", models=models118,
-        )
+    def test_csv_rendering(self, case118):
+        rec = re_evaluate(case118, OutageCombination((100,)), "non_critical",
+                          "islanded_mixed")
         lines = reeval_csv([rec]).splitlines()
         assert lines[0] == "combination,kind,adjustments,resolution"
         assert lines[1] == (
@@ -594,10 +579,10 @@ class TestRunPipelineErrors:
         reeval.csv, and the run writes all its reports."""
         inner = pipeline.run_scenario
 
-        def run_scenario(case, schedule, models, options, state, **kwargs):
+        def run_scenario(case, schedule, options, state, **kwargs):
             if options.dt == 0.005:
                 raise RuntimeError("solver blew up")
-            return inner(case, schedule, models, options, state, **kwargs)
+            return inner(case, schedule, options=options, state=state, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_scenario", run_scenario)
         cfg = PipelineConfig(k_max=1, subset=(1,), policy=DynPolicy(noncritical_fraction=1.0))
@@ -625,17 +610,6 @@ class TestRunPipelineErrors:
         seen.clear()
         run_pipeline(two_machine_case(), cfg)
         assert seen == [None, None, None]
-
-    @pytest.mark.parametrize("dt", [0.0, float("nan")])
-    def test_bad_dt_rejected_before_screening(self, dt, tmp_path, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("screening ran")
-
-        monkeypatch.setattr(pipeline, "run_screening", must_not_run)
-        run_dir = tmp_path / "run"
-        with pytest.raises(ValueError, match="dt must be positive"):
-            run_pipeline(two_machine_case(), PipelineConfig(dt=dt), run_dir=run_dir)
-        assert not run_dir.exists()
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected_before_screening(self, budget, tmp_path,
@@ -721,15 +695,66 @@ class TestTraceFiles:
         for combo, _ in report.verified:
             actions = [OutageAction.open_branch(a, b)
                        for a, b in combination_branch_set(case, combo)]
-            schedule = SwitchingSchedule.evenly_spaced(actions, interval=cfg.plan.interval)
-            trace, _ = run_scenario(case, schedule, options=ScenarioOptions(dt=cfg.dt))
+            schedule = SwitchingSchedule.evenly_spaced(actions, pipeline.SWITCH_INTERVAL)
+            trace, _ = run_scenario(case, schedule)
             slug = "-".join(map(str, combo.substations))
             written = (tmp_path / "traces" / f"combo_{slug}.csv").read_bytes()
             assert written == trace_to_csv(trace, decimate=3).encode()
 
-    def test_decimation_is_a_constant_not_an_option(self):
-        """Reports keep every tenth sample (0.1 s at the 10 ms step), and
-        no configuration can change it."""
-        assert pipeline.TRACE_EVERY == 10
-        with pytest.raises(TypeError, match="trace_decimate"):
-            PipelineConfig(trace_decimate=10)
+
+class TestOperatingPoint:
+    """Dynamic verification runs at one operating point: its step,
+    switching interval, machine models, ordering budget and trace
+    decimation are constants that no caller can set."""
+
+    def test_constants(self):
+        assert pipeline.TRACE_EVERY == 10  # 0.1 s at the 10 ms step
+        assert ScenarioOptions().dt == 0.01
+        assert pipeline.SWITCH_INTERVAL == 5.0
+        assert pipeline.MAX_EXHAUSTIVE == 5040  # 7!
+        assert pipeline.SAMPLED_ORDERS == 20
+
+    @pytest.mark.parametrize("name, keyword", [
+        ("PipelineConfig", "trace_decimate"), ("PipelineConfig", "dt"),
+        ("PermutationPlan", "interval"), ("PermutationPlan", "cap"),
+        ("PermutationPlan", "samples"), ("PermutationPlan", "seed"),
+        ("cascade_confirm", "models"), ("cascade_confirm", "options"),
+        ("re_evaluate", "models"), ("re_evaluate", "interval"), ("re_evaluate", "dt"),
+        ("run_pipeline", "models"), ("run_screening", "options"),
+    ])
+    def test_removed_setting_is_refused(self, name, keyword):
+        case, combo = two_machine_case(), OutageCombination((1,))
+        call = {
+            "PipelineConfig": PipelineConfig,
+            "PermutationPlan": PermutationPlan,
+            "cascade_confirm": partial(cascade_confirm, case, combo),
+            "re_evaluate": partial(re_evaluate, case, combo, "critical", "stable"),
+            "run_pipeline": partial(run_pipeline, case),
+            "run_screening": partial(run_screening, case, 1),
+        }[name]
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: None})
+
+    def test_exhaustive_plan_above_the_limit_is_a_dynamics_error(self, tmp_path,
+                                                                   monkeypatch):
+        """An exhaustive plan with more orderings than MAX_EXHAUSTIVE
+        records one error run, on the canonical order and without a base
+        state, and every report is still written."""
+        monkeypatch.setattr(pipeline, "MAX_EXHAUSTIVE", 1)
+        monkeypatch.setattr(pipeline, "initial_state", None)  # never built
+        case = two_machine_case()
+        cfg = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=1.0),
+                             plan=PermutationPlan("exhaustive"))
+        report = run_pipeline(case, cfg, run_dir=tmp_path)
+        assert report.verified == ()
+        assert len(report.failed) == len(report.cascades) == 3
+        for summary in report.cascades:
+            pairs = combination_branch_set(case, summary.combination)
+            assert summary.strategy == "exhaustive"
+            assert [(r.order, r.status) for r in summary.runs] == [(pairs, "error")]
+            assert summary.canonical.detail.endswith("orderings, above 1")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "matrix.csv", "reeval.csv", "screening.csv", "summary.txt", "traces",
+        ]
+        summary_text = (tmp_path / "summary.txt").read_text()
+        assert summary_text.count(": dynamics error: exhaustive plan over 2 branches") == 3

@@ -113,9 +113,9 @@ class TestFindIslands:
     def test_dead_island_has_no_generation(self):
         case = apply_branch_outages(two_bus_case(), [(1, 2)])
         part = find_islands(case)
-        assert part.island_of(1).servable
-        assert not part.island_of(2).servable
-        assert part.island_of(2).slack_bus is None
+        assert part.islands[0].servable
+        assert not part.islands[1].servable
+        assert part.islands[1].slack_bus is None
 
     def test_condenser_only_island_is_dead(self):
         case = two_bus_case()
@@ -125,12 +125,12 @@ class TestFindIslands:
         )
         case = apply_branch_outages(case, [(1, 2)])
         part = find_islands(case)
-        assert not part.island_of(2).servable
+        assert not part.islands[1].servable
 
     def test_island_slack_prefers_original_slack(self):
         part = find_islands(two_island_case())
-        assert part.island_of(1).slack_bus == 1
-        assert part.island_of(3).slack_bus == 3
+        assert part.islands[0].slack_bus == 1
+        assert part.islands[1].slack_bus == 3
 
     def test_island_slack_largest_dispatch_lowest_id_tie(self):
         case = two_island_case()
@@ -139,11 +139,7 @@ class TestFindIslands:
             generators=case.generators + (Generator(bus=4, p_output=20.0),)
         )
         part = find_islands(case)
-        assert part.island_of(3).slack_bus == 3
-
-    def test_island_of_unknown_bus_raises(self):
-        with pytest.raises(KeyError):
-            find_islands(two_bus_case()).island_of(404)
+        assert part.islands[1].slack_bus == 3
 
     @given(seed=st.integers(0, 10_000))
     def test_matches_brute_force_reachability(self, seed):
@@ -231,7 +227,7 @@ class TestIslandsFromAdmittance:
             part = assert_matches_reference(case)
         assert [sorted(isl.buses) for isl in part.islands] == [[1, 3], [2, 5, 7]]
         assert not part.islands[0].servable
-        assert part.island_of(7).slack_bus == 5
+        assert part.islands[1].slack_bus == 5
 
     def test_empty_and_branchless_cases(self):
         empty = GridCase(base_mva=100.0, buses=(), branches=(), generators=(), substations=())
@@ -281,8 +277,8 @@ class TestApplyOutages:
         reduced, _, _ = apply_substation_outage(star_case(), [1])
         part = find_islands(reduced)
         assert len(part) == 3
-        assert part.island_of(3).servable
-        assert not part.island_of(2).servable and not part.island_of(4).servable
+        assert part.islands[1].servable
+        assert not part.islands[0].servable and not part.islands[2].servable
 
     def test_case1_substations_remove_exactly_the_printed_branches(self, case118):
         _, removed, dead = apply_substation_outage(case118, CASE1_SUBSTATIONS)
@@ -299,7 +295,7 @@ class TestApplyOutages:
     def test_pocket_separates_after_substation_100(self, case118):
         reduced, _, _ = apply_substation_outage(case118, [100])
         part = find_islands(reduced)
-        pocket = part.island_of(103)
+        pocket = part.islands[1]
         assert pocket.buses == frozenset(range(103, 113))
         assert pocket.servable  # bus 103 keeps the pocket's one generator
 

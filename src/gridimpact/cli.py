@@ -4,15 +4,18 @@ Subcommands mirror the library stages: ``load`` prints a case summary,
 ``screen`` sweeps outage combinations, ``simulate`` runs a switching
 scenario, ``pipeline`` runs the full screen-verify-crosscheck chain
 into a run directory, and ``report`` prints an artifact from a run
-directory. Worker-pool size for screening comes from the
-GRIDIMPACT_WORKERS environment variable. Each handler imports the stage
-modules it uses, so ``load`` and ``report`` load neither dynamics,
-screening nor the pipeline.
+directory. Only the CLI reads the GRIDIMPACT_WORKERS environment
+variable: ``screen`` and ``pipeline`` pass it to the library as the
+screening pool's ``workers`` (default 1), and refuse a value that is not
+a positive integer before the case loads. An option left out takes the
+library's default. Each handler imports the stage modules it uses, so
+``load`` and ``report`` load neither dynamics, screening nor the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +56,20 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _workers() -> int:
+    """The screening pool size that GRIDIMPACT_WORKERS sets (default 1);
+    raises ``ValueError`` unless it is a positive integer."""
+    try:
+        return _positive_int(os.environ.get("GRIDIMPACT_WORKERS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"GRIDIMPACT_WORKERS: {exc}") from None
+
+
+def _given(**values):
+    """The keyword arguments that were given: those not None."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridimpact",
@@ -75,19 +92,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="time-domain switching scenario")
     p_sim.add_argument("case")
     p_sim.add_argument("scenario", help="switching schedule file")
-    p_sim.add_argument("--dt", type=float, default=0.01, help="time step in seconds")
+    p_sim.add_argument("--dt", type=float, default=None, help="time step in seconds")
     p_sim.add_argument("--t-end", type=float, default=None,
                        help="simulation horizon (default: last event + 10 s)")
     p_sim.add_argument("--trace", default=None, help="write the trace CSV here")
-    p_sim.add_argument("--decimate", type=_positive_int, default=1,
+    p_sim.add_argument("--decimate", type=_positive_int, default=None,
                        help="keep every n-th sample in the trace CSV")
 
     p_pipe = sub.add_parser("pipeline", help="screen, verify, cross-check")
     p_pipe.add_argument("case")
-    p_pipe.add_argument("--k", type=_positive_int, default=1)
-    p_pipe.add_argument("--seed", type=int, default=0)
+    p_pipe.add_argument("--k", type=_positive_int, default=None)
+    p_pipe.add_argument("--seed", type=int, default=None)
     p_pipe.add_argument("--budget", type=_positive_int, default=None)
-    p_pipe.add_argument("--sample-fraction", type=_fraction, default=0.05,
+    p_pipe.add_argument("--sample-fraction", type=_fraction, default=None,
                         help="non-critical fraction selected for dynamics")
     p_pipe.add_argument("--out", required=True, help="run directory for reports")
 
@@ -116,8 +133,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
 def _cmd_screen(args: argparse.Namespace) -> int:
     from .screening import run_screening, screening_report_csv
 
+    workers = _workers()
     case = load_case(args.case)
-    run = run_screening(case, args.k, budget=args.budget, prune=not args.no_prune)
+    run = run_screening(case, args.k, budget=args.budget, prune=not args.no_prune,
+                        workers=workers)
     text = screening_report_csv(run)
     if args.out:
         Path(args.out).write_text(text)
@@ -141,7 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     case = load_case(args.case)
     schedule = load_schedule(args.scenario)
     models = default_machine_models(case)
-    options = ScenarioOptions(dt=args.dt, t_end=args.t_end)
+    options = ScenarioOptions(**_given(dt=args.dt, t_end=args.t_end))
     trace, verdict = run_scenario(case, schedule, models, options)
     print(f"overall: {verdict.overall}")
     if verdict.time_of_first_violation is not None:
@@ -162,7 +181,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if f.size:
             print(f"  island {key}: min={f.min():.2f} Hz max={f.max():.2f} Hz")
     if args.trace:
-        Path(args.trace).write_text(trace_to_csv(trace, decimate=args.decimate))
+        Path(args.trace).write_text(trace_to_csv(trace, **_given(decimate=args.decimate)))
         print(f"trace -> {args.trace}")
     return 0
 
@@ -170,12 +189,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     from .pipeline import DynPolicy, PipelineConfig, run_pipeline
 
+    workers = _workers()
     case = load_case(args.case)
     config = PipelineConfig(
-        k_max=args.k,
-        budget=args.budget,
-        seed=args.seed,
-        policy=DynPolicy(noncritical_fraction=args.sample_fraction),
+        policy=DynPolicy(**_given(noncritical_fraction=args.sample_fraction)),
+        workers=workers,
+        **_given(k_max=args.k, budget=args.budget, seed=args.seed),
     )
     report = run_pipeline(case, config, run_dir=args.out)
     print(f"screened {report.matrix.total} combinations, "

@@ -342,10 +342,6 @@ class StabilityVerdict:
     time_of_first_violation: float | None
     growing_oscillation: dict[int, bool]
 
-    @property
-    def unstable(self) -> bool:
-        return self.overall != "stable"
-
 
 def _aggregate_overall(per_island: dict[int, str]) -> str:
     kinds = set(per_island.values())

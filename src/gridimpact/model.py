@@ -334,9 +334,6 @@ class GridCase:
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index[bus_id]]
 
-    def machines_at(self, bus_id: int) -> tuple[Generator, ...]:
-        return tuple(g for g in self.generators if g.bus == bus_id)
-
     def with_(self, **kwargs) -> "GridCase":
         """Functional update preserving immutability."""
         return replace(self, **kwargs)

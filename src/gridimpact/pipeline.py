@@ -542,7 +542,7 @@ class PipelineConfig:
     )
     subset: tuple[int, ...] | None = None
     prune: bool = True
-    workers: int | None = None
+    workers: int = 1
 
 
 @dataclass(frozen=True)

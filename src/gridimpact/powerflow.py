@@ -1,7 +1,7 @@
 """AC power flow: sparse Newton-Raphson with reactive-limit handling.
 
 Solves the polar mismatch equations with a full Newton iteration and
-optional PV -> PQ switching at generator reactive limits. Divergence is
+PV -> PQ switching at generator reactive limits. Divergence is
 a verdict, not an exception: screening classifies diverged cases, so
 ``solve_newton`` always returns a solution object with ``converged``
 set accordingly and a ``cause`` tag when it failed.
@@ -68,7 +68,6 @@ class PowerFlowOptions:
     tolerance: float = 1e-6          # p.u. power mismatch, infinity norm
     max_iterations: int = 20         # total Newton steps, limit rounds included
     flat_start: bool = False         # else warm start from stored bus voltages
-    enforce_q_limits: bool = True
 
 
 @dataclass(frozen=True)
@@ -445,7 +444,7 @@ def solve_newton(
             cause = "numerical_overflow"
             break
         if max_mismatch <= options.tolerance:
-            if options.enforce_q_limits and _q_limit_pass(
+            if _q_limit_pass(
                 np.add(np.multiply(S.imag, base, out=qg), qd, out=qg),
                 vm, vset, qmin, qmax, is_pv, q_mode, switch_count,
             ):
@@ -495,7 +494,6 @@ def solve_islands(
     case: GridCase,
     options: PowerFlowOptions = PowerFlowOptions(),
     partition: IslandPartition | None = None,
-    enforce_capability: bool = False,
 ) -> tuple[PowerFlowSolution, IslandPartition]:
     """Island-aware power flow driver.
 
@@ -503,11 +501,11 @@ def solve_islands(
     dead islands are left de-energized. The merged solution's
     ``converged`` is True iff every servable island converged.
 
-    With ``enforce_capability``, an island whose load exceeds the summed
-    nameplate MVA of its in-island generating units is reported
-    unsolvable (cause ``generation_deficit``) without iterating: the
-    conventional unbounded-slack solve would park the entire deficit on
-    one machine, and no synchronous steady state exists there.
+    An island whose load exceeds the summed nameplate MVA of its
+    in-island generating units is unsolvable (cause
+    ``generation_deficit``) and is not iterated: an unbounded-slack solve
+    would park the entire deficit on one machine, and no synchronous
+    steady state exists there.
     """
     if partition is None:
         partition = find_islands(case)
@@ -525,7 +523,7 @@ def solve_islands(
         if not isl.servable:
             records.append(IslandSolve(False, 0, 0.0, "dead_island"))
             continue
-        if enforce_capability and arr.load_p[at].sum() > arr.gen_mva[at].sum():
+        if arr.load_p[at].sum() > arr.gen_mva[at].sum():
             records.append(IslandSolve(False, 0, np.inf, "generation_deficit"))
             all_ok = False
             worst = np.inf

@@ -43,19 +43,7 @@ __all__ = [
     "screen_combination",
     "run_screening",
     "screening_report_csv",
-    "worker_count",
 ]
-
-
-def worker_count() -> int:
-    """Worker processes for screening sweeps (GRIDIMPACT_WORKERS, default 1),
-    at most ``os.cpu_count()``."""
-    raw = os.environ.get("GRIDIMPACT_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -77,9 +65,6 @@ class OutageCombination:
     @property
     def level(self) -> int:
         return len(self.substations)
-
-    def contains(self, other: "OutageCombination") -> bool:
-        return set(other.substations) <= set(self.substations)
 
     def __str__(self) -> str:
         return "+".join(str(s) for s in self.substations)
@@ -108,7 +93,6 @@ class ScreeningResult:
     """
 
     combination: OutageCombination
-    verdict: str
     reason: str
     violations: tuple[Violation, ...]
     island_count: int
@@ -116,12 +100,10 @@ class ScreeningResult:
     critical_by: OutageCombination | None = None
     cause: str | None = None
 
-    def __post_init__(self) -> None:
-        crit = self.reason in ("diverged", "dead_system", "error")
-        if (self.verdict == "critical") != crit:
-            raise ValueError(
-                f"verdict {self.verdict!r} inconsistent with reason {self.reason!r}"
-            )
+    @property
+    def verdict(self) -> str:
+        critical = self.reason in ("diverged", "dead_system", "error")
+        return "critical" if critical else "non_critical"
 
 
 @dataclass(frozen=True)
@@ -161,12 +143,6 @@ class ScreeningRun:
     pruned: int
     budget: int | None
     coverage: float  # combinations classified / combinations enumerable
-
-    def level(self, k: int) -> PriorityList:
-        for pl in self.levels:
-            if pl.level == k:
-                return pl
-        raise KeyError(f"no screening results for level {k}")
 
 
 def count_combinations(n: int, k: int) -> int:
@@ -222,25 +198,22 @@ def screen_combination(case: GridCase, combo: OutageCombination,
     """
     options = options or PowerFlowOptions()
     partition = find_islands(case, *outage_masks(case, combo.substations))
-    solution, _ = solve_islands(case, options, partition=partition, enforce_capability=True)
+    solution, _ = solve_islands(case, options, partition=partition)
     load_p = case.arrays.load_p
-    unserved = sum(
-        p for isl in partition.islands if not isl.servable for p in load_p[isl.at].tolist()
-    )
+    unserved = sum((p for isl in partition.islands if not isl.servable
+                    for p in load_p[isl.at].tolist()), 0.0)
     common = dict(combination=combo, island_count=len(partition), unserved_mw=unserved)
     if solution.cause == "dead_system":
-        return ScreeningResult(verdict="critical", reason="dead_system", violations=(),
-                               cause="dead_system", **common)
+        return ScreeningResult(reason="dead_system", violations=(), cause="dead_system",
+                               **common)
     if not solution.converged:
         cause = next(isl.cause for isl in solution.islands
                      if isl.cause not in (None, "dead_island"))
-        return ScreeningResult(verdict="critical", reason="diverged", violations=(),
-                               cause=cause, **common)
+        return ScreeningResult(reason="diverged", violations=(), cause=cause, **common)
     violations = tuple(check_violations(case, solution))
     reason = ("islanded_unserved_load" if unserved > 0.0
               else "violations_only" if violations else "clean")
-    return ScreeningResult(verdict="non_critical", reason=reason, violations=violations,
-                           **common)
+    return ScreeningResult(reason=reason, violations=violations, **common)
 
 
 def _screen_isolated(case: GridCase, combo: OutageCombination) -> ScreeningResult:
@@ -255,7 +228,6 @@ def _screen_isolated(case: GridCase, combo: OutageCombination) -> ScreeningResul
         logging.getLogger(__name__).exception("screening %s raised", combo)
         return ScreeningResult(
             combination=combo,
-            verdict="critical",
             reason="error",
             violations=(),
             island_count=0,
@@ -283,7 +255,7 @@ def run_screening(
     budget: int | None = None,
     subset: Sequence[int | str] | None = None,
     prune: bool = True,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ScreeningRun:
     """Level-wise screening sweep for levels 1..k_max.
 
@@ -293,16 +265,18 @@ def run_screening(
     critical with reason ``error``, the sweep goes on, and it prunes
     nothing. ``budget`` caps the number of power-flow evaluations
     (pruned records are free); when it runs out the sweep stops and
-    ``coverage`` reports the classified fraction. Raises ``ValueError``
-    for a ``k_max`` below 1 or a negative ``budget``.
+    ``coverage`` reports the classified fraction. Solves run on a pool of
+    ``workers`` processes, at most ``os.cpu_count()``. Raises
+    ``ValueError`` for a ``k_max`` or ``workers`` below 1 or a negative
+    ``budget``.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must not be negative, got {budget}")
-    nworkers = (
-        worker_count() if workers is None else max(1, min(workers, os.cpu_count() or 1))
-    )
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    nworkers = min(workers, os.cpu_count() or 1)
     n_universe = len(case.substations) if subset is None else len(subset)
 
     total_enumerable = sum(

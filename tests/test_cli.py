@@ -204,3 +204,101 @@ class TestPipelineAndReport:
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "no summary.txt" in err
+
+
+class TestWorkersVariable:
+    """The CLI is the only reader of GRIDIMPACT_WORKERS."""
+
+    def test_screen_and_pipeline_pass_it(self, toy_case_file, tmp_path, monkeypatch,
+                                         capsys):
+        from gridimpact import pipeline, screening
+
+        seen = []
+        sweep, run = screening.run_screening, pipeline.run_pipeline
+
+        def run_screening(*args, workers, **kwargs):
+            seen.append(("screen", workers))
+            return sweep(*args, workers=workers, **kwargs)
+
+        def run_pipeline(case, config, **kwargs):
+            seen.append(("pipeline", config.workers))
+            return run(case, config, **kwargs)
+
+        monkeypatch.setattr(screening, "run_screening", run_screening)
+        monkeypatch.setattr(pipeline, "run_pipeline", run_pipeline)
+        monkeypatch.setenv("GRIDIMPACT_WORKERS", "2")
+        assert main(["screen", toy_case_file]) == 0
+        assert main(["pipeline", toy_case_file, "--out", str(tmp_path / "run")]) == 0
+        assert seen == [("screen", 2), ("pipeline", 2)]
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    @pytest.mark.parametrize("command", ["screen", "pipeline"])
+    def test_malformed_value_is_an_error_before_the_case_loads(
+            self, command, value, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the case was loaded")
+
+        monkeypatch.setattr(cli, "load_case", must_not_run)
+        monkeypatch.setenv("GRIDIMPACT_WORKERS", value)
+        out = tmp_path / ("x.csv" if command == "screen" else "run")
+        assert main([command, CASE_PATH, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gridimpact: error: GRIDIMPACT_WORKERS: ")
+        assert not out.exists()
+
+    def test_load_ignores_it(self, monkeypatch, capsys):
+        monkeypatch.setenv("GRIDIMPACT_WORKERS", "two")
+        assert main(["load", CASE_PATH]) == 0
+        assert "buses:        118" in capsys.readouterr().out
+
+
+class _Reached(Exception):
+    """Raised by a spy in place of the library call it records."""
+
+
+class TestLibraryDefaults:
+    """An option left out passes nothing: the library's default applies."""
+
+    @pytest.fixture()
+    def scenario(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("1.0 open_branch 1 2\n")
+        return str(path)
+
+    def _spy(self, monkeypatch, module, name):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            raise _Reached
+
+        monkeypatch.setattr(module, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("options, expected", [
+        ([], dynamics.ScenarioOptions()),
+        (["--dt", "0.005", "--t-end", "3"], dynamics.ScenarioOptions(dt=0.005, t_end=3.0)),
+    ])
+    def test_simulate(self, options, expected, toy_case_file, scenario, monkeypatch):
+        seen = self._spy(monkeypatch, dynamics, "run_scenario")
+        with pytest.raises(_Reached):
+            main(["simulate", toy_case_file, scenario, *options])
+        assert seen[0][3] == expected
+
+    def test_pipeline(self, toy_case_file, tmp_path, monkeypatch):
+        from gridimpact import pipeline
+
+        monkeypatch.delenv("GRIDIMPACT_WORKERS", raising=False)
+        seen = self._spy(monkeypatch, pipeline, "run_pipeline")
+        run_dir = str(tmp_path / "run")
+        with pytest.raises(_Reached):
+            main(["pipeline", toy_case_file, "--out", run_dir])
+        with pytest.raises(_Reached):
+            main(["pipeline", toy_case_file, "--out", run_dir, "--k", "2", "--seed", "7",
+                  "--budget", "3", "--sample-fraction", "0.5"])
+        assert [config for _, config in seen] == [
+            pipeline.PipelineConfig(),
+            pipeline.PipelineConfig(k_max=2, seed=7, budget=3,
+                                    policy=pipeline.DynPolicy(noncritical_fraction=0.5)),
+        ]

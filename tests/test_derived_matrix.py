@@ -135,7 +135,6 @@ def test_derived_matrix_equals_the_stored_one(rows):
     screened = tuple(
         ScreeningResult(
             combination=OutageCombination((i,)),
-            verdict=sv,
             reason="diverged" if sv == "critical" else "clean",
             violations=(),
             island_count=1,

@@ -33,7 +33,7 @@ SUB_UNIVERSE = (80, 92, 94, 95, 96, 98, 99, 100, 101, 102)  # AC07's
 
 # sha256 over the results and island solves of ``combinations`` below, as
 # the reduced-case screen gave them
-REDUCED_SCREEN_SHA256 = "f91eb7e857826be35b2d1c813fd70419f7a93efa2e3166d7d43e580b0a7a8e1a"
+REDUCED_SCREEN_SHA256 = "b1987b529821647b69b1b9872c9ddb35cbdb32a6b16931a4d0a2dace557b172d"
 
 
 def reference_screen(case, combo, options=PowerFlowOptions()) -> ScreeningResult:
@@ -41,24 +41,24 @@ def reference_screen(case, combo, options=PowerFlowOptions()) -> ScreeningResult
     ``screen_combination`` decides."""
     reduced, _, _ = apply_substation_outage(case, combo.substations)
     partition = find_islands(reduced)
-    solution, _ = solve_islands(reduced, options, partition=partition, enforce_capability=True)
+    solution, _ = solve_islands(reduced, options, partition=partition)
     unserved = sum(
         reduced.bus(b).load_p for isl in partition.islands if not isl.servable
         for b in isl.buses
     )
     common = dict(combination=combo, island_count=len(partition), unserved_mw=unserved)
     if solution.cause == "dead_system":
-        return ScreeningResult(verdict="critical", reason="dead_system", violations=(),
+        return ScreeningResult(reason="dead_system", violations=(),
                                cause="dead_system", **common)
     if not solution.converged:
         cause = next(isl.cause for isl in solution.islands
                      if isl.cause not in (None, "dead_island"))
-        return ScreeningResult(verdict="critical", reason="diverged", violations=(),
+        return ScreeningResult(reason="diverged", violations=(),
                                cause=cause, **common)
     violations = tuple(check_violations(reduced, solution))
     reason = ("islanded_unserved_load" if unserved > 0.0
               else "violations_only" if violations else "clean")
-    return ScreeningResult(verdict="non_critical", reason=reason, violations=violations,
+    return ScreeningResult(reason=reason, violations=violations,
                            **common)
 
 

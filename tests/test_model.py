@@ -173,11 +173,6 @@ class TestSummaryAndAccess:
         assert s.condensers == 35
         assert s.loads == 91
 
-    def test_machines_at(self, case118):
-        assert len(case118.machines_at(69)) == 1
-        assert case118.machines_at(69)[0].is_condenser is False
-        assert case118.machines_at(2) == ()
-
     def test_endpoints_orientation_free(self):
         br = Branch(from_bus=9, to_bus=4, resistance=0.01, reactance=0.1)
         assert br.endpoints == (4, 9)

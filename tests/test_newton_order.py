@@ -214,7 +214,7 @@ def reference_newton(case, options=PowerFlowOptions(), bus_subset=None, slack_ov
             cause = "numerical_overflow"
             break
         if mismatch <= options.tolerance:
-            if options.enforce_q_limits and powerflow._q_limit_pass(
+            if powerflow._q_limit_pass(
                 S.imag * base + qd, vm, vset, qmin, qmax, is_pv, q_mode, switch_count
             ):
                 split = True

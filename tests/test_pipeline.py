@@ -58,7 +58,6 @@ def _spy_trace_every(monkeypatch):
 def _screened(subs, verdict):
     return ScreeningResult(
         combination=OutageCombination(subs),
-        verdict=verdict,
         reason="diverged" if verdict == "critical" else "clean",
         violations=(),
         island_count=1,
@@ -758,3 +757,19 @@ class TestOperatingPoint:
         ]
         summary_text = (tmp_path / "summary.txt").read_text()
         assert summary_text.count(": dynamics error: exhaustive plan over 2 branches") == 3
+
+
+def test_workers_variable_is_not_read_by_the_library(monkeypatch):
+    """GRIDIMPACT_WORKERS is the CLI's: a library run screens on the
+    configured worker count whatever the environment holds."""
+    seen = []
+    sweep = pipeline.run_screening
+
+    def run_screening(*args, workers, **kwargs):
+        seen.append(workers)
+        return sweep(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_screening", run_screening)
+    monkeypatch.setenv("GRIDIMPACT_WORKERS", "2")
+    run_pipeline(two_machine_case(), PipelineConfig())
+    assert seen == [1]

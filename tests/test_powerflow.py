@@ -153,13 +153,6 @@ class TestQLimits:
         qg = S[2].imag * 100.0 + case.bus(3).load_q
         assert qg == pytest.approx(5.0, abs=1e-4)
 
-    def test_limits_off_holds_setpoint(self):
-        case = self.make_limited_case()
-        sol = solve_newton(case, PowerFlowOptions(flat_start=True,
-                                                  enforce_q_limits=False))
-        assert sol.converged
-        assert sol.vm[case.bus_index[3]] == pytest.approx(1.05, abs=1e-9)
-
 
 class TestDivergenceAsVerdict:
     def test_impossible_load_returns_unconverged(self):
@@ -220,20 +213,9 @@ class TestIslands:
             Generator(bus=3, p_output=12.0, v_setpoint=1.0, mva_base=15.0),
         )
         case = case.with_(generators=gens)
-        sol, part = solve_islands(case, enforce_capability=True)
+        sol, part = solve_islands(case)
         assert not sol.converged
         assert islands_with(sol, part, "generation_deficit") == [frozenset({3, 4})]
-
-    def test_capability_gate_off_by_default(self):
-        case = two_island_case()
-        gens = (
-            case.generators[0],
-            Generator(bus=3, p_output=12.0, v_setpoint=1.0, mva_base=15.0),
-        )
-        case = case.with_(generators=gens)
-        sol, part = solve_islands(case)
-        assert sol.converged
-        assert islands_with(sol, part, None) == [frozenset({1, 2}), frozenset({3, 4})]
 
     def test_nothing_servable_is_dead_system(self):
         case = two_bus_case()

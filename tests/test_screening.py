@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import concurrent.futures
 import itertools
 import math
 import os
@@ -24,7 +24,6 @@ from gridimpact.screening import (
     run_screening,
     screen_combination,
     screening_report_csv,
-    worker_count,
 )
 from gridimpact.screening import _critical_ancestor
 from gridimpact.topology import apply_substation_outage, find_islands
@@ -71,8 +70,6 @@ class TestCombination:
     def test_containment_and_str(self):
         big = OutageCombination((3, 7, 9))
         small = OutageCombination((3, 9))
-        assert big.contains(small)
-        assert not small.contains(big)
         assert str(big) == "3+7+9"
         assert big.level == 3
 
@@ -170,31 +167,21 @@ class TestSingleVerdicts:
         assert r.cause == "dead_system"
         assert r.unserved_mw == 50.0
 
-    def test_verdict_reason_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ScreeningResult(
-                combination=OutageCombination((1,)),
-                verdict="critical",
-                reason="clean",
-                violations=(),
-                island_count=1,
-                unserved_mw=0.0,
-            )
-        with pytest.raises(ValueError):
-            ScreeningResult(
-                combination=OutageCombination((1,)),
-                verdict="non_critical",
-                reason="diverged",
-                violations=(),
-                island_count=1,
-                unserved_mw=0.0,
-            )
+    @pytest.mark.parametrize("reason, verdict", [
+        ("diverged", "critical"),
+        ("dead_system", "critical"),
+        ("error", "critical"),
+        ("islanded_unserved_load", "non_critical"),
+        ("violations_only", "non_critical"),
+        ("clean", "non_critical"),
+    ])
+    def test_verdict_follows_reason(self, reason, verdict):
+        assert _result((1,), reason, 0.0).verdict == verdict
 
 
-def _result(subs, verdict, reason, unserved):
+def _result(subs, reason, unserved):
     return ScreeningResult(
         combination=OutageCombination(subs),
-        verdict=verdict,
         reason=reason,
         violations=(),
         island_count=1,
@@ -205,11 +192,11 @@ def _result(subs, verdict, reason, unserved):
 class TestPriorityList:
     def test_ranking_order(self):
         results = [
-            _result((9,), "non_critical", "clean", 0.0),
-            _result((2,), "non_critical", "islanded_unserved_load", 40.0),
-            _result((5,), "critical", "diverged", 0.0),
-            _result((7,), "non_critical", "islanded_unserved_load", 90.0),
-            _result((1,), "critical", "dead_system", 10.0),
+            _result((9,), "clean", 0.0),
+            _result((2,), "islanded_unserved_load", 40.0),
+            _result((5,), "diverged", 0.0),
+            _result((7,), "islanded_unserved_load", 90.0),
+            _result((1,), "dead_system", 10.0),
         ]
         ranked = PriorityList.ranked(1, results)
         order = [r.combination.substations for r in ranked.results]
@@ -219,8 +206,8 @@ class TestPriorityList:
 
     def test_tiebreak_is_total(self):
         results = [
-            _result((4,), "non_critical", "clean", 0.0),
-            _result((3,), "non_critical", "clean", 0.0),
+            _result((4,), "clean", 0.0),
+            _result((3,), "clean", 0.0),
         ]
         ranked = PriorityList.ranked(1, results)
         assert [r.combination.substations for r in ranked.results] == [(3,), (4,)]
@@ -232,7 +219,7 @@ class TestRunScreening:
         assert run.evaluations == 10
         assert run.pruned == 0
         assert run.coverage == 1.0
-        crit = [r.combination.substations for r in run.level(1).critical]
+        crit = [r.combination.substations for r in run.levels[0].critical]
         assert crit == [(100,)]
 
     def test_pruned_matches_unpruned_on_sub_universe(self, case118):
@@ -249,7 +236,7 @@ class TestRunScreening:
     def test_pruned_records_name_their_ancestor(self, case118):
         run = run_screening(case118, k_max=2, subset=SUB_UNIVERSE, prune=True)
         ancestor = OutageCombination((100,))
-        inherited = [r for r in run.level(2).results if r.critical_by is not None]
+        inherited = [r for r in run.levels[1].results if r.critical_by is not None]
         assert len(inherited) == 9
         assert all(r.critical_by == ancestor for r in inherited)
         assert all(r.verdict == "critical" for r in inherited)
@@ -279,23 +266,36 @@ class TestRunScreening:
         assert run.coverage == pytest.approx(4 / 55)
         assert [pl.level for pl in run.levels] == [1]
 
-    def test_level_accessor(self, case118):
-        run = run_screening(case118, k_max=1, subset=SUB_UNIVERSE)
-        assert run.level(1).level == 1
-        with pytest.raises(KeyError):
-            run.level(3)
-
-    def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
-        # worker_count() only: a pool is never started at this value
-        monkeypatch.setenv("GRIDIMPACT_WORKERS", "100000")
-        assert worker_count() == (os.cpu_count() or 1)
-        monkeypatch.setenv("GRIDIMPACT_WORKERS", "0")
-        assert worker_count() == 1
-
     def test_worker_count_does_not_change_results(self, case118):
         serial = run_screening(case118, k_max=1, subset=SUB_UNIVERSE, workers=1)
         parallel = run_screening(case118, k_max=1, subset=SUB_UNIVERSE, workers=2)
         assert screening_report_csv(serial) == screening_report_csv(parallel)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_raise_before_any_solve(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(screening, "screen_combination",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            run_screening(two_bus_case(), 1, workers=workers)
+        assert calls == []
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        """One worker more than there are CPUs starts a pool of cpu_count()
+        processes (none on one CPU) and gives the serial run; the request is
+        kept this small so that a broken clamp cannot start many processes."""
+        cpus = os.cpu_count() or 1
+        pools = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        clamped = run_screening(two_bus_case(), 1, workers=cpus + 1)
+        assert pools == ([cpus] if cpus > 1 else [])
+        assert clamped == run_screening(two_bus_case(), 1)
 
     def test_a_raising_screen_is_an_error_that_prunes_nothing(
         self, case118, monkeypatch
@@ -316,8 +316,8 @@ class TestRunScreening:
             return solve(case, *args, partition=partition, **kwargs)
 
         clean = run_screening(case118, k_max=2, subset=subset, workers=1)
-        assert clean.level(1).results[0].reason == "diverged"
-        pruned_by_100 = {r.combination for r in clean.level(2).results
+        assert clean.levels[0].results[0].reason == "diverged"
+        pruned_by_100 = {r.combination for r in clean.levels[1].results
                          if r.critical_by == OutageCombination((100,))}
         assert len(pruned_by_100) == 3
 
@@ -330,15 +330,13 @@ class TestRunScreening:
             assert [r.combination for r in errored] == [OutageCombination((100,))]
             assert errored[0].verdict == "critical"
             assert (errored[0].island_count, errored[0].unserved_mw) == (0, 0.0)
-            level2 = {r.combination: r for r in run.level(2).results}
+            level2 = {r.combination: r for r in run.levels[1].results}
             assert all(r.critical_by is None for r in level2.values())
             assert run.evaluations == clean.evaluations + len(pruned_by_100)
             assert run.pruned == clean.pruned - len(pruned_by_100)
             for combo in pruned_by_100:
                 want = screen_combination(case118, combo)
                 assert level2[combo] == want
-        with pytest.raises(ValueError):
-            dataclasses.replace(errored[0], verdict="non_critical")
 
 
     @pytest.mark.parametrize("k_max", [1, 2])

@@ -8,7 +8,13 @@ their mechanical power is pinned at zero. Loads are constant impedance,
 folded into the network admittance at the pre-event operating point, so
 the network stays linear. After every topology change it is factorized
 once and reduced to the machines' internal EMFs (Kundur 1994, ch. 13),
-so each integration stage costs one small dense matrix-vector product.
+so each RHS evaluation costs one small dense matrix-vector product.
+Each sampling step is one step of ROS34PW2, a 4-stage Rosenbrock-W
+method (Rang & Angermann 2005): the regulator lag, whose eigenvalues
+reach -(1 + gain)/Te (about -1020/s with the default regulator), is
+treated linearly implicitly through its machines-by-machines Jacobian
+block, frozen at each topology change, so a 10 ms step takes four RHS
+evaluations where an explicit method would need many short substeps.
 
 A scenario is a strictly ordered list of switching events (branch
 openings or whole-substation removals), applied to two masks over the
@@ -57,6 +63,49 @@ _add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 _abs, _conj, _exp, _matmul = np.abs, np.conjugate, np.exp, np.matmul
 _ge, _le, _gt, _lt = np.greater_equal, np.less_equal, np.greater, np.less
 _and, _or = np.logical_and, np.logical_or
+
+# ROS34PW2 (Rang & Angermann, BIT 45, 2005): a 4-stage Rosenbrock-W
+# method, order 3 with the exact Jacobian and order 2 with any other,
+# L-stable and stiffly accurate. Its coefficients alpha and Gamma
+# (diagonal gamma) are used in the transformed variables u = Gamma k,
+# which need no product with the Jacobian (Hairer & Wanner, IV.7):
+# a stage solves (I/(h gamma) - J) u_i = f(y + sum_j a_ij u_j)
+# + sum_j (c_ij / h) u_j with A = alpha Gamma^-1 and
+# C = diag(1/gamma) - Gamma^-1. Its weights b equal the last row of
+# alpha + Gamma, so the solution is the last stage point plus u_4.
+_ROS_GAMMA = 0.43586652150845900
+# the strictly lower parts of alpha and Gamma, row by row
+_ROS_ALPHA = (
+    (),
+    (0.87173304301691801,),
+    (0.84457060015369423, -0.11299064236484185),
+    (0.0, 0.0, 1.0),
+)
+_ROS_GAMMAS = (
+    (),
+    (-0.87173304301691801,),
+    (-0.90338057013044082, 0.054180672388095326),
+    (0.24212380706095346, -1.2232505839045147, 0.54526025533510214),
+)
+
+
+def _transformed(alpha, gammas, gamma):
+    """(A, C) of a Rosenbrock method with the strictly lower parts alpha
+    and gammas, row i holding columns 0 .. i-1. In plain Python: a LAPACK
+    call at import would map pages that runs without dynamics never use."""
+    n = len(alpha)
+    g_inv = [[0.0] * n for _ in range(n)]  # Gamma^-1, by forward substitution
+    for i in range(n):
+        g_inv[i][i] = 1.0 / gamma
+        for j in range(i):
+            g_inv[i][j] = -sum(gammas[i][k] * g_inv[k][j] for k in range(j, i)) / gamma
+    a = [[sum(alpha[i][k] * g_inv[k][j] for k in range(j, i)) for j in range(i)]
+         for i in range(n)]
+    c = [[-g_inv[i][j] for j in range(i)] for i in range(n)]
+    return a, c
+
+
+_ROS_A, _ROS_C = _transformed(_ROS_ALPHA, _ROS_GAMMAS, _ROS_GAMMA)
 
 __all__ = [
     "ExciterParams",
@@ -477,8 +526,11 @@ class _Engine:
     active machine's transient reactance. That reduces the network to
     the machines (the classical reduced-network form; Kundur 1994,
     ch. 13): bus voltages are ``W @ E`` and machine terminal voltages
-    ``K @ E`` for the vector E of internal EMF phasors, so an
-    integration stage costs one small dense product.
+    ``K @ E`` for the vector E of internal EMF phasors, so an RHS
+    evaluation costs one small dense product. At the same time the
+    regulator block of the Jacobian is built at the current state; each
+    step then solves its four stages with W = I/(h gamma) - J, inverted
+    once per topology and step size.
     """
 
     def __init__(
@@ -544,24 +596,20 @@ class _Engine:
             if s != 0:
                 self.y_load[j] = np.conj(s) / (abs(V0[j]) ** 2)
 
-        # The regulator lag is stiff against a 10 ms sampling step: its
-        # linearized eigenvalue reaches -(1 + gain)/Te when a machine
-        # dominates its own terminal voltage. Substep so |lambda| h
-        # stays well inside the explicit RK4 stability region.
-        lam = np.max((1.0 + self.ka) / self.te) if self.nm else 1.0
-        self.h_stable = 2.0 / lam
-
         # Persistent buffers, so a step allocates nothing: the state vector
-        # the engine advances in place, the RK4 stage state and stage
-        # derivatives with their block views, the step's accumulator and
-        # the temporaries of rhs and bus_voltages. Each holds the result of
-        # the same ufunc on the same operands as an allocating expression
-        # would, so the arithmetic is unchanged bit for bit.
+        # the engine advances in place, the step's stage point, stage
+        # derivative, temporary and four stage increments (with block
+        # views of the first two and the exciter blocks of the derivative
+        # and increments), and the temporaries of rhs and bus_voltages.
+        # Each holds the result of the same ufunc on the same operands as
+        # an allocating expression would, so the arithmetic is unchanged
+        # bit for bit.
         n, nb = self.nm, self.nb
         self.y = _state_vector(state)
-        self._s, self._acc, *self._k = np.empty((6, 4 * n))  # _k: RK4 stages
-        self._yb, self._sb = self._blocks(self.y), self._blocks(self._s)
-        self._kb = [self._blocks(k) for k in self._k]
+        self._s, self._r, self._tmp, *self._u = np.empty((7, 4 * n))
+        self._yb, self._sb, self._rb = (self._blocks(v) for v in (self.y, self._s, self._r))
+        self._r_efd = self._rb[2]
+        self._u_efd = [self._blocks(u)[2] for u in self._u]
         self._phase, self._eph, self._vt, self._prod = np.empty((4, n), dtype=complex)
         self._prod_imag = self._prod.imag
         self._pe, self._t, self._t2 = np.empty((3, n))
@@ -625,6 +673,9 @@ class _Engine:
         self.c_efd = act / self.te
         self.c_pm = (self.governed & self.mach_active) / self.tg
         self._factorize()
+        # the step's Jacobian, frozen until the next topology change
+        self.J_efd = self._exciter_jacobian()
+        self._h = None
         return len(partition)
 
     def admittance(self):
@@ -661,6 +712,22 @@ class _Engine:
             inj[pos] = 0.0
         self.K = W[self.mach_bus_pos]
         self.W_ri = np.vstack([W.real, W.imag])
+
+    def _exciter_jacobian(self) -> np.ndarray:
+        """d(defd/dt)/d(efd) at the current state, the one block of the
+        Jacobian the step treats implicitly: -c_efd (K_A d|Vt|/d(efd) + I).
+
+        d|Vt_i|/d(efd_j) = Re(conj(Vt_i) K_ij e^(j delta_j)) / |Vt_i|; a
+        machine without terminal voltage (a dropped one) gets a zero row.
+        """
+        n = self.nm
+        phase = np.exp(1j * self.y[:n])
+        vt = self.K @ (self.y[2 * n : 3 * n] * phase)
+        vm = np.abs(vt)
+        on = vm > 0.0
+        dvm = np.zeros((n, n))
+        dvm[on] = (np.conj(vt[on])[:, None] * self.K[on] * phase).real / vm[on, None]
+        return -self.c_efd[:, None] * (self.ka[:, None] * dvm + np.eye(n))
 
     def apply_event(self, action: OutageAction) -> tuple[bool, str | None]:
         """Apply one switching action; returns (executed, skip cause).
@@ -763,30 +830,41 @@ class _Engine:
             out[_or(up, down, stuck)] = 0.0
         return out
 
-    def rk4_step(self, y: np.ndarray, h: float) -> np.ndarray:
-        """Advance one sampling step of size h with stable substeps.
+    def step(self, y: np.ndarray, h: float) -> np.ndarray:
+        """Advance one sampling step of size h by one ROS34PW2 step.
 
-        The step runs in place in the engine's state vector ``self.y``
-        (y is copied there first when it is another array) and returns it.
+        Each of the four stages evaluates the RHS once and solves with
+        W = I/(h gamma) - J, where J is the exciter block frozen at the
+        last topology change: one product with W's precomputed inverse
+        on the exciter block, a scaling by h gamma on the others. The
+        step runs in place in the engine's state vector ``self.y`` (y is
+        copied there first when it is another array) and returns it.
         """
         if y is not self.y:
             np.copyto(self.y, y)
-        y, yb, s, sb, acc = self.y, self._yb, self._s, self._sb, self._acc
-        (k1, k2, k3, k4), (kb1, kb2, kb3, kb4) = self._k, self._kb
-        m = max(1, math.ceil(h / self.h_stable))
-        hs = h / m
-        for _ in range(m):
-            self._rhs(y, yb, k1, kb1)
-            self._rhs(_add(y, _mul(0.5 * hs, k1, s), s), sb, k2, kb2)
-            self._rhs(_add(y, _mul(0.5 * hs, k2, s), s), sb, k3, kb3)
-            self._rhs(_add(y, _mul(hs, k3, s), s), sb, k4, kb4)
-            # y + hs/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            _add(k1, _mul(2.0, k2, acc), acc)
-            _add(acc, _mul(2.0, k3, s), acc)
-            _add(acc, k4, acc)
-            _add(y, _mul(hs / 6.0, acc, acc), y)
-            # keep clamped states inside their boxes
-            _clip(y, self.lo, self.hi, y)
+        if h != self._h:
+            self._h, self._hg = h, h * _ROS_GAMMA
+            self._ch = [[c / h for c in row] for row in _ROS_C]
+            self._w_inv = np.linalg.inv(np.eye(self.nm) / self._hg - self.J_efd)
+        y, s, r, tmp, u = self.y, self._s, self._r, self._tmp, self._u
+        for i in range(4):
+            # stage point y + sum_j a_ij u_j, summed left to right
+            if i:
+                _add(y, _mul(_ROS_A[i][0], u[0], s), s)
+                for j in range(1, i):
+                    _add(s, _mul(_ROS_A[i][j], u[j], tmp), s)
+                self._rhs(s, self._sb, r, self._rb)
+            else:
+                self._rhs(y, self._yb, r, self._rb)
+            for j in range(i):
+                _add(r, _mul(self._ch[i][j], u[j], tmp), r)
+            _mul(self._hg, r, u[i])
+            _matmul(self._w_inv, self._r_efd, self._u_efd[i])
+        # stiffly accurate: the solution is the last stage point plus its
+        # increment
+        _add(s, u[3], y)
+        # keep clamped states inside their boxes
+        _clip(y, self.lo, self.hi, y)
         return y
 
 
@@ -917,7 +995,7 @@ def run_scenario(
     n_rows = 0  # recorded in the trace
     events_log: list[EventRecord] = []
 
-    y = engine.y  # advanced in place by engine.rk4_step
+    y = engine.y  # advanced in place by engine.step
     delta, omega = y[:nm], y[nm : 2 * nm]
     pending = list(schedule.events)
 
@@ -976,7 +1054,7 @@ def run_scenario(
             break
         h = (t_b - t_a) / n_steps
         for k in range(n_steps):
-            engine.rk4_step(y, h)
+            engine.step(y, h)
             t = t_a + (k + 1) * h
             if (k + 1) % every == 0 or k == n_steps - 1:
                 if record_sample(t):

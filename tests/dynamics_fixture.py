@@ -9,8 +9,8 @@ flags, the time of the first violation, the event log, the sample count,
 the sha256 of ``trace_to_csv(trace, decimate=1)``, and raw COI-relative
 angles, island frequencies, bus voltages and island memberships at
 ``STRIDED_ROWS`` evenly strided samples (the last one included). The
-committed file was frozen from the engine that solved the sparse
-augmented network at every integration stage.
+committed file was frozen from the engine that takes one ROS34PW2
+Rosenbrock-W step per 10 ms sample (``_Engine.step``).
 
 Regenerate (only when a change of results is intended) from the
 repository root with:
@@ -85,6 +85,12 @@ def _floats(a) -> list:
     return [None if math.isnan(x) else float(x) for x in np.ravel(a)]
 
 
+def event_log(trace) -> list:
+    """A run's event records as JSON-safe lists."""
+    return [[ev.time, str(ev.action), ev.status, ev.cause, ev.island_count]
+            for ev in trace.events]
+
+
 def describe(case, models, schedule, options) -> dict:
     """Run one scenario and record what the fixture pins."""
     trace, verdict = run_scenario(case, schedule, models, options)
@@ -98,10 +104,7 @@ def describe(case, models, schedule, options) -> dict:
             str(k): v for k, v in sorted(verdict.growing_oscillation.items())
         },
         "time_of_first_violation": verdict.time_of_first_violation,
-        "events": [
-            [ev.time, str(ev.action), ev.status, ev.cause, ev.island_count]
-            for ev in trace.events
-        ],
+        "events": event_log(trace),
         "samples": n,
         "csv_sha256": hashlib.sha256(
             trace_to_csv(trace, decimate=1).encode()

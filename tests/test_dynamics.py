@@ -702,8 +702,9 @@ class TestNetworkScale:
 
 class TestEngineEventSemantics:
     """Skips, re-openings and parallel circuits on the 118-bus case; the
-    records, the verdict and the trace's sha256 were recorded when every
-    event rebuilt a reduced case."""
+    records and the verdict were recorded when every event rebuilt a
+    reduced case, the trace's sha256 when the step became one ROS34PW2
+    step per sample."""
 
     SCHEDULE = SwitchingSchedule((
         (0.5, OutageAction.remove_substation(100)),
@@ -734,4 +735,47 @@ class TestEngineEventSemantics:
         )
         assert len(trace.times) == 209
         assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == (
-            "11610608bdaa4f898f85230d42d00e3445565c1179705a3774278f536b326a5d")
+            "2fde3d90fd3d18eb78511def384c17ef83142e2841d73ee76fc3f11990ba7dd2")
+
+
+class TestRosenbrockStep:
+    """The engine's one ROS34PW2 step per sample on the 118-bus case."""
+
+    def test_four_rhs_evaluations_per_step(self, case118, models118, monkeypatch):
+        """Combination 100's canonical run, 3,639 samples and so 3,638
+        steps, evaluates the RHS 4 times a step (6 RK4 substeps took 24)."""
+        state = initial_state(case118, models118)
+        calls = 0
+        rhs = dynamics._Engine._rhs
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return rhs(self, *args)
+
+        monkeypatch.setattr(dynamics._Engine, "_rhs", counted)
+        pairs = combination_branch_set(case118, OutageCombination((100,)))
+        schedule = SwitchingSchedule.evenly_spaced(
+            [OutageAction.open_branch(a, b) for a, b in pairs], interval=5.0
+        )
+        trace, verdict = run_scenario(case118, schedule, state=state)
+        assert verdict.time_of_first_violation == 36.38
+        assert len(trace.times) == 3639
+        assert calls == 4 * 3638 == 14552
+
+    def test_halved_step_changes_frequency_by_less_than_a_millihertz(
+        self, case118, models118
+    ):
+        """AC08's dt halving on the 17-113 opening. Under RK4, dt = 0.005
+        took 3 substeps of the length dt = 0.01 took 6 of, so both runs
+        were the same arithmetic; each dt is now one step of its own."""
+        state = initial_state(case118, models118)
+        disturb = SwitchingSchedule(((1.0, OutageAction.open_branch(17, 113)),))
+        coarse, _ = run_scenario(case118, disturb, state=state,
+                                 options=ScenarioOptions(dt=0.01, t_end=8.0))
+        fine, _ = run_scenario(case118, disturb, state=state,
+                               options=ScenarioOptions(dt=0.005, t_end=8.0))
+        f_c, f_f = coarse.island_freq[1], fine.island_freq[1][::2]
+        assert f_c.shape == f_f.shape
+        gap = np.max(np.abs(f_c - f_f))
+        assert 0.0 < gap < 1e-3

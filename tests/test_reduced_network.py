@@ -1,16 +1,18 @@
 """The dynamics engine's reduced network against the sparse network solve,
-its allocation-free kernel against the allocating one it replaced, and the
-engine as a whole against the frozen dynamics fixture."""
+its allocation-free kernel against allocating references, its
+Rosenbrock-W step on stiff linear problems, and the engine as a whole
+against the frozen dynamics fixture."""
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from gridimpact import dynamics
 from gridimpact.dynamics import (
     ScenarioOptions,
     SwitchingSchedule,
@@ -139,18 +141,27 @@ def reference_rhs(engine: _Engine, y: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
-def reference_rk4_step(engine: _Engine, y: np.ndarray, h: float) -> np.ndarray:
-    """The allocating ``_Engine.rk4_step`` that the in-place step replaced."""
-    m = max(1, math.ceil(h / engine.h_stable))
-    hs = h / m
-    k1, k2, k3, k4 = np.empty((4, y.size))
-    for _ in range(m):
-        reference_rhs(engine, y, k1)
-        reference_rhs(engine, y + 0.5 * hs * k1, k2)
-        reference_rhs(engine, y + 0.5 * hs * k2, k3)
-        reference_rhs(engine, y + hs * k3, k4)
-        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        np.clip(y, engine.lo, engine.hi, out=y)
+def reference_step(engine: _Engine, y: np.ndarray, h: float) -> np.ndarray:
+    """An allocating ROS34PW2 step in the transformed variables: what
+    ``_Engine.step`` computes in place, with the engine's frozen exciter
+    Jacobian."""
+    n = engine.nm
+    efd = slice(2 * n, 3 * n)
+    hg = h * dynamics._ROS_GAMMA
+    w_inv = np.linalg.inv(np.eye(n) / hg - engine.J_efd)
+    u = []
+    for i in range(4):
+        s = y
+        for j, a in enumerate(dynamics._ROS_A[i]):
+            s = s + a * u[j]
+        r = reference_rhs(engine, s)
+        for j, c in enumerate(dynamics._ROS_C[i]):
+            r = r + (c / h) * u[j]
+        u_i = hg * r
+        u_i[efd] = w_inv @ r[efd]
+        u.append(u_i)
+    y = s + u[3]
+    np.clip(y, engine.lo, engine.hi, out=y)
     return y
 
 
@@ -204,29 +215,150 @@ def test_rhs_is_bitwise_the_allocating_rhs(kernel_engines, topology):
         out = np.full_like(y, 7.0)
         assert engine.rhs(y, out) is out
         assert_bitwise_equal(out, want)
-        engine._s[:] = y  # the engine's own stage buffer as input
-        assert_bitwise_equal(engine._rhs(engine._s, engine._sb, engine._k[0],
-                                         engine._kb[0]), want)
+        engine._s[:] = y  # the engine's own stage buffers as input and output
+        assert_bitwise_equal(engine._rhs(engine._s, engine._sb, engine._r, engine._rb), want)
         assert_bitwise_equal(y, y_before)
 
 
 @pytest.mark.parametrize("topology", ["base", "split"])
-def test_rk4_step_is_bitwise_the_allocating_step(kernel_engines, topology):
+def test_step_is_bitwise_the_allocating_step(kernel_engines, topology):
     """One step from a foreign array, then steps in place from the
-    engine's own state vector, at the sampling step (6 substeps) and at a
-    step shorter than the stability limit (1 substep)."""
+    engine's own state vector, at the sampling step and at a tenth of it
+    (the change of step size inverts W again)."""
     engine = kernel_engines[topology]
     rng = np.random.default_rng(12)
     for h in (0.01, 0.001):
         for y in random_states(engine, rng, 10):
-            want = reference_rk4_step(engine, y, h)
-            got = engine.rk4_step(y.copy(), h)
+            want = reference_step(engine, y, h)
+            got = engine.step(y.copy(), h)
             assert got is engine.y
             assert_bitwise_equal(got, want)
             for _ in range(3):
-                want = reference_rk4_step(engine, want, h)
-                assert engine.rk4_step(engine.y, h) is engine.y
+                want = reference_step(engine, want, h)
+                assert engine.step(engine.y, h) is engine.y
                 assert_bitwise_equal(engine.y, want)
+
+
+# --- the Rosenbrock-W step ---------------------------------------------------
+
+
+def lower(rows) -> np.ndarray:
+    """A 4x4 matrix from the strictly lower rows of a coefficient table."""
+    m = np.zeros((4, 4))
+    for i, row in enumerate(rows):
+        m[i, :i] = row
+    return m
+
+
+def test_ros34pw2_coefficients():
+    """The published coefficients meet the order-3 Rosenbrock conditions
+    and the order-2 W condition (Hairer & Wanner, IV.7; Rang & Angermann
+    2005); the step's transformed coefficients are A = alpha Gamma^-1 and
+    C = diag(1/gamma) - Gamma^-1; and the method is stiffly accurate, so
+    the last stage point plus its increment is the solution."""
+    g = dynamics._ROS_GAMMA
+    alpha, gamma_lower = lower(dynamics._ROS_ALPHA), lower(dynamics._ROS_GAMMAS)
+    b = np.array([0.24212380706095346, -1.2232505839045147, 1.5452602553351020, g])
+    a = alpha.sum(axis=1)
+    beta = alpha + gamma_lower
+    bb = beta.sum(axis=1)
+    conditions = [
+        b.sum() - 1.0,
+        b @ bb - (0.5 - g),
+        b @ a**2 - 1.0 / 3.0,
+        b @ beta @ bb - (1.0 / 6.0 - g + g * g),
+        b @ a - 0.5,  # order 2 with any Jacobian
+    ]
+    assert np.max(np.abs(conditions)) < 1e-15
+    g_inv = np.linalg.inv(gamma_lower + g * np.eye(4))
+    A, C = lower(dynamics._ROS_A), lower(dynamics._ROS_C)
+    np.testing.assert_allclose(A, np.tril(alpha @ g_inv, -1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(C, np.tril(-g_inv, -1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(b @ g_inv, A[3] + [0, 0, 0, 1], rtol=0, atol=1e-14)
+
+
+def linear_engine(L: np.ndarray, y0: np.ndarray) -> _Engine:
+    """A two-machine engine whose RHS is y -> L y, unbounded, with the
+    exact exciter block of L as its Jacobian, at state y0."""
+    case = two_machine_case()
+    models = default_machine_models(case)
+    engine = _Engine(case, models, initial_state(case, models))
+    n = engine.nm
+    assert L.shape == (4 * n, 4 * n)
+    engine._rhs = lambda y, _yb, out, _ob: np.matmul(L, y, out=out)
+    engine.J_efd = L[2 * n : 3 * n, 2 * n : 3 * n].copy()
+    engine.lo, engine.hi = np.full(4 * n, -np.inf), np.full(4 * n, np.inf)
+    engine.y[:] = y0
+    return engine
+
+
+def stiff_linear_problem() -> tuple[np.ndarray, np.ndarray]:
+    """A linear system shaped like the engine's: two swinging rotors, a
+    stiff regulator block (eigenvalues about -840/s and -1060/s) driven
+    by the angles, and a governor; and a start on the slow manifold."""
+    I, Z = np.eye(2), np.zeros((2, 2))
+    sync = np.array([[-1.0, 0.5], [0.5, -1.0]])
+    reg = np.array([[-1000.0, 100.0], [100.0, -900.0]])
+    L = np.block([[Z, 2 * I, Z, Z], [sync, -0.2 * I, 0.5 * I, I],
+                  [5 * I, Z, reg, Z], [Z, -I, Z, -2 * I]])
+    y0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.2, -0.1])
+    y0[4:6] = -np.linalg.solve(reg, 5 * y0[:2])
+    return L, y0
+
+
+def test_step_converges_at_order_two_or_more_on_a_stiff_linear_problem():
+    """With the Jacobian of the stiff block only (a W-method's inexact
+    Jacobian), halving h over 1 s cuts the error by 3.5 or more, at
+    steps where h times the stiff eigenvalues reaches -106."""
+    L, y0 = stiff_linear_problem()
+    exact = scipy.linalg.expm(L) @ y0
+    errors = []
+    for steps in (10, 20, 40):
+        engine = linear_engine(L, y0)
+        for _ in range(steps):
+            engine.step(engine.y, 1.0 / steps)
+        errors.append(np.max(np.abs(engine.y - exact)))
+    assert all(coarse / fine >= 3.5 for coarse, fine in zip(errors, errors[1:])), errors
+
+
+def test_step_damps_a_mode_far_outside_the_explicit_limit():
+    """A regulator mode with h lambda = -10 shrinks in one step (RK4's
+    amplification there is about 291)."""
+    n = 2
+    L = np.zeros((4 * n, 4 * n))
+    L[2 * n : 3 * n, 2 * n : 3 * n] = -1000.0 * np.eye(n)
+    y0 = np.zeros(4 * n)
+    y0[2 * n : 3 * n] = 1.0
+    engine = linear_engine(L, y0)
+    engine.step(engine.y, 0.01)
+    assert np.all(np.abs(engine.y[2 * n : 3 * n]) < 0.2)
+    assert np.all(engine.y[: 2 * n] == 0.0) and np.all(engine.y[3 * n :] == 0.0)
+
+
+@pytest.mark.parametrize("topology", ["base", "split"])
+def test_exciter_jacobian_matches_finite_differences(case118, models118, topology):
+    """J_efd, built at the last topology change, is the derivative of the
+    regulator block of rhs by the EMF magnitudes at that state; a dropped
+    machine's row is zero, with no NaN from its zero terminal voltage."""
+    if topology == "base":
+        engine = _Engine(case118, models118, initial_state(case118, models118))
+    else:
+        engine = split_engine(case118, models118)
+    n = engine.nm
+    y = engine.y.copy()
+    J = engine.J_efd
+    assert np.all(np.isfinite(J))
+    dropped = ~engine.mach_active
+    assert np.all(J[dropped] == 0.0)
+    assert (topology == "split") == dropped.any()
+    eps = 1e-6
+    fd = np.empty((n, n))
+    for j in range(n):
+        up, down = y.copy(), y.copy()
+        up[2 * n + j] += eps
+        down[2 * n + j] -= eps
+        fd[:, j] = (engine.rhs(up)[2 * n : 3 * n] - engine.rhs(down)[2 * n : 3 * n]) / (2 * eps)
+    np.testing.assert_allclose(J, fd, rtol=0, atol=1e-5 * np.max(np.abs(fd)))
 
 
 def test_reassigned_box_is_honoured_by_step_and_rhs():
@@ -241,9 +373,9 @@ def test_reassigned_box_is_honoured_by_step_and_rhs():
     held = engine.rhs(y)
     assert np.all(held[2 * n : 3 * n] == 0.0)
     assert_bitwise_equal(held, reference_rhs(engine, y))
-    want = reference_rk4_step(engine, y, 0.01)
+    want = reference_step(engine, y, 0.01)
     assert np.all(want[2 * n : 3 * n] == 0.5)
-    assert_bitwise_equal(engine.rk4_step(y, 0.01), want)
+    assert_bitwise_equal(engine.step(y, 0.01), want)
 
 
 def test_shared_state_is_not_mutated_by_runs():

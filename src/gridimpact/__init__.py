@@ -19,7 +19,7 @@ import importlib
 _EXPORTS = {
     "model": (
         "Branch", "Bus", "Generator", "GridCase", "Substation", "load_case",
-        "loads_case", "save_case", "summarize", "validate",
+        "loads_case", "summarize", "validate",
     ),
     "topology": (
         "Island", "IslandPartition", "OutageAction", "apply_branch_outages",

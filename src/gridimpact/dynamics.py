@@ -115,7 +115,6 @@ __all__ = [
     "SwitchingSchedule",
     "parse_schedule",
     "load_schedule",
-    "dumps_schedule",
     "ScenarioOptions",
     "DynamicState",
     "EventRecord",
@@ -221,12 +220,6 @@ class SwitchingSchedule:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("event times must be strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
     @property
     def end_time(self) -> float:
         return self.events[-1][0] if self.events else 0.0
@@ -281,16 +274,6 @@ def parse_schedule(text: str) -> SwitchingSchedule:
 
 def load_schedule(path: str | Path) -> SwitchingSchedule:
     return parse_schedule(Path(path).read_text())
-
-
-def dumps_schedule(schedule: SwitchingSchedule) -> str:
-    lines = []
-    for t, a in schedule:
-        if a.kind == "open_branch":
-            lines.append(f"{t:g} open_branch {a.from_bus} {a.to_bus}")
-        else:
-            lines.append(f"{t:g} remove_substation {a.substation}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --- options and result types ----------------------------------------------
@@ -389,7 +372,6 @@ class StabilityVerdict:
     overall: str  # stable | transient_unstable | frequency_unstable | islanded_mixed
     per_island: dict[int, str]
     time_of_first_violation: float | None
-    growing_oscillation: dict[int, bool]
 
 
 def _aggregate_overall(per_island: dict[int, str]) -> str:
@@ -748,8 +730,10 @@ class _Engine:
         else:
             sid = action.substation
             at = base.substation_positions.get(sid)
-            if at is None or sid in self.removed:
+            if at is None:
                 return False, f"unknown substation id {sid!r}"
+            if sid in self.removed:
+                return False, f"substation {sid!r} already removed"
             self.removed.add(sid)
             self.bus_on[at] = False
             self.branch_on &= self.bus_on[arr.f] & self.bus_on[arr.t]
@@ -874,11 +858,8 @@ class _Monitor:
 
     def __init__(self):
         self.per_island: dict[int, str] = {}
-        self.growing: dict[int, bool] = {}
         self.first_violation: float | None = None
         self._outside_since: dict[int, float] = {}
-        self._spread_hist: dict[int, list[float]] = {}
-        self._peaks: dict[int, list[float]] = {}
 
     def update(
         self,
@@ -889,21 +870,8 @@ class _Monitor:
     ) -> str | None:
         """Feed one island sample; returns a verdict when one fires."""
         self.per_island.setdefault(island_key, "stable")
-        self.growing.setdefault(island_key, False)
         if self.per_island[island_key] != "stable":
             return None
-
-        hist = self._spread_hist.setdefault(island_key, [])
-        hist.append(spread_deg)
-        if len(hist) >= 3 and hist[-2] > hist[-3] and hist[-2] > hist[-1]:
-            peaks = self._peaks.setdefault(island_key, [])
-            peaks.append(hist[-2])
-            if len(peaks) > 3:  # only the last three are compared
-                del peaks[0]
-            if len(peaks) >= 3 and peaks[-3] < peaks[-2] < peaks[-1]:
-                self.growing[island_key] = True
-        if len(hist) > 3:
-            del hist[0]
 
         if spread_deg > ANGLE_SEPARATION_DEG:
             return self._fire(island_key, "transient_unstable", t)
@@ -928,7 +896,6 @@ class _Monitor:
             overall=_aggregate_overall(per),
             per_island=per,
             time_of_first_violation=self.first_violation,
-            growing_oscillation=dict(self.growing),
         )
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "CaseValidationError",
     "load_case",
     "loads_case",
-    "save_case",
     "validate",
     "summarize",
 ]
@@ -573,7 +572,7 @@ def load_case(path: str | Path, check: bool = True) -> GridCase:
 def dumps_case(case: GridCase) -> str:
     """Serialize to the text format; inverse of :func:`loads_case`.
 
-    Floats are written with ``repr`` so a save/load round trip is exact;
+    Floats are written with ``repr`` so a round trip is exact;
     flags are written as 0/1.
     """
     out: list[str] = [f"base_mva {float(case.base_mva)!r}", ""]
@@ -590,8 +589,3 @@ def dumps_case(case: GridCase) -> str:
         out.append(f"{s.id} " + " ".join(str(b) for b in sorted(s.member_buses)))
     out.append("")
     return "\n".join(out)
-
-
-def save_case(case: GridCase, path: str | Path) -> None:
-    """Write the case to ``path`` in the text format."""
-    Path(path).write_text(dumps_case(case))

@@ -25,7 +25,6 @@ from gridimpact.dynamics import (
     ScenarioOptions,
     SwitchingSchedule,
     default_machine_models,
-    dumps_schedule,
     initial_state,
     load_schedule,
     parse_schedule,
@@ -55,12 +54,15 @@ class TestScheduleParsing:
     def test_round_trip(self):
         text = "0 open_branch 17 113\n5 remove_substation 34\n10.5 open_branch 11 13\n"
         sched = parse_schedule(text)
-        assert len(sched) == 3
-        assert dumps_schedule(sched) == text
+        assert sched.events == (
+            (0.0, OutageAction.open_branch(17, 113)),
+            (5.0, OutageAction.remove_substation(34)),
+            (10.5, OutageAction.open_branch(11, 13)),
+        )
 
     def test_comments_and_blanks_ignored(self):
         sched = parse_schedule("# header\n\n1.0 open_branch 1 2  # trailing\n")
-        assert len(sched) == 1
+        assert len(sched.events) == 1
         t, action = sched.events[0]
         assert t == 1.0
         assert (action.from_bus, action.to_bus) == (1, 2)
@@ -116,7 +118,7 @@ class TestScheduleValidation:
     def test_evenly_spaced(self):
         actions = [OutageAction.remove_substation(s) for s in (5, 9, 12)]
         sched = SwitchingSchedule.evenly_spaced(actions, interval=5.0)
-        assert [t for t, _ in sched] == [0.0, 5.0, 10.0]
+        assert [t for t, _ in sched.events] == [0.0, 5.0, 10.0]
         assert sched.end_time == 10.0
 
     def test_evenly_spaced_start_offset(self):
@@ -159,7 +161,7 @@ class TestScheduleValidation:
         )
         strictly_increasing = all(b > a for a, b in zip(times, times[1:]))
         if strictly_increasing:
-            assert len(SwitchingSchedule(events)) == len(times)
+            assert len(SwitchingSchedule(events).events) == len(times)
         else:
             with pytest.raises(ValueError):
                 SwitchingSchedule(events)
@@ -358,22 +360,6 @@ class TestDetection:
         assert verdict.per_island == {1: "transient_unstable", 2: "frequency_unstable"}
         assert verdict.overall == "islanded_mixed"
         assert verdict.time_of_first_violation == DWELL_S
-
-    def test_monitor_keeps_the_last_three_peaks(self):
-        """Only the last three spread peaks decide growing oscillation, so
-        the monitor holds no more than three."""
-        monitor = dynamics._Monitor()
-        spreads = [0.0]
-        for peak in [*range(50, 0, -1), 2, 3]:  # 50 falling peaks, then 2 rising
-            spreads += [float(peak), 0.0]
-        for i, spread in enumerate(spreads[:-4]):
-            monitor.update(0.01 * i, 1, spread, 60.0)
-        assert monitor._peaks[1] == [3.0, 2.0, 1.0]
-        assert not monitor.growing[1]
-        for i, spread in enumerate(spreads[-4:], start=len(spreads) - 4):
-            monitor.update(0.01 * i, 1, spread, 60.0)
-        assert monitor._peaks[1] == [1.0, 2.0, 3.0]
-        assert monitor.growing[1]
 
 
 class TestTraceCsv:
@@ -720,22 +706,36 @@ class TestEngineEventSemantics:
                                       options=ScenarioOptions(t_end=2.5))
         assert [(ev.time, ev.status, ev.cause, ev.island_count) for ev in trace.events] == [
             (0.5, "executed", None, 2),
-            (0.6, "skipped", "unknown substation id 100", None),
+            (0.6, "skipped", "substation 100 already removed", None),
             (0.7, "skipped", "no branch with endpoints [(100, 103)]", None),
             (0.8, "executed", None, 2),
             (0.9, "executed", None, 2),
             (1.0, "executed", None, 2),
         ]
-        assert [ev.action for ev in trace.events] == [a for _, a in self.SCHEDULE]
+        assert [ev.action for ev in trace.events] == [a for _, a in self.SCHEDULE.events]
         assert verdict == dynamics.StabilityVerdict(
             overall="islanded_mixed",
             per_island={1: "stable", 103: "frequency_unstable"},
             time_of_first_violation=2.08,
-            growing_oscillation={1: False, 103: True},
         )
         assert len(trace.times) == 209
         assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == (
             "2fde3d90fd3d18eb78511def384c17ef83142e2841d73ee76fc3f11990ba7dd2")
+
+    def test_substation_skip_causes(self):
+        """A substation removed twice is skipped as already removed, one the
+        case lacks as unknown."""
+        sched = SwitchingSchedule((
+            (0.1, OutageAction.remove_substation(3)),
+            (0.2, OutageAction.remove_substation(3)),
+            (0.3, OutageAction.remove_substation(9)),
+        ))
+        trace, _ = run_scenario(two_machine_case(), sched, options=ScenarioOptions(t_end=0.5))
+        assert [(ev.status, ev.cause) for ev in trace.events] == [
+            ("executed", None),
+            ("skipped", "substation 3 already removed"),
+            ("skipped", "unknown substation id 9"),
+        ]
 
 
 class TestRosenbrockStep:

@@ -115,7 +115,6 @@ class TestCrossCheck:
             overall="stable",
             per_island={1: "stable"},
             time_of_first_violation=None,
-            growing_oscillation={1: False},
         )
         m = cross_check(screened, {(1,): verdict})
         assert m.cell("non_critical", "dyn_stable") == 1
@@ -555,7 +554,7 @@ class TestRunPipeline:
         inner = pipeline.run_scenario
 
         def run_scenario(case, schedule, *args, **kwargs):
-            if [action for _, action in schedule] == opened:
+            if [action for _, action in schedule.events] == opened:
                 raise RuntimeError("solver blew up")
             return inner(case, schedule, *args, **kwargs)
 

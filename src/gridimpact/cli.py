@@ -6,7 +6,7 @@ scenario, ``pipeline`` runs the full screen-verify-crosscheck chain
 into a run directory, and ``report`` prints an artifact from a run
 directory. Only the CLI reads the GRIDIMPACT_WORKERS environment
 variable: ``screen`` and ``pipeline`` pass it to the library as the
-screening pool's ``workers`` (default 1), and refuse a value that is not
+worker pool's ``workers`` (default 1), and refuse a value that is not
 a positive integer before the case loads. An option left out takes the
 library's default. Each handler imports the stage modules it uses, so
 ``load`` and ``report`` load neither dynamics, screening nor the pipeline.
@@ -57,7 +57,7 @@ def _fraction(text: str) -> float:
 
 
 def _workers() -> int:
-    """The screening pool size that GRIDIMPACT_WORKERS sets (default 1);
+    """The worker pool size that GRIDIMPACT_WORKERS sets (default 1);
     raises ``ValueError`` unless it is a positive integer."""
     try:
         return _positive_int(os.environ.get("GRIDIMPACT_WORKERS", "1"))

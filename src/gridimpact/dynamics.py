@@ -51,9 +51,12 @@ from .topology import (
     find_islands,
 )
 
-try:  # the ufunc np.clip calls, without its Python wrapper's 5 us a call
+try:  # the ufunc np.clip calls and the C function np.count_nonzero
+    # calls, without their Python wrappers' cost (5 us a call for clip)
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
     from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
     from numpy.core.umath import clip as _clip
 
 # The integrator's ufuncs, bound once: an RHS evaluation makes about 30
@@ -654,6 +657,11 @@ class _Engine:
         self.c_omega = act / self.M
         self.c_efd = act / self.te
         self.c_pm = (self.governed & self.mach_active) / self.tg
+        # the states the RHS box test looks at: those whose coefficient is
+        # not 0, since a derivative that is 0 never moves a state out (a
+        # dropped machine's states, a condenser's pm pinned at its floor)
+        self._moving = np.concatenate(
+            [self.c_delta, self.c_omega, self.c_efd, self.c_pm]) != 0.0
         self._factorize()
         # the step's Jacobian, frozen until the next topology change
         self.J_efd = self._exciter_jacobian()
@@ -715,7 +723,8 @@ class _Engine:
         """Apply one switching action; returns (executed, skip cause).
 
         Opening a pair clears all its circuits, and is skipped when none
-        survives (one of its buses was removed, or it never had one).
+        survives (one of its buses was removed, or it never had one) or
+        all of them are open already.
         Removing a substation clears its buses and their branches, and is
         skipped when the case has no such substation or it is out already.
         """
@@ -726,6 +735,8 @@ class _Engine:
             at = base.endpoint_branches.get(pair)
             if at is None or not (self.bus_on[arr.f[at[0]]] and self.bus_on[arr.t[at[0]]]):
                 return False, f"no branch with endpoints {[pair]}"
+            if not self.branch_on[at].any():
+                return False, f"branch {pair[0]}-{pair[1]} already open"
             self.branch_on[at] = False
         else:
             sid = action.substation
@@ -804,11 +815,12 @@ class _Engine:
         _sub(self.pm_ref, t, t)
         _sub(t, pm, t)
         _mul(t, self.c_pm, ob[3])
-        # states at a bound are rare: look for any before finding the stuck
+        # a moving state at a bound of its box is rare: look for any before
+        # finding the stuck ones
         up, down, stuck = self._masks
         _ge(y, self.hi, up)
         _le(y, self.lo, down)
-        if np.count_nonzero(_or(up, down, stuck)):
+        if _count_nonzero(_and(_or(up, down, stuck), self._moving, stuck)):
             _and(up, _gt(out, 0.0, stuck), up)
             _and(down, _lt(out, 0.0, stuck), down)
             out[_or(up, down, stuck)] = 0.0

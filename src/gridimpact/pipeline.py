@@ -19,9 +19,11 @@ import io
 import itertools
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dynamics import (
     DynamicState,
@@ -41,7 +43,13 @@ from .screening import (
     OutageCombination,
     ScreeningResult,
     ScreeningRun,
+    _known_critical,
+    _map_screens,
+    _pool_size,
     _sub_key,
+    _sweep,
+    _with_worker_case,
+    _worker_pool,
     run_screening,
     screen_combination,
     screening_report_csv,
@@ -632,6 +640,38 @@ def _combo_slug(combination: OutageCombination) -> str:
     return "-".join(str(s) for s in combination.substations)
 
 
+def _confirm(case: GridCase, combination: OutageCombination, plan: PermutationPlan,
+             traces_dir: Path | None) -> CascadeSummary:
+    """``cascade_confirm`` of a selected combination. With ``traces_dir``
+    set, the canonical run's trace is written to
+    ``traces_dir/combo_<slug>.csv`` and the summary keeps none. A
+    confirmation that raises becomes one error run (and its traceback is
+    logged)."""
+    try:
+        summary = cascade_confirm(case, combination, plan=plan,
+                                  trace_every=None if traces_dir is None else TRACE_EVERY)
+        canonical = summary.canonical
+        if canonical.trace is None:
+            return summary
+        traces_dir.mkdir(parents=True, exist_ok=True)
+        path = traces_dir / f"combo_{_combo_slug(combination)}.csv"
+        with path.open("w") as f:
+            f.writelines(_csv_lines(canonical.trace, 1))
+    except Exception as exc:  # isolate failures per combination
+        import logging
+
+        logging.getLogger(__name__).exception("confirming %s raised", combination)
+        return CascadeSummary(combination, plan.strategy,
+                              (CascadeRun((), "error", None, detail=str(exc)),))
+    return replace(summary, runs=(replace(canonical, trace=None), *summary.runs[1:]))
+
+
+def _re_evaluate_record(case: GridCase, record: CrossCheckRecord) -> ReEvaluationRecord:
+    """``re_evaluate`` of a cross-check record whose verdicts disagree."""
+    return re_evaluate(case, record.combination, record.steady_verdict,
+                       record.dynamic_verdict)
+
+
 def run_pipeline(
     case: GridCase,
     config: PipelineConfig | None = None,
@@ -644,66 +684,91 @@ def run_pipeline(
     under it; a ``run_dir`` that is neither new nor empty is refused
     before any work. A trace file holds every ``TRACE_EVERY``-th sample
     of its combination's canonical run, the only samples that run
-    records; it is written as soon as the combination is verified, and
-    the report keeps no trace. The report holds the cascades in
-    selection order; its verdict lists, the matrix and the
-    re-evaluations follow from them. Identical inputs (including seed)
-    produce byte-identical files: nothing time- or host-dependent is
+    records; it is written by the process that ran the confirmation, and
+    the report keeps no trace. A confirmation that raises is reported as
+    a dynamics error.
+
+    With ``config.workers`` above 1, one pool of forked workers (at most
+    one per CPU) runs every screening level, every confirmation and every
+    re-evaluation ladder. A confirmation starts as soon as its
+    combination is known to be selected: ahead of its level's sweep when
+    it is critical without a Newton solve (pruned by containment, or
+    critical from its islands alone), when its screen returns critical,
+    and after the last level for the non-critical sample. With one worker
+    the stages run one after the other in the parent. The report holds
+    the cascades in selection order and the re-evaluations in matrix
+    order, so identical inputs (including seed) produce byte-identical
+    files on any number of workers: nothing time- or host-dependent is
     emitted.
     """
     config = config or PipelineConfig()
     if config.budget is not None and config.budget < 1:
         raise ValueError(f"budget must be at least 1, got {config.budget}: "
                          "the cross-check needs a screened combination")
+    nworkers = _pool_size(config.k_max, config.budget, config.workers)
     run_dir = None if run_dir is None else Path(run_dir)
     # a second run into one directory would leave the first run's traces
     if run_dir is not None and run_dir.exists() and (
             not run_dir.is_dir() or any(run_dir.iterdir())):
         raise ValueError(f"run directory {run_dir} is neither new nor empty")
+    traces_dir = None if run_dir is None else run_dir / "traces"
 
-    screening = run_screening(
-        case,
-        config.k_max,
-        budget=config.budget,
-        subset=config.subset,
-        prune=config.prune,
-        workers=config.workers,
-    )
-    all_results = [r for pl in screening.levels for r in pl.results]
-    selected = _select_for_dynamics(all_results, config.policy, config.seed)
+    with _worker_pool(case, nworkers) if nworkers > 1 else nullcontext() as pool:
 
-    cascades: list[CascadeSummary] = []
-    traces_dir = None
-    if run_dir is not None:
-        traces_dir = run_dir / "traces"
-        traces_dir.mkdir(parents=True, exist_ok=True)
-    for result in selected:
-        summary = cascade_confirm(
-            case,
-            result.combination,
-            plan=config.plan,
-            trace_every=None if traces_dir is None else TRACE_EVERY,
-        )
-        canonical = summary.canonical
-        if canonical.trace is not None:
-            path = traces_dir / f"combo_{_combo_slug(result.combination)}.csv"
-            with path.open("w") as f:
-                f.writelines(_csv_lines(canonical.trace, 1))
-            summary = replace(summary, runs=(replace(canonical, trace=None), *summary.runs[1:]))
-        cascades.append(summary)
+        def later(task, *args) -> Callable[[], object]:
+            """The result of ``task(case, *args)``, started now on a pool
+            worker, or run in the parent when it is read."""
+            if pool is None:
+                return partial(task, case, *args)
+            return pool.submit(_with_worker_case, task, *args).result
 
-    matrix = cross_check(all_results, {
-        c.combination.substations: c.canonical.overall
-        for c in cascades if c.canonical.status == "ok"
-    })
-    reevaluations = tuple(
-        re_evaluate(case, r.combination, r.steady_verdict, r.dynamic_verdict)
-        for r in matrix.records
-        if r.dynamic_verdict is not None and (r.steady_verdict == "critical") != r.dyn_critical
-    )
-    report = PipelineReport(config=config, screening=screening, cascades=tuple(cascades),
+        confirmations: dict[OutageCombination, Callable[[], CascadeSummary]] = {}
+
+        def confirm(combination: OutageCombination) -> None:
+            if combination not in confirmations:
+                confirmations[combination] = later(_confirm, combination, config.plan,
+                                                   traces_dir)
+
+        def screen_level(to_solve, pruned) -> list[ScreeningResult]:
+            # every critical combination is selected, so one known to be
+            # critical without a Newton solve is confirmed ahead of the sweep
+            for combination in pruned:
+                confirm(combination)
+            for combination in to_solve:
+                if _known_critical(case, combination):
+                    confirm(combination)
+            solved = []
+            for result in _map_screens(pool, nworkers, to_solve):
+                if result.verdict == "critical":
+                    confirm(result.combination)
+                solved.append(result)
+            return solved
+
+        if pool is None:
+            screening = run_screening(case, config.k_max, budget=config.budget,
+                                      subset=config.subset, prune=config.prune, workers=1)
+        else:
+            screening = _sweep(case, config.k_max, config.budget, config.subset,
+                               config.prune, screen_level)
+        all_results = [r for pl in screening.levels for r in pl.results]
+        selected = _select_for_dynamics(all_results, config.policy, config.seed)
+        if traces_dir is not None:  # a run directory holds traces/, even empty
+            traces_dir.mkdir(parents=True, exist_ok=True)
+        for result in selected:
+            confirm(result.combination)
+        cascades = tuple(confirmations[r.combination]() for r in selected)
+
+        matrix = cross_check(all_results, {
+            c.combination.substations: c.canonical.overall
+            for c in cascades if c.canonical.status == "ok"
+        })
+        ladders = [later(_re_evaluate_record, r) for r in matrix.records
+                   if r.dynamic_verdict is not None
+                   and (r.steady_verdict == "critical") != r.dyn_critical]
+        reevaluations = tuple(ladder() for ladder in ladders)
+
+    report = PipelineReport(config=config, screening=screening, cascades=cascades,
                             matrix=matrix, reevaluations=reevaluations)
-
     if run_dir is not None:
         (run_dir / "screening.csv").write_text(screening_report_csv(screening))
         (run_dir / "matrix.csv").write_text(matrix_csv(matrix))

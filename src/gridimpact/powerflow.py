@@ -490,6 +490,13 @@ def solve_newton(
     )
 
 
+def _generation_deficit(case: GridCase, island: Island) -> bool:
+    """Whether the island's load exceeds the summed nameplate MVA of its
+    in-island generating units: no synchronous steady state exists there."""
+    arr = case.arrays
+    return arr.load_p[island.at].sum() > arr.gen_mva[island.at].sum()
+
+
 def solve_islands(
     case: GridCase,
     options: PowerFlowOptions = PowerFlowOptions(),
@@ -523,7 +530,7 @@ def solve_islands(
         if not isl.servable:
             records.append(IslandSolve(False, 0, 0.0, "dead_island"))
             continue
-        if arr.load_p[at].sum() > arr.gen_mva[at].sum():
+        if _generation_deficit(case, isl):
             records.append(IslandSolve(False, 0, np.inf, "generation_deficit"))
             all_ok = False
             worst = np.inf

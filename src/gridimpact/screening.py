@@ -22,16 +22,26 @@ import io
 import itertools
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .model import GridCase
-from .powerflow import PowerFlowOptions, Violation, check_violations, solve_islands
+from .powerflow import (
+    PowerFlowOptions,
+    Violation,
+    _generation_deficit,
+    check_violations,
+    solve_islands,
+)
 from .topology import (
     apply_substation_outage,  # noqa: F401  (gridbench/spans.py wraps it here)
     find_islands,
     outage_masks,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "OutageCombination",
@@ -236,6 +246,16 @@ def _screen_isolated(case: GridCase, combo: OutageCombination) -> ScreeningResul
         )
 
 
+def _known_critical(case: GridCase, combo: OutageCombination) -> bool:
+    """Whether the combination screens critical without a Newton solve:
+    it leaves no servable island, or a servable island whose load exceeds
+    its in-island nameplate capability (the gate ``solve_islands``
+    applies before iterating)."""
+    partition = find_islands(case, *outage_masks(case, combo.substations))
+    servable = [isl for isl in partition.islands if isl.servable]
+    return not servable or any(_generation_deficit(case, isl) for isl in servable)
+
+
 # the case of a pool worker, set once by its initializer
 _worker_case: GridCase | None = None
 
@@ -245,8 +265,54 @@ def _init_worker(case: GridCase) -> None:
     _worker_case = case
 
 
-def _screen_in_worker(combo: OutageCombination) -> ScreeningResult:
-    return _screen_isolated(_worker_case, combo)
+def _with_worker_case(task, *args):
+    """``task(case, *args)`` on the case of the pool worker it runs in."""
+    return task(_worker_case, *args)
+
+
+@contextmanager
+def _worker_pool(case: GridCase, workers: int) -> Iterator[Executor]:
+    """A pool of ``workers`` forked processes, each holding ``case`` from
+    its initializer, so that a task sends only its own arguments. Leaving
+    the block cancels the tasks not yet started and waits for the
+    workers to exit."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers inherit the solver's scipy modules: import them here
+    # once instead of in every worker
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+    # fork, not spawn: a spawned worker would import the package and
+    # unpickle the case again. A fork pool forks all its workers at the
+    # first submit, before it starts its own management thread.
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(case,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _map_screens(pool: Executor, workers: int,
+                 combos: Sequence[OutageCombination]) -> Iterator[ScreeningResult]:
+    """The screens of ``combos`` on ``pool``, in their order as they return."""
+    return pool.map(_with_worker_case, itertools.repeat(_screen_isolated), combos,
+                    chunksize=max(1, len(combos) // (8 * workers)))
+
+
+def _pool_size(k_max: int, budget: int | None, workers: int) -> int:
+    """Checks a sweep's arguments before any work, and returns the number
+    of processes it screens on: ``workers``, at most ``os.cpu_count()``."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def run_screening(
@@ -265,20 +331,34 @@ def run_screening(
     critical with reason ``error``, the sweep goes on, and it prunes
     nothing. ``budget`` caps the number of power-flow evaluations
     (pruned records are free); when it runs out the sweep stops and
-    ``coverage`` reports the classified fraction. Solves run on a pool of
-    ``workers`` processes, at most ``os.cpu_count()``. Raises
+    ``coverage`` reports the classified fraction. Solves run on one pool
+    of ``workers`` processes, at most ``os.cpu_count()``. Raises
     ``ValueError`` for a ``k_max`` or ``workers`` below 1 or a negative
     ``budget``.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must not be negative, got {budget}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    nworkers = min(workers, os.cpu_count() or 1)
-    n_universe = len(case.substations) if subset is None else len(subset)
+    nworkers = _pool_size(k_max, budget, workers)
+    if nworkers == 1:
+        return _sweep(case, k_max, budget, subset, prune,
+                      lambda to_solve, _pruned: [_screen_isolated(case, c) for c in to_solve])
+    with _worker_pool(case, nworkers) as pool:
+        return _sweep(case, k_max, budget, subset, prune,
+                      lambda to_solve, _pruned: list(_map_screens(pool, nworkers, to_solve)))
 
+
+def _sweep(
+    case: GridCase,
+    k_max: int,
+    budget: int | None,
+    subset: Sequence[int | str] | None,
+    prune: bool,
+    solve: Callable[[list[OutageCombination], list[OutageCombination]],
+                    Iterable[ScreeningResult]],
+) -> ScreeningRun:
+    """``run_screening``'s sweep, on arguments already checked. Each
+    level's solves are ``solve(to_solve, pruned)``: the results of the
+    combinations in ``to_solve``, in its order; ``pruned`` lists the
+    level's combinations recorded critical by containment."""
+    n_universe = len(case.substations) if subset is None else len(subset)
     total_enumerable = sum(
         count_combinations(n_universe, k) for k in range(1, k_max + 1)
     )
@@ -309,26 +389,7 @@ def run_screening(
             to_solve = to_solve[: max(0, budget - evaluations)]
             exhausted = True
 
-        if nworkers > 1 and len(to_solve) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # forked workers inherit the solver's scipy modules: import
-            # them here once instead of in every worker
-            import scipy.sparse.csgraph  # noqa: F401
-            import scipy.sparse.linalg  # noqa: F401
-
-            with ProcessPoolExecutor(
-                max_workers=nworkers, initializer=_init_worker, initargs=(case,)
-            ) as pool:
-                solved = list(
-                    pool.map(
-                        _screen_in_worker,
-                        to_solve,
-                        chunksize=max(1, len(to_solve) // (8 * nworkers)),
-                    )
-                )
-        else:
-            solved = [_screen_isolated(case, c) for c in to_solve]
+        solved = list(solve(to_solve, [combo for combo, _ in pruned_here]))
         evaluations += len(solved)
         results.extend(solved)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import subprocess
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 
@@ -772,3 +775,111 @@ def test_workers_variable_is_not_read_by_the_library(monkeypatch):
     monkeypatch.setenv("GRIDIMPACT_WORKERS", "2")
     run_pipeline(two_machine_case(), PipelineConfig())
     assert seen == [1]
+
+
+def _files(run_dir) -> dict[str, bytes]:
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def level1_serial(case118, tmp_path_factory):
+    """The level-1 pipeline at the default policy on one worker: its
+    report and its run directory."""
+    run_dir = tmp_path_factory.mktemp("level1") / "run"
+    return run_pipeline(case118, PipelineConfig(k_max=1), run_dir=run_dir), run_dir
+
+
+class _RecordingPool:
+    """A worker pool that logs what is queued on it, in order: each
+    task's name and first argument, and each screening sweep's
+    combinations."""
+
+    def __init__(self, pool, log):
+        self.pool, self.log = pool, log
+
+    def submit(self, fn, task, *args):
+        self.log.append((task.__name__, str(args[0])))
+        return self.pool.submit(fn, task, *args)
+
+    def map(self, fn, tasks, combos, **kwargs):
+        self.log.append(("screen", [str(c) for c in combos]))
+        return self.pool.map(fn, tasks, combos, **kwargs)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+class TestWorkerPool:
+    """With two workers, one pool runs the screening levels, the
+    confirmations and the re-evaluation ladders; the run directory is the
+    one-worker run's, file by file."""
+
+    def test_two_workers_write_the_one_worker_run(self, case118, level1_serial, tmp_path):
+        serial, serial_dir = level1_serial
+        assert len(serial.cascades) == 7 and len(serial.reevaluations) == 1
+        report = run_pipeline(case118, PipelineConfig(k_max=1, workers=2), run_dir=tmp_path)
+        assert multiprocessing.active_children() == []
+        assert _files(tmp_path) == _files(serial_dir)
+        assert report.cascades == serial.cascades
+        assert report.reevaluations == serial.reevaluations
+
+    def test_a_confirmation_that_raises_in_a_worker_is_a_dynamics_error(
+            self, case118, level1_serial, tmp_path, monkeypatch):
+        serial, _ = level1_serial
+        broken = serial.cascades[1].combination
+        parent = os.getpid()
+        inner = pipeline.cascade_confirm
+
+        def cascade_confirm(case, combination, **kwargs):
+            if combination == broken:
+                raise RuntimeError(f"injected, in a worker: {os.getpid() != parent}")
+            return inner(case, combination, **kwargs)
+
+        monkeypatch.setattr(pipeline, "cascade_confirm", cascade_confirm)
+        report = run_pipeline(case118, PipelineConfig(k_max=1, workers=2), run_dir=tmp_path)
+        assert multiprocessing.active_children() == []
+        assert report.failed == ((broken, "injected, in a worker: True"),)
+        assert report.verified == tuple(v for v in serial.verified if v[0] != broken)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert summary.count("dynamics error:") == 1
+        assert f"  {broken}: dynamics error: injected, in a worker: True\n" in summary
+        assert len(list((tmp_path / "traces").iterdir())) == 6
+        assert not (tmp_path / "traces" / f"combo_{broken}.csv").exists()
+
+    def test_no_worker_outlives_a_run_that_raises(self, case118, monkeypatch):
+        """The run raises while substation 100's confirmation, queued ahead
+        of the sweep, may still be running."""
+        def select(*args):
+            raise RuntimeError("selection failed")
+
+        monkeypatch.setattr(pipeline, "_select_for_dynamics", select)
+        with pytest.raises(RuntimeError, match="selection failed"):
+            run_pipeline(case118, PipelineConfig(k_max=1, workers=2))
+        assert multiprocessing.active_children() == []
+
+    def test_confirmations_start_as_soon_as_their_selection_is_known(
+            self, case118, tmp_path, monkeypatch):
+        """Substation 100, critical from its islands alone, is confirmed
+        ahead of the level-1 sweep, 99+100, pruned by containment, ahead
+        of the level-2 sweep, and the one non-critical sample after the
+        last level; the run equals the one-worker run."""
+        log = []
+        real = pipeline._worker_pool
+
+        @contextmanager
+        def recording(case, workers):
+            with real(case, workers) as pool:
+                yield _RecordingPool(pool, log)
+
+        monkeypatch.setattr(pipeline, "_worker_pool", recording)
+        cfg = PipelineConfig(k_max=2, subset=(99, 100),
+                             policy=DynPolicy(noncritical_fraction=0.0, min_noncritical=1))
+        report = run_pipeline(case118, replace(cfg, workers=2), run_dir=tmp_path / "pool")
+        serial = run_pipeline(case118, cfg, run_dir=tmp_path / "serial")
+        assert log == [
+            ("_confirm", "100"), ("screen", ["99", "100"]),
+            ("_confirm", "99+100"), ("screen", []),
+            ("_confirm", "99"),
+        ]
+        assert [str(c.combination) for c in report.cascades] == ["99", "99+100", "100"]
+        assert report.reevaluations == serial.reevaluations == ()
+        assert _files(tmp_path / "pool") == _files(tmp_path / "serial")

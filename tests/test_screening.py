@@ -25,7 +25,7 @@ from gridimpact.screening import (
     screen_combination,
     screening_report_csv,
 )
-from gridimpact.screening import _critical_ancestor
+from gridimpact.screening import _critical_ancestor, _known_critical
 from gridimpact.topology import apply_substation_outage, find_islands
 
 from toys import two_bus_case
@@ -369,6 +369,36 @@ class TestCause:
                 assert (r.cause is None) == (r.verdict == "non_critical")
                 if r.critical_by is not None:
                     assert r.cause == by_combo[r.critical_by].cause
+
+
+class TestKnownCritical:
+    """The rule that starts a confirmation ahead of its level's sweep: a
+    combination marked critical from its islands alone (none servable, or
+    a servable one below its load's nameplate capability) screens
+    critical."""
+
+    def test_level_one_marks_only_substation_100(self, case118):
+        results = run_screening(case118, k_max=1, workers=1).levels[0].results
+        marked = [r for r in results if _known_critical(case118, r.combination)]
+        assert len(results) == 118
+        assert [(r.combination, r.verdict, r.cause) for r in marked] == [
+            (OutageCombination((100,)), "critical", "generation_deficit")]
+
+    def test_marked_pairs_of_a_seeded_subset_screen_critical(self, case118):
+        """Pairs of 12 substations, 100 and 103 among them (100+103 is a
+        non-critical pair that holds a marked substation), solved without
+        containment pruning."""
+        others = sorted(s.id for s in case118.substations if s.id not in (100, 103))
+        subset = sorted(random.Random(5).sample(others, 10) + [100, 103])
+        results = run_screening(case118, k_max=2, subset=subset, prune=False,
+                                workers=1).levels[1].results
+        marked = [r for r in results if _known_critical(case118, r.combination)]
+        assert len(results) == 66
+        assert len(marked) >= 10
+        assert all(r.verdict == "critical" for r in marked)
+        pocket = {r.combination: r for r in results}[OutageCombination((100, 103))]
+        assert pocket.verdict == "non_critical"
+        assert not _known_critical(case118, pocket.combination)
 
 
 class TestInstrumentationContract:

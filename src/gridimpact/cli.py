@@ -226,7 +226,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.decimate is not None and args.trace is None:
+        parser.error("--decimate needs --trace: it thins the trace CSV")
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:

@@ -19,9 +19,7 @@ import io
 import itertools
 import math
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -43,14 +41,11 @@ from .screening import (
     OutageCombination,
     ScreeningResult,
     ScreeningRun,
-    _known_critical,
-    _map_screens,
     _pool_size,
     _sub_key,
     _sweep,
-    _with_worker_case,
     _worker_pool,
-    run_screening,
+    run_screening,  # noqa: F401  (gridbench/spans.py wraps it here)
     screen_combination,
     screening_report_csv,
 )
@@ -666,12 +661,6 @@ def _confirm(case: GridCase, combination: OutageCombination, plan: PermutationPl
     return replace(summary, runs=(replace(canonical, trace=None), *summary.runs[1:]))
 
 
-def _re_evaluate_record(case: GridCase, record: CrossCheckRecord) -> ReEvaluationRecord:
-    """``re_evaluate`` of a cross-check record whose verdicts disagree."""
-    return re_evaluate(case, record.combination, record.steady_verdict,
-                       record.dynamic_verdict)
-
-
 def run_pipeline(
     case: GridCase,
     config: PipelineConfig | None = None,
@@ -688,18 +677,18 @@ def run_pipeline(
     the report keeps no trace. A confirmation that raises is reported as
     a dynamics error.
 
-    With ``config.workers`` above 1, one pool of forked workers (at most
-    one per CPU) runs every screening level, every confirmation and every
-    re-evaluation ladder. A confirmation starts as soon as its
-    combination is known to be selected: ahead of its level's sweep when
-    it is critical without a Newton solve (pruned by containment, or
-    critical from its islands alone), when its screen returns critical,
-    and after the last level for the non-critical sample. With one worker
-    the stages run one after the other in the parent. The report holds
-    the cascades in selection order and the re-evaluations in matrix
-    order, so identical inputs (including seed) produce byte-identical
-    files on any number of workers: nothing time- or host-dependent is
-    emitted.
+    One task runner (``_worker_pool``) of ``config.workers`` processes,
+    at most one per CPU, runs every screening level, confirmation and
+    re-evaluation ladder. With one worker it starts no process: a task
+    runs here when its result is read, so the stages run in turn. With
+    more it is one fork pool, and a confirmation starts once its
+    combination is known to be selected: when it is pruned, ahead of its
+    level's sweep when it is critical from its islands alone (a pre-pass
+    made only on a pool), when its screen returns critical, and after
+    the last level for the non-critical sample. The report holds the
+    cascades in selection order and the re-evaluations in matrix order,
+    so identical inputs (including seed) give byte-identical files on
+    any number of workers: nothing time- or host-dependent is emitted.
     """
     config = config or PipelineConfig()
     if config.budget is not None and config.budget < 1:
@@ -713,43 +702,17 @@ def run_pipeline(
         raise ValueError(f"run directory {run_dir} is neither new nor empty")
     traces_dir = None if run_dir is None else run_dir / "traces"
 
-    with _worker_pool(case, nworkers) if nworkers > 1 else nullcontext() as pool:
-
-        def later(task, *args) -> Callable[[], object]:
-            """The result of ``task(case, *args)``, started now on a pool
-            worker, or run in the parent when it is read."""
-            if pool is None:
-                return partial(task, case, *args)
-            return pool.submit(_with_worker_case, task, *args).result
-
+    with _worker_pool(case, nworkers) as tasks:
         confirmations: dict[OutageCombination, Callable[[], CascadeSummary]] = {}
 
         def confirm(combination: OutageCombination) -> None:
+            # every critical combination is selected: confirm it once known
             if combination not in confirmations:
-                confirmations[combination] = later(_confirm, combination, config.plan,
-                                                   traces_dir)
+                confirmations[combination] = tasks.later(_confirm, combination,
+                                                         config.plan, traces_dir)
 
-        def screen_level(to_solve, pruned) -> list[ScreeningResult]:
-            # every critical combination is selected, so one known to be
-            # critical without a Newton solve is confirmed ahead of the sweep
-            for combination in pruned:
-                confirm(combination)
-            for combination in to_solve:
-                if _known_critical(case, combination):
-                    confirm(combination)
-            solved = []
-            for result in _map_screens(pool, nworkers, to_solve):
-                if result.verdict == "critical":
-                    confirm(result.combination)
-                solved.append(result)
-            return solved
-
-        if pool is None:
-            screening = run_screening(case, config.k_max, budget=config.budget,
-                                      subset=config.subset, prune=config.prune, workers=1)
-        else:
-            screening = _sweep(case, config.k_max, config.budget, config.subset,
-                               config.prune, screen_level)
+        screening = _sweep(case, config.k_max, config.budget, config.subset,
+                           config.prune, tasks, on_critical=confirm)
         all_results = [r for pl in screening.levels for r in pl.results]
         selected = _select_for_dynamics(all_results, config.policy, config.seed)
         if traces_dir is not None:  # a run directory holds traces/, even empty
@@ -762,8 +725,9 @@ def run_pipeline(
             c.combination.substations: c.canonical.overall
             for c in cascades if c.canonical.status == "ok"
         })
-        ladders = [later(_re_evaluate_record, r) for r in matrix.records
-                   if r.dynamic_verdict is not None
+        ladders = [tasks.later(re_evaluate, r.combination, r.steady_verdict,
+                               r.dynamic_verdict)
+                   for r in matrix.records if r.dynamic_verdict is not None
                    and (r.steady_verdict == "critical") != r.dyn_critical]
         reevaluations = tuple(ladder() for ladder in ladders)
 

@@ -270,12 +270,43 @@ def _with_worker_case(task, *args):
     return task(_worker_case, *args)
 
 
+@dataclass(frozen=True)
+class _Tasks:
+    """Runs ``task(case, *args)`` for a sweep or a pipeline: on ``pool``,
+    whose workers hold the case, or, without one, in the caller when the
+    result is read."""
+
+    case: GridCase
+    processes: int
+    pool: Executor | None = None
+
+    def later(self, task, *args) -> Callable[[], object]:
+        """The result of ``task(case, *args)``: started now on a worker,
+        or run in the caller when it is read."""
+        if self.pool is None:
+            return lambda: task(self.case, *args)
+        return self.pool.submit(_with_worker_case, task, *args).result
+
+    def map(self, task, items: Sequence) -> Iterator:
+        """``task(case, item)`` of each of ``items``, in their order: on
+        the pool in chunks, or in the caller as they are read."""
+        if self.pool is None:
+            return (task(self.case, item) for item in items)
+        return self.pool.map(_with_worker_case, itertools.repeat(task), items,
+                             chunksize=max(1, len(items) // (8 * self.processes)))
+
+
 @contextmanager
-def _worker_pool(case: GridCase, workers: int) -> Iterator[Executor]:
-    """A pool of ``workers`` forked processes, each holding ``case`` from
-    its initializer, so that a task sends only its own arguments. Leaving
-    the block cancels the tasks not yet started and waits for the
-    workers to exit."""
+def _worker_pool(case: GridCase, workers: int) -> Iterator[_Tasks]:
+    """The task runner on ``workers`` processes. With one it starts no
+    process and runs each task in the caller when its result is read.
+    With more it is a pool of forked processes, each holding ``case``
+    from its initializer, so that a task sends only its own arguments;
+    leaving the block cancels the tasks not yet started and waits for
+    the workers to exit."""
+    if workers == 1:
+        yield _Tasks(case, 1)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -291,16 +322,9 @@ def _worker_pool(case: GridCase, workers: int) -> Iterator[Executor]:
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_worker, initargs=(case,))
     try:
-        yield pool
+        yield _Tasks(case, workers, pool)
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _map_screens(pool: Executor, workers: int,
-                 combos: Sequence[OutageCombination]) -> Iterator[ScreeningResult]:
-    """The screens of ``combos`` on ``pool``, in their order as they return."""
-    return pool.map(_with_worker_case, itertools.repeat(_screen_isolated), combos,
-                    chunksize=max(1, len(combos) // (8 * workers)))
 
 
 def _pool_size(k_max: int, budget: int | None, workers: int) -> int:
@@ -331,18 +355,14 @@ def run_screening(
     critical with reason ``error``, the sweep goes on, and it prunes
     nothing. ``budget`` caps the number of power-flow evaluations
     (pruned records are free); when it runs out the sweep stops and
-    ``coverage`` reports the classified fraction. Solves run on one pool
-    of ``workers`` processes, at most ``os.cpu_count()``. Raises
-    ``ValueError`` for a ``k_max`` or ``workers`` below 1 or a negative
-    ``budget``.
+    ``coverage`` reports the classified fraction. All levels screen on
+    one task runner (``_worker_pool``): with one worker in this process,
+    with more on one pool of forked workers, at most ``os.cpu_count()``.
+    Raises ``ValueError`` for a ``k_max`` or ``workers`` below 1 or a
+    negative ``budget``.
     """
-    nworkers = _pool_size(k_max, budget, workers)
-    if nworkers == 1:
-        return _sweep(case, k_max, budget, subset, prune,
-                      lambda to_solve, _pruned: [_screen_isolated(case, c) for c in to_solve])
-    with _worker_pool(case, nworkers) as pool:
-        return _sweep(case, k_max, budget, subset, prune,
-                      lambda to_solve, _pruned: list(_map_screens(pool, nworkers, to_solve)))
+    with _worker_pool(case, _pool_size(k_max, budget, workers)) as tasks:
+        return _sweep(case, k_max, budget, subset, prune, tasks)
 
 
 def _sweep(
@@ -351,13 +371,15 @@ def _sweep(
     budget: int | None,
     subset: Sequence[int | str] | None,
     prune: bool,
-    solve: Callable[[list[OutageCombination], list[OutageCombination]],
-                    Iterable[ScreeningResult]],
+    tasks: _Tasks,
+    on_critical: Callable[[OutageCombination], None] | None = None,
 ) -> ScreeningRun:
-    """``run_screening``'s sweep, on arguments already checked. Each
-    level's solves are ``solve(to_solve, pruned)``: the results of the
-    combinations in ``to_solve``, in its order; ``pruned`` lists the
-    level's combinations recorded critical by containment."""
+    """``run_screening``'s sweep on ``tasks``, on arguments already
+    checked. Per level, ``on_critical(combination)`` is called for each
+    pruned combination, then (on more than one process, where it lets
+    work start earlier) for each that ``_known_critical`` marks before
+    the screens are queued, then for each screen that returns critical;
+    a combination may be named twice."""
     n_universe = len(case.substations) if subset is None else len(subset)
     total_enumerable = sum(
         count_combinations(n_universe, k) for k in range(1, k_max + 1)
@@ -371,6 +393,7 @@ def _sweep(
     pruned_count = 0
     classified = 0
     exhausted = False
+    notify = on_critical or (lambda combination: None)
 
     for k in range(1, k_max + 1):
         if exhausted:
@@ -389,7 +412,17 @@ def _sweep(
             to_solve = to_solve[: max(0, budget - evaluations)]
             exhausted = True
 
-        solved = list(solve(to_solve, [combo for combo, _ in pruned_here]))
+        for combo, _ in pruned_here:
+            notify(combo)
+        if on_critical is not None and tasks.processes > 1:
+            for combo in to_solve:
+                if _known_critical(case, combo):
+                    notify(combo)
+        solved = []
+        for r in tasks.map(_screen_isolated, to_solve):
+            if r.verdict == "critical":
+                notify(r.combination)
+            solved.append(r)
         evaluations += len(solved)
         results.extend(solved)
 

@@ -161,6 +161,20 @@ class TestSimulate:
         assert "--decimate" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_decimate_without_trace_rejected_before_the_run(self, toy_case_file,
+                                                           tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(cli, "load_case", must_not_run)
+        monkeypatch.setattr(dynamics, "run_scenario", must_not_run)
+        scenario = tmp_path / "split.txt"
+        scenario.write_text("1.0 open_branch 1 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", toy_case_file, str(scenario), "--decimate", "10"])
+        assert exc.value.code == 2
+        assert "--decimate needs --trace" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("events, options", [
         ("inf open_branch 1 2\n", []),

@@ -36,7 +36,12 @@ from gridimpact.pipeline import (
     reeval_csv,
     run_pipeline,
 )
-from gridimpact.screening import OutageCombination, ScreeningResult, run_screening
+from gridimpact.screening import (
+    OutageCombination,
+    ScreeningResult,
+    run_screening,
+    screening_report_csv,
+)
 from gridimpact.topology import OutageAction
 
 from toys import two_bus_case, two_machine_case
@@ -618,7 +623,7 @@ class TestRunPipelineErrors:
         def must_not_run(*args, **kwargs):
             raise AssertionError("screening ran")
 
-        monkeypatch.setattr(pipeline, "run_screening", must_not_run)
+        monkeypatch.setattr(pipeline, "_sweep", must_not_run)
         run_dir = tmp_path / "run"
         with pytest.raises(ValueError, match="budget must be at least 1"):
             run_pipeline(two_machine_case(), PipelineConfig(budget=budget), run_dir=run_dir)
@@ -638,7 +643,7 @@ class TestRunPipelineErrors:
         def must_not_run(*args, **kwargs):
             raise AssertionError("screening ran")
 
-        monkeypatch.setattr(pipeline, "run_screening", must_not_run)
+        monkeypatch.setattr(pipeline, "_sweep", must_not_run)
         again = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=0.0))
         with pytest.raises(ValueError, match="neither new nor empty"):
             run_pipeline(two_machine_case(), again, run_dir=run_dir)
@@ -765,16 +770,39 @@ def test_workers_variable_is_not_read_by_the_library(monkeypatch):
     """GRIDIMPACT_WORKERS is the CLI's: a library run screens on the
     configured worker count whatever the environment holds."""
     seen = []
-    sweep = pipeline.run_screening
+    runner = pipeline._worker_pool
 
-    def run_screening(*args, workers, **kwargs):
+    def worker_pool(case, workers):
         seen.append(workers)
-        return sweep(*args, workers=workers, **kwargs)
+        return runner(case, workers)
 
-    monkeypatch.setattr(pipeline, "run_screening", run_screening)
+    monkeypatch.setattr(pipeline, "_worker_pool", worker_pool)
     monkeypatch.setenv("GRIDIMPACT_WORKERS", "2")
     run_pipeline(two_machine_case(), PipelineConfig())
     assert seen == [1]
+
+
+def test_one_worker_starts_no_process(tmp_path, monkeypatch):
+    """On one worker the screens, confirmations and ladders all run in
+    the calling process, and every report is still written."""
+    import concurrent.futures
+
+    def must_not_start(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", must_not_start)
+    monkeypatch.setattr(os, "fork", must_not_start)
+    case = two_machine_case()
+    run = run_screening(case, 1, workers=1)
+    cfg = PipelineConfig(k_max=1, workers=1, policy=DynPolicy(noncritical_fraction=1.0))
+    report = run_pipeline(case, cfg, run_dir=tmp_path)
+    assert report.verified and not report.failed
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted([
+        "matrix.csv", "reeval.csv", "screening.csv", "summary.txt", "traces",
+        *(f"traces/combo_{combo}.csv" for combo, _ in report.verified),
+    ])
+    assert (tmp_path / "screening.csv").read_text() == screening_report_csv(run)
+    assert multiprocessing.active_children() == []
 
 
 def _files(run_dir) -> dict[str, bytes]:
@@ -791,20 +819,20 @@ def level1_serial(case118, tmp_path_factory):
 
 
 class _RecordingPool:
-    """A worker pool that logs what is queued on it, in order: each
+    """A task runner that logs what is queued on it, in order: each
     task's name and first argument, and each screening sweep's
     combinations."""
 
-    def __init__(self, pool, log):
-        self.pool, self.log = pool, log
+    def __init__(self, tasks, log):
+        self.tasks, self.log, self.processes = tasks, log, tasks.processes
 
-    def submit(self, fn, task, *args):
+    def later(self, task, *args):
         self.log.append((task.__name__, str(args[0])))
-        return self.pool.submit(fn, task, *args)
+        return self.tasks.later(task, *args)
 
-    def map(self, fn, tasks, combos, **kwargs):
+    def map(self, task, combos):
         self.log.append(("screen", [str(c) for c in combos]))
-        return self.pool.map(fn, tasks, combos, **kwargs)
+        return self.tasks.map(task, combos)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
@@ -867,19 +895,19 @@ class TestWorkerPool:
 
         @contextmanager
         def recording(case, workers):
-            with real(case, workers) as pool:
-                yield _RecordingPool(pool, log)
+            with real(case, workers) as tasks:
+                yield _RecordingPool(tasks, log)
 
         monkeypatch.setattr(pipeline, "_worker_pool", recording)
         cfg = PipelineConfig(k_max=2, subset=(99, 100),
                              policy=DynPolicy(noncritical_fraction=0.0, min_noncritical=1))
         report = run_pipeline(case118, replace(cfg, workers=2), run_dir=tmp_path / "pool")
-        serial = run_pipeline(case118, cfg, run_dir=tmp_path / "serial")
         assert log == [
             ("_confirm", "100"), ("screen", ["99", "100"]),
             ("_confirm", "99+100"), ("screen", []),
             ("_confirm", "99"),
         ]
+        serial = run_pipeline(case118, cfg, run_dir=tmp_path / "serial")
         assert [str(c.combination) for c in report.cascades] == ["99", "99+100", "100"]
         assert report.reevaluations == serial.reevaluations == ()
         assert _files(tmp_path / "pool") == _files(tmp_path / "serial")

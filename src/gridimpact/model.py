@@ -163,8 +163,9 @@ class CaseArrays:
     ``yft``, ``ytf``, ``ytt`` (tap on the from side, charging split
     evenly), rating and status. A zero-impedance branch has NaN entries.
 
-    ``ybus``, the admittance matrix over the in-service branches, is
-    built on first use and then shared by every solve of the case.
+    ``admittance`` sums the branch stamps into an admittance matrix, over
+    every bus or one island's; ``ybus``, the one over the in-service
+    branches, is built on first use.
     """
 
     load_p: np.ndarray
@@ -189,14 +190,22 @@ class CaseArrays:
     rating: np.ndarray
     status: np.ndarray
 
-    def admittance(self, on: np.ndarray) -> sp.csr_matrix:
-        """The nodal admittance matrix over the branches where ``on``
-        holds (an incidence sum of the pi entries), in canonical CSR form
-        with only nonzero admittances stored."""
+    def admittance(self, on: np.ndarray, at: np.ndarray | None = None) -> sp.csr_matrix:
+        """The nodal admittance matrix over the buses at positions ``at``
+        (default: every bus), numbered in ``at``'s order, and the branches
+        where ``on`` holds with both ends among them: an incidence sum of
+        the pi entries, in canonical CSR form with every diagonal stored
+        and only nonzero off-diagonal admittances."""
         import scipy.sparse as sp
 
         n = self.load_p.size
-        f, t = self.f[on], self.t[on]
+        at = np.arange(n) if at is None else at
+        m = at.size
+        pos = np.full(n, -1)
+        pos[at] = np.arange(m)
+        f, t = pos[self.f], pos[self.t]
+        on = on & (f >= 0) & (t >= 0)
+        f, t = f[on], t[on]
         # interleaved from/to ends, branch by branch: each diagonal sums its
         # stamps in branch order, as the element-wise stamp would
         ends, other = np.empty((2, 2 * f.size), dtype=int)
@@ -205,27 +214,25 @@ class CaseArrays:
         stamp, off = np.empty((2, 2 * f.size), dtype=complex)
         stamp[0::2], stamp[1::2] = self.yff[on], self.ytt[on]
         off[0::2], off[1::2] = self.yft[on], self.ytf[on]
-        diag = np.empty(n, dtype=complex)
-        diag.real = np.bincount(ends, stamp.real, n)
-        diag.imag = np.bincount(ends, stamp.imag, n)
-        at = np.arange(n)
-        key = np.concatenate([ends * n + other, at * (n + 1)])
+        diag = np.empty(m, dtype=complex)
+        diag.real = np.bincount(ends, stamp.real, m)
+        diag.imag = np.bincount(ends, stamp.imag, m)
+        key = np.concatenate([ends * m + other, np.arange(0, m * m, m + 1)])
         value = np.concatenate([off, diag])
         # a stable sort keeps the stamps of one entry in branch order, and
         # they are summed left to right, as a coo -> csr pass sums parallel
-        # circuits; sums of exactly zero are dropped
+        # circuits; off the diagonal, sums of exactly zero are dropped
         order = key.argsort(kind="stable")
         key, value = key[order], value[order]
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         data = value[first]
         np.add.at(data, first.cumsum()[~first] - 1, value[~first])
-        key = key[first]
-        stored = data != 0
-        data, key = data[stored], key[stored]
-        indptr = np.zeros(n + 1, dtype=np.intc)
-        indptr[1:] = np.bincount(key // n, minlength=n).cumsum()
-        Y = sp.csr_matrix((data, (key % n).astype(np.intc), indptr), shape=(n, n))
+        rows, cols = np.divmod(key[first], m)
+        stored = (data != 0) | (rows == cols)
+        indptr = np.zeros(m + 1, dtype=np.intc)
+        indptr[1:] = np.bincount(rows[stored], minlength=m).cumsum()
+        Y = sp.csr_matrix((data[stored], cols[stored].astype(np.intc), indptr), shape=(m, m))
         Y.has_canonical_format = True
         return Y
 

@@ -43,7 +43,7 @@ def build_admittance(
     case: GridCase, in_service: np.ndarray | None = None
 ) -> sp.csr_matrix:
     """Assemble the complex nodal admittance matrix, over the case's bus
-    order, from the case's pi entries.
+    order, from the case's pi entries, with every diagonal stored.
 
     ``in_service`` is a boolean mask over the case's branches (default:
     their statuses); masked-out branches contribute nothing. Transformer
@@ -121,51 +121,33 @@ class _Jacobian:
     """Newton's kernel on one island, as raw arrays on fixed patterns.
 
     The island's admittance matrix is held in CSR form with sorted columns
-    and every diagonal entry stored. ``injections`` computes the voltages,
-    ``Ibus = Y V`` and the complex power injections; ``split`` maps Y's
-    pattern onto the four blocks of the Jacobian, in CSC form, for one
-    PV/PQ split; ``fill`` computes dS/dVa and dS/dVm over Y's nonzeros with
-    the scalar expressions of MATPOWER's ``dSbus_dV`` and gathers them into
-    the Jacobian's data; ``solve`` orders the split's pattern once and
+    and every diagonal entry stored, as ``CaseArrays.admittance`` builds
+    it. ``injections`` computes the voltages, ``Ibus = Y V`` and the
+    complex power injections; ``split`` maps Y's pattern onto the four
+    blocks of the Jacobian, in CSC form, for one PV/PQ split; ``fill``
+    computes dS/dVa and dS/dVm over Y's nonzeros with the scalar
+    expressions of MATPOWER's ``dSbus_dV`` and gathers them into the
+    Jacobian's data; ``solve`` orders the split's pattern once and
     reuses that order. Every array an iteration writes is allocated once,
     for the island or for the split.
     """
 
-    def __init__(self, Y: sp.csr_matrix, take: np.ndarray):
-        """The kernel of the buses at positions ``take`` of ``Y``'s network."""
+    def __init__(self, Y: sp.csr_matrix):
+        """The kernel of the island whose admittance is ``Y``, as
+        ``CaseArrays.admittance`` builds it."""
         from scipy.sparse import csc_array
         from scipy.sparse._sparsetools import csr_matvec
         from scipy.sparse.linalg._dsolve import _superlu
 
         # scipy's entry points, imported here: importing this module loads none
         self.csc_array, self.csr_matvec, self.superlu = csc_array, csr_matvec, _superlu
-        n = self.n = take.size
+        n = self.n = Y.shape[0]
         at = np.arange(n)
-        pos = np.full(Y.shape[0], -1)
-        pos[take] = at
-        # the rows of the island's buses, entry by entry, and their columns
-        # renumbered (-1 outside the island)
-        stop = Y.indptr[take + 1]
-        count = stop - Y.indptr[take]
-        end = count.cumsum()
-        entry = (stop - end).repeat(count) + np.arange(end[-1])
-        cols = pos[Y.indices[entry]]
-        inside = cols >= 0
-        # row-major keys, then every diagonal's with a zero value: the stable
-        # sort keeps a stored diagonal ahead of the zero, which is dropped
-        key = np.concatenate([(at.repeat(count) * n + cols)[inside], at * (n + 1)])
-        order = key.argsort(kind="stable")
-        key = key[order]
-        first = np.empty(key.size, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        order = order[first]
-        y = np.concatenate([Y.data[entry[inside]], np.zeros(n, dtype=complex)])[order]
-        rows, cols = np.divmod(key[first], n)
-        nnz = rows.size
-        self.y, self.cols = y, cols.astype(np.intc)
-        self.indptr = np.concatenate([[0], rows.searchsorted(at, "right")]).astype(np.intc)
+        y, cols, self.indptr = Y.data, Y.indices, Y.indptr
+        self.y, self.cols = y, cols
+        rows = at.repeat(np.diff(self.indptr))
         self.diag = (rows == cols).nonzero()[0]  # in row order
+        nnz = rows.size
         # The four blocks' candidate entries: row and column in the bus
         # space of [angles; magnitudes], and the slot of their value in
         # fill's interleaved (real, imaginary) dS/dVa, dS/dVm, and dS/dVm
@@ -353,12 +335,12 @@ def solve_newton(
             as the angle/balance reference instead of the case slack.
         partition: The partition ``island`` belongs to, as
             :func:`find_islands` returns it: the solve runs on its
-            admittance and in-service branches instead of the case's.
+            in-service branches instead of the case's.
+
+    The solve sums its buses' admittance once, over the branches it sees.
     """
     arr = case.arrays
-    Y, on = arr.ybus, arr.status
-    if partition is not None and partition.ybus is not None:
-        Y, on = partition.ybus, partition.in_service
+    on = arr.status if partition is None or partition.in_service is None else partition.in_service
     nb = len(case.buses)
     if island is None:
         take = np.arange(nb)
@@ -420,7 +402,7 @@ def solve_newton(
     converged = False
     cause: str | None = None
     max_mismatch = np.inf
-    jac = _Jacobian(Y, take)
+    jac = _Jacobian(arr.admittance(on, take))
     split = True  # the PV/PQ split changed since the Jacobian was indexed
 
     while iterations <= options.max_iterations:
@@ -601,7 +583,7 @@ def check_violations(case: GridCase, solution: PowerFlowSolution) -> list[Violat
     low = on & (vm < V_MIN)
     high = on & (vm > V_MAX)
     out: list[Violation] = []
-    for j in np.flatnonzero(low | high):
+    for j in sorted(np.flatnonzero(low | high), key=lambda j: solution.bus_ids[j]):
         kind, limit = ("undervoltage", V_MIN) if low[j] else ("overvoltage", V_MAX)
         out.append(Violation(kind, str(solution.bus_ids[j]), float(vm[j]), limit))
     arr = case.arrays

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import Branch, GridCase, SubstationId
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "OutageAction",
@@ -91,12 +88,11 @@ class Island:
 @dataclass(frozen=True)
 class IslandPartition:
     """Disjoint islands covering all in-service buses, ordered by
-    smallest member bus id. ``ybus``, the admittance they were read off,
-    and ``in_service``, the branches it holds, serve the island solves
-    and take no part in comparisons (without them: the case's own)."""
+    smallest member bus id. ``in_service``, the branches they were read
+    off, serves the island solves and takes no part in comparisons
+    (without it: the case's in-service branches)."""
 
     islands: tuple[Island, ...]
-    ybus: sp.csr_matrix | None = field(default=None, compare=False, repr=False)
     in_service: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -187,10 +183,9 @@ def find_islands(
 
     ``bus_on`` and ``branch_on`` mask the case's buses and branches
     (default: every bus, and the branches in service). A branch connects
-    while it is on and both its ends are. Connectivity is read off the
-    pattern of the admittance over those branches (``case.arrays.ybus``
-    when neither mask is given), which the partition carries for the power
-    flow; a bus with no such branch forms a singleton island. Islands are
+    while it is on and both its ends are; the islands are the components
+    of those branches, which the partition carries for the power flow,
+    and a bus with no such branch forms a singleton island. Islands are
     ordered by their smallest member bus id.
 
     An island is servable when it contains at least one generator
@@ -199,23 +194,29 @@ def find_islands(
     largest-output generator, ties broken by lowest bus id. Dead islands
     get no slack.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+    # csgraph's strong-components search on raw CSR arrays: the entry
+    # point connected_components calls once it has checked its input
+    from scipy.sparse.csgraph._traversal import _connected_components_directed
 
     arr = case.arrays
-    if bus_on is None and branch_on is None:
-        on, Y = arr.status, arr.ybus
-    else:
-        bus_on = np.ones(arr.load_p.size, dtype=bool) if bus_on is None else bus_on
-        on = (arr.status if branch_on is None else branch_on) & bus_on[arr.f] & bus_on[arr.t]
-        Y = arr.admittance(on)
-    n = Y.shape[0]
-    # The pattern only: csgraph would cast the complex values to real, and
-    # an r = 0 branch has a purely imaginary admittance. The pattern is
-    # symmetric (yft and ytf are both -y/a), so its strong components are
-    # the islands, found without the transpose an undirected search builds.
-    pattern = sp.csr_matrix((np.ones(Y.indices.size), Y.indices, Y.indptr), shape=(n, n))
-    _, labels = connected_components(pattern, directed=True, connection="strong")
+    n = arr.load_p.size
+    bus_on = np.ones(n, dtype=bool) if bus_on is None else bus_on
+    on = (arr.status if branch_on is None else branch_on) & bus_on[arr.f] & bus_on[arr.t]
+    f, t = arr.f[on], arr.t[on]
+    # Each connection once each way: parallel circuits would store duplicate
+    # entries, on which csgraph's strong-components search does not return.
+    # The pattern is symmetric, so its strong components are the islands,
+    # found without the transpose an undirected search builds.
+    key = np.concatenate([f * n + t, t * n + f])
+    key.sort()
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    rows, cols = np.divmod(key[new], n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.bincount(rows, minlength=n).cumsum()
+    labels = np.empty(n, dtype=np.int32)
+    _connected_components_directed(cols.astype(np.int32), indptr, labels)
 
     ids = np.fromiter(case.bus_index, dtype=int, count=n)
     generating = arr.unit_p > -np.inf
@@ -226,7 +227,7 @@ def find_islands(
     islands = []
     # a bus that is off touches no branch that is on: it is a component of
     # its own, and no island
-    for label in np.unique(labels if bus_on is None else labels[bus_on]):
+    for label in np.unique(labels[bus_on]):
         at = np.flatnonzero(labels == label)
         members = ids[at]
         servable = bool(generating[at].any())
@@ -239,4 +240,4 @@ def find_islands(
             at=at[members.argsort()],
         ))
     islands.sort(key=lambda isl: min(isl.buses))
-    return IslandPartition(islands=tuple(islands), ybus=Y, in_service=on)
+    return IslandPartition(islands=tuple(islands), in_service=on)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from gridimpact.model import Branch, Bus, Generator, GridCase, load_case
 from gridimpact.powerflow import branch_flows, build_admittance, solve_islands
-from gridimpact.topology import apply_substation_outage, find_islands, outage_masks
+from gridimpact.topology import apply_substation_outage, outage_masks
 
 from conftest import CASE_PATH
+from reference_admittance import island_rows, network_admittance
 from screening_fixture import FIXTURE, describe, fixture_combinations
 
 
@@ -84,21 +85,9 @@ def test_branch_mask_equals_opened_branches(seed, case118):
 
 
 def reference_admittance(arr, on) -> sp.csr_matrix:
-    """The coo -> csr incidence sum that preceded the sorted-key one."""
-    n = arr.load_p.size
-    f, t = arr.f[on], arr.t[on]
-    ends = np.column_stack([f, t]).ravel()
-    diag = np.zeros(n, dtype=complex)
-    np.add.at(diag, ends, np.column_stack([arr.yff[on], arr.ytt[on]]).ravel())
-    off = np.column_stack([arr.yft[on], arr.ytf[on]]).ravel()
-    cols = np.column_stack([t, f]).ravel()
-    at = np.arange(n)
-    Y = sp.csr_matrix(
-        (np.concatenate([off, diag]), (np.concatenate([ends, at]), np.concatenate([cols, at]))),
-        shape=(n, n),
-    )
-    Y.eliminate_zeros()
-    return Y
+    """The coo -> csr incidence sum that preceded the sorted-key one, with
+    every diagonal stored, as an island's rows over all buses."""
+    return island_rows(network_admittance(arr, on), np.arange(arr.load_p.size))
 
 
 def assert_same_matrix(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
@@ -136,18 +125,16 @@ def test_arrays_compile_lazily():
 
 
 def test_masked_admittance_equals_the_reduced_ybus(case118):
-    """The admittance over a combination's masks, restricted to the buses
-    still on, is the reduced case's Ybus bit for bit, on every level-1
-    reduction and a seeded sample of level-2 and level-3 ones; it is the
-    one find_islands returns."""
+    """The admittance over a combination's masks and the buses still on is
+    the reduced case's Ybus bit for bit, on every level-1 reduction and a
+    seeded sample of level-2 and level-3 ones."""
     ids = [s.id for s in case118.substations]
     rng = random.Random(42)
     targets = [[i] for i in ids] + [rng.sample(ids, k) for k in (2, 3) for _ in range(40)]
     for target in targets:
         bus_on, branch_on = outage_masks(case118, target)
-        Y = find_islands(case118, bus_on, branch_on).ybus
         live = np.flatnonzero(bus_on)
-        got = Y[live][:, live]
+        got = case118.arrays.admittance(branch_on, at=live)
         want = apply_substation_outage(case118, target)[0].arrays.ybus
         assert np.array_equal(got.indptr, want.indptr), target
         assert np.array_equal(got.indices, want.indices), target

@@ -353,7 +353,7 @@ def test_ordered_solve_equals_spsolve():
     reference kernel's Jacobian, whose values the kernel's equal."""
     case = _ring_case(12)
     arr = case.arrays
-    jac = _Jacobian(arr.ybus, np.arange(12))
+    jac = _Jacobian(arr.ybus)
     pvpq = np.arange(1, 12)
     pq = np.arange(4, 12)
     jac.split(unknowns(12, pvpq, pq))
@@ -467,7 +467,7 @@ def test_singular_on_the_first_solve_of_a_split():
     assert (sol.converged, sol.cause, sol.iterations) == (False, "singular_jacobian", 0)
 
     case = isolated_load_case()
-    jac = _Jacobian(case.arrays.ybus, np.arange(7))
+    jac = _Jacobian(case.arrays.ybus)
     pq = np.arange(1, 7)
     jac.split(unknowns(7, pq, pq))
     jac.injections(np.zeros(7), np.ones(7))

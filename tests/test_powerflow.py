@@ -15,6 +15,7 @@ from gridimpact.powerflow import (
     solve_islands,
     solve_newton,
 )
+from gridimpact.screening import OutageCombination, screen_combination
 from gridimpact.topology import apply_branch_outages
 
 from reference_gs import gauss_seidel_solve
@@ -255,3 +256,15 @@ class TestViolations:
     def test_base_case_is_clean(self, case118):
         sol = solve_newton(case118)
         assert check_violations(case118, sol) == []
+
+    def test_bus_violations_ordered_by_id_whatever_the_bus_order(self, case118):
+        """Combination 5 on the case with its buses listed in reverse gives
+        the ordered case's violations, bus ids ascending, values within 1e-9."""
+        combo = OutageCombination((5,))
+        want = screen_combination(case118, combo).violations
+        got = screen_combination(case118.with_(buses=tuple(reversed(case118.buses))),
+                                 combo).violations
+        assert [(v.kind, v.entity) for v in got] == [(v.kind, v.entity) for v in want]
+        assert all(abs(g.value - w.value) <= 1e-9 for g, w in zip(got, want))
+        buses = [int(v.entity) for v in want if v.kind != "branch_overload"]
+        assert buses[:5] == [1, 2, 3, 13, 16] and buses == sorted(buses)

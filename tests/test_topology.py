@@ -191,8 +191,8 @@ def assert_matches_reference(case: GridCase) -> IslandPartition:
 
 
 class TestIslandsFromAdmittance:
-    """find_islands reads the reduced admittance pattern; the partition,
-    flags and slacks equal the branch graph's."""
+    """find_islands on reduced cases and edge cases: the partition, flags
+    and slacks equal the branch graph's."""
 
     def test_level_1_and_seeded_level_2_reductions(self, case118):
         ids = [s.id for s in case118.substations]

@@ -41,9 +41,8 @@ _EXPORTS = {
     ),
     "aging": ("aging_acceleration", "parallel_overload"),
     "pipeline": (
-        "CascadeSummary", "CrossCheckMatrix", "DynPolicy", "PermutationPlan",
-        "PipelineConfig", "PipelineReport", "ReEvaluationRecord", "cascade_confirm",
-        "cross_check", "re_evaluate", "run_pipeline",
+        "CascadeRun", "CrossCheckMatrix", "DynPolicy", "PipelineConfig", "PipelineReport",
+        "ReEvaluationRecord", "cascade_confirm", "cross_check", "re_evaluate", "run_pipeline",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

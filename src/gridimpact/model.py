@@ -242,6 +242,18 @@ class CaseArrays:
         return self.admittance(self.status)
 
 
+def _pi_entries(br: Branch) -> tuple[complex, complex, complex, complex]:
+    """A branch's pi-model entries ``(yff, yft, ytf, ytt)``: tap on the from
+    side, charging split evenly, NaN at zero impedance. They are computed
+    with scalar complex arithmetic: numpy's array division rounds some of
+    them differently in the last bit."""
+    z = complex(br.resistance, br.reactance)
+    y = 1.0 / z if z else complex("nan")
+    shunt = 0.5j * br.total_charging
+    a = br.tap_ratio
+    return (y + shunt) / (a * a), -y / a, -y / a, y + shunt
+
+
 @dataclass(frozen=True)
 class GridCase:
     """Immutable network case: buses, branches, machines, substations."""
@@ -282,16 +294,8 @@ class GridCase:
                 unit_p[k] = max(unit_p[k], g.p_output)
 
         # Every layer gathers these entries, so the admittance matrix and
-        # the branch flows share one pi model. They are computed with
-        # scalar complex arithmetic: numpy's array division rounds some of
-        # them differently in the last bit.
-        pi = []
-        for br in self.branches:
-            z = complex(br.resistance, br.reactance)
-            y = 1.0 / z if z else complex("nan")
-            shunt = 0.5j * br.total_charging
-            a = br.tap_ratio
-            pi.append(((y + shunt) / (a * a), -y / a, -y / a, y + shunt))
+        # the branch flows share one pi model.
+        pi = [_pi_entries(br) for br in self.branches]
         yff, yft, ytf, ytt = np.array(pi, dtype=complex).reshape(-1, 4).T.copy()
 
         return CaseArrays(
@@ -420,6 +424,7 @@ def validate(case: GridCase) -> list[str]:
             out.append(f"{tag}: rating must be >= 0")
         if br.tap_ratio <= 0:
             out.append(f"{tag}: tap ratio must be > 0")
+    out += _cancelling_pairs(case)
 
     if not case.generators:
         out.append("case: at least one generator is required")
@@ -449,6 +454,22 @@ def validate(case: GridCase) -> list[str]:
         out.append(f"case: buses {missing} belong to no substation")
 
     return out
+
+
+def _cancelling_pairs(case: GridCase) -> list[str]:
+    """A violation for each endpoint pair whose in-service circuits'
+    off-diagonal admittances sum to an exact zero: the admittance matrix
+    then holds no entry between the buses, an open circuit that the
+    islanding still reads as a connection. The entries are summed in
+    branch order, as ``CaseArrays.admittance`` sums them."""
+    off: dict[tuple[int, int], complex] = {}
+    for br in case.branches:
+        a, b = br.endpoints
+        if br.status and a != b and br.tap_ratio != 0:  # a zero tap is refused above
+            _, yft, ytf, _ = _pi_entries(br)
+            off[a, b] = off.get((a, b), 0) + (yft if br.from_bus == a else ytf)
+    return [f"branches {a}-{b}: the in-service circuits' admittances cancel exactly"
+            for (a, b), y in off.items() if y == 0]
 
 
 # ---------------------------------------------------------------------------

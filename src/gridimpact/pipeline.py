@@ -2,8 +2,8 @@
 
 Glues the steady-state screen to the time-domain verifier. Screened
 combinations selected by policy (every critical one plus a seeded
-sample of non-critical ones) are re-run dynamically over switching
-orderings of their branch sets (cascade confirmation), the two verdicts
+sample of non-critical ones) are re-run dynamically, their branch sets
+opened one by one in sorted order (cascade confirmation), the two verdicts
 are cross-tabulated into a probability matrix whose per-level masses
 each sum to one, and combinations where the simulators disagree go
 through a deterministic re-evaluation ladder. ``run_pipeline`` wires
@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
-import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dynamics import (
     DynamicState,
@@ -56,9 +54,7 @@ __all__ = [
     "CrossCheckMatrix",
     "cross_check",
     "matrix_csv",
-    "PermutationPlan",
     "CascadeRun",
-    "CascadeSummary",
     "combination_branch_set",
     "cascade_confirm",
     "ReEvaluationRecord",
@@ -232,114 +228,21 @@ def matrix_csv(matrix: CrossCheckMatrix) -> str:
 # --- cascade confirmation -----------------------------------------------------
 
 # Every dynamic run opens its branches SWITCH_INTERVAL seconds apart at
-# the library's step, ScenarioOptions().dt. A plan runs every ordering of
-# a branch set only up to MAX_EXHAUSTIVE (7!) orderings; a sampled plan
-# runs SAMPLED_ORDERS distinct orderings drawn with seed 0.
+# the library's step, ScenarioOptions().dt.
 SWITCH_INTERVAL = 5.0
-MAX_EXHAUSTIVE = 5040
-SAMPLED_ORDERS = 20
-
-
-@dataclass(frozen=True)
-class PermutationPlan:
-    """How to order a combination's branch removals for dynamics.
-
-    ``auto`` runs every ordering when there are at most
-    ``MAX_EXHAUSTIVE`` of them and a sample otherwise; ``sample`` runs
-    the canonical order and then seeded uniform draws, ``SAMPLED_ORDERS``
-    distinct orderings in all; ``single_canonical`` runs just the
-    sorted-endpoint order.
-    """
-
-    strategy: str = "auto"  # auto | exhaustive | sample | single_canonical
-
-    def __post_init__(self) -> None:
-        if self.strategy not in ("auto", "exhaustive", "sample", "single_canonical"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-    def resolve(self, n_actions: int) -> str:
-        if self.strategy != "auto":
-            return self.strategy
-        return "exhaustive" if math.factorial(n_actions) <= MAX_EXHAUSTIVE else "sample"
-
-    def orders(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> Iterator[tuple[tuple[int, int], ...]]:
-        """The orderings to run, canonical first.
-
-        Raises ValueError, before yielding anything, when an exhaustive
-        plan would run more than ``MAX_EXHAUSTIVE`` orderings.
-        """
-        canonical = tuple(sorted(pairs))
-        strategy = self.resolve(len(canonical))
-        if strategy == "single_canonical":
-            return iter((canonical,))
-        if strategy == "exhaustive":
-            n_orders = math.factorial(len(canonical))
-            if n_orders > MAX_EXHAUSTIVE:
-                raise ValueError(
-                    f"exhaustive plan over {len(canonical)} branches would run "
-                    f"{len(canonical)}! = {n_orders} orderings, above {MAX_EXHAUSTIVE}"
-                )
-            return itertools.permutations(canonical)
-        return self._sampled(canonical)
-
-    def _sampled(
-        self, canonical: tuple[tuple[int, int], ...]
-    ) -> Iterator[tuple[tuple[int, int], ...]]:
-        # distinct uniform sample, canonical order always included first
-        rng = random.Random(0)
-        seen = {canonical}
-        yield canonical
-        produced = 1
-        attempts = 0
-        limit = SAMPLED_ORDERS * 50
-        order = list(canonical)
-        while produced < SAMPLED_ORDERS and attempts < limit:
-            attempts += 1
-            rng.shuffle(order)
-            candidate = tuple(order)
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            produced += 1
-            yield candidate
 
 
 @dataclass(frozen=True)
 class CascadeRun:
-    """One ordering's dynamic outcome (overall kind, or an error)."""
+    """One combination's dynamic outcome (overall kind, or an error)."""
 
+    combination: OutageCombination
     order: tuple[tuple[int, int], ...]
     status: str  # ok | error
     overall: str | None
     time_of_first_violation: float | None = None
     detail: str | None = None
     trace: DynamicTrace | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class CascadeSummary:
-    """Per-ordering verdicts for one combination plus coherency flags."""
-
-    combination: OutageCombination
-    strategy: str
-    runs: tuple[CascadeRun, ...]
-
-    @property
-    def canonical(self) -> CascadeRun:
-        return self.runs[0]
-
-    @property
-    def fraction_unstable(self) -> float | None:
-        """The unstable share of the successful runs; None if none."""
-        ok = [r for r in self.runs if r.status == "ok"]
-        return sum(1 for r in ok if r.overall != "stable") / len(ok) if ok else None
-
-    @property
-    def permutation_invariant(self) -> bool:
-        """Whether all successful runs agree on the overall kind."""
-        return len({r.overall for r in self.runs if r.status == "ok"}) <= 1
 
 
 def combination_branch_set(
@@ -354,39 +257,21 @@ def combination_branch_set(
 def cascade_confirm(
     case: GridCase,
     combination: OutageCombination,
-    plan: PermutationPlan | None = None,
     trace_every: int | None = None,
-) -> CascadeSummary:
-    """Dynamically verify a combination over switching orderings.
-
-    Each selected ordering of the combination's branch set becomes a
-    switching schedule ``SWITCH_INTERVAL`` apart, run from the default
-    machine models; a failed run is recorded as an error without touching
-    its siblings. A combination that touches no in-service branch, or
-    whose exhaustive plan would run more than ``MAX_EXHAUSTIVE``
-    orderings, gets one error run instead. The summary reports the
-    unstable fraction over successful runs and whether all successful
-    runs agree on the overall kind. With ``trace_every`` set, the
-    canonical (first) ordering keeps its trace of every
-    ``trace_every``-th sample; every other run records no trace.
+) -> CascadeRun:
+    """Dynamically verify a combination: open its branch set, in
+    ``combination_branch_set``'s sorted order, ``SWITCH_INTERVAL`` apart
+    from the default machine models, and read the verdict. A run that
+    raises, or a combination that touches no in-service branch, is
+    recorded as an error run. With ``trace_every`` set, a finished run
+    keeps its trace of every ``trace_every``-th sample; without it, it
+    records none.
     """
-    plan = plan or PermutationPlan()
     pairs = combination_branch_set(case, combination)
-    strategy = plan.resolve(len(pairs))
-    try:
-        orders = plan.orders(pairs)
-    except ValueError as exc:  # too many orderings to run them all
-        return CascadeSummary(combination, strategy,
-                              (CascadeRun(pairs, "error", None, detail=str(exc)),))
-    # every ordering starts from one base state; an empty branch set's
-    # only run is an error that never reads it
+    # an empty branch set's only run is an error that never reads a base state
     state = _base_state(case) if pairs else None
-    dt = ScenarioOptions().dt
-    return CascadeSummary(combination, strategy, tuple(
-        _run_order(case, order, SWITCH_INTERVAL, dt, state,
-                   trace_every=trace_every if i == 0 else None)
-        for i, order in enumerate(orders)
-    ))
+    return _run_order(case, combination, pairs, SWITCH_INTERVAL, ScenarioOptions().dt,
+                      state, trace_every=trace_every)
 
 
 def _base_state(case: GridCase) -> DynamicState | Exception:
@@ -400,16 +285,17 @@ def _base_state(case: GridCase) -> DynamicState | Exception:
 
 
 def _run_order(
-    case: GridCase, order: tuple[tuple[int, int], ...], interval: float, dt: float,
-    state: DynamicState | Exception | None, trace_every: int | None = None,
+    case: GridCase, combination: OutageCombination, order: tuple[tuple[int, int], ...],
+    interval: float, dt: float, state: DynamicState | Exception | None,
+    trace_every: int | None = None,
 ) -> CascadeRun:
     """Open ``order``'s branches ``interval`` apart from ``state`` at step
-    ``dt`` and read the verdict. A run that raises, an empty order (which
-    never reads ``state``) or a failed base state is recorded as an error;
-    with ``trace_every`` set, a finished run keeps its trace of every
-    ``trace_every``-th sample, and without it records none."""
+    ``dt`` and read ``combination``'s verdict. A run that raises, an empty
+    order (which never reads ``state``) or a failed base state is recorded
+    as an error; with ``trace_every`` set, a finished run keeps its trace
+    of every ``trace_every``-th sample, and without it records none."""
     if not order:
-        return CascadeRun(order, "error", None,
+        return CascadeRun(combination, order, "error", None,
                           detail="the combination touches no in-service branch")
     actions = [OutageAction.open_branch(a, b) for a, b in order]
     schedule = SwitchingSchedule.evenly_spaced(actions, interval)
@@ -418,9 +304,10 @@ def _run_order(
             raise state  # the base state could not be built
         trace, verdict = run_scenario(case, schedule, options=ScenarioOptions(dt=dt),
                                       state=state, trace_every=trace_every)
-    except Exception as exc:  # isolate failures per ordering
-        return CascadeRun(order, "error", None, detail=str(exc))
-    return CascadeRun(order, "ok", verdict.overall, verdict.time_of_first_violation,
+    except Exception as exc:  # isolate a failed run
+        return CascadeRun(combination, order, "error", None, detail=str(exc))
+    return CascadeRun(combination, order, "ok", verdict.overall,
+                      verdict.time_of_first_violation,
                       trace=None if trace_every is None else trace)
 
 
@@ -479,7 +366,7 @@ def re_evaluate(
     dt = ScenarioOptions().dt
     for label, run_interval, run_dt in (("half_dt", SWITCH_INTERVAL, dt / 2.0),
                                         ("interval_15s", 15.0, dt)):
-        run = _run_order(case, pairs, run_interval, run_dt, state)
+        run = _run_order(case, combination, pairs, run_interval, run_dt, state)
         outcome = run.overall if run.status == "ok" else f"error: {run.detail}"
         adjustments.append(f"{label} -> {outcome}")
         if run.status == "ok" and (run.overall != "stable") == steady_critical:
@@ -500,7 +387,7 @@ def reeval_csv(records: Iterable[ReEvaluationRecord]) -> str:
 # --- full pipeline ------------------------------------------------------------
 
 # A report's trace file holds every TRACE_EVERY-th sample of its
-# combination's canonical run (every 0.1 s at the default 10 ms step).
+# combination's confirmation run (every 0.1 s at the default 10 ms step).
 TRACE_EVERY = 10
 
 
@@ -540,9 +427,6 @@ class PipelineConfig:
     budget: int | None = None
     seed: int = 0
     policy: DynPolicy = field(default_factory=DynPolicy)
-    plan: PermutationPlan = field(
-        default_factory=lambda: PermutationPlan(strategy="single_canonical")
-    )
     subset: tuple[int, ...] | None = None
     prune: bool = True
     workers: int = 1
@@ -555,21 +439,20 @@ class PipelineReport:
 
     config: PipelineConfig
     screening: ScreeningRun
-    cascades: tuple[CascadeSummary, ...]
+    cascades: tuple[CascadeRun, ...]
     matrix: CrossCheckMatrix
     reevaluations: tuple[ReEvaluationRecord, ...]
 
     @property
     def verified(self) -> tuple[tuple[OutageCombination, str], ...]:
-        """(combination, overall kind) of each canonical run that finished."""
-        return tuple((c.combination, c.canonical.overall)
-                     for c in self.cascades if c.canonical.status == "ok")
+        """(combination, overall kind) of each run that finished."""
+        return tuple((c.combination, c.overall) for c in self.cascades if c.status == "ok")
 
     @property
     def failed(self) -> tuple[tuple[OutageCombination, str], ...]:
-        """(combination, error detail) of each canonical run that raised."""
-        return tuple((c.combination, c.canonical.detail or "unknown error")
-                     for c in self.cascades if c.canonical.status != "ok")
+        """(combination, error detail) of each run that raised."""
+        return tuple((c.combination, c.detail or "unknown error")
+                     for c in self.cascades if c.status != "ok")
 
 
 def _select_for_dynamics(
@@ -635,30 +518,27 @@ def _combo_slug(combination: OutageCombination) -> str:
     return "-".join(str(s) for s in combination.substations)
 
 
-def _confirm(case: GridCase, combination: OutageCombination, plan: PermutationPlan,
-             traces_dir: Path | None) -> CascadeSummary:
+def _confirm(case: GridCase, combination: OutageCombination,
+             traces_dir: Path | None) -> CascadeRun:
     """``cascade_confirm`` of a selected combination. With ``traces_dir``
-    set, the canonical run's trace is written to
-    ``traces_dir/combo_<slug>.csv`` and the summary keeps none. A
-    confirmation that raises becomes one error run (and its traceback is
-    logged)."""
+    set, the run's trace is written to ``traces_dir/combo_<slug>.csv``
+    and the returned run keeps none. A confirmation that raises becomes
+    an error run (and its traceback is logged)."""
     try:
-        summary = cascade_confirm(case, combination, plan=plan,
-                                  trace_every=None if traces_dir is None else TRACE_EVERY)
-        canonical = summary.canonical
-        if canonical.trace is None:
-            return summary
+        run = cascade_confirm(case, combination,
+                              trace_every=None if traces_dir is None else TRACE_EVERY)
+        if run.trace is None:
+            return run
         traces_dir.mkdir(parents=True, exist_ok=True)
         path = traces_dir / f"combo_{_combo_slug(combination)}.csv"
         with path.open("w") as f:
-            f.writelines(_csv_lines(canonical.trace, 1))
+            f.writelines(_csv_lines(run.trace, 1))
     except Exception as exc:  # isolate failures per combination
         import logging
 
         logging.getLogger(__name__).exception("confirming %s raised", combination)
-        return CascadeSummary(combination, plan.strategy,
-                              (CascadeRun((), "error", None, detail=str(exc)),))
-    return replace(summary, runs=(replace(canonical, trace=None), *summary.runs[1:]))
+        return CascadeRun(combination, (), "error", None, detail=str(exc))
+    return replace(run, trace=None)
 
 
 def run_pipeline(
@@ -672,7 +552,7 @@ def run_pipeline(
     each verified combination, matrix.csv, reeval.csv and summary.txt
     under it; a ``run_dir`` that is neither new nor empty is refused
     before any work. A trace file holds every ``TRACE_EVERY``-th sample
-    of its combination's canonical run, the only samples that run
+    of its combination's confirmation run, the only samples that run
     records; it is written by the process that ran the confirmation, and
     the report keeps no trace. A confirmation that raises is reported as
     a dynamics error.
@@ -703,13 +583,12 @@ def run_pipeline(
     traces_dir = None if run_dir is None else run_dir / "traces"
 
     with _worker_pool(case, nworkers) as tasks:
-        confirmations: dict[OutageCombination, Callable[[], CascadeSummary]] = {}
+        confirmations: dict[OutageCombination, Callable[[], CascadeRun]] = {}
 
         def confirm(combination: OutageCombination) -> None:
             # every critical combination is selected: confirm it once known
             if combination not in confirmations:
-                confirmations[combination] = tasks.later(_confirm, combination,
-                                                         config.plan, traces_dir)
+                confirmations[combination] = tasks.later(_confirm, combination, traces_dir)
 
         screening = _sweep(case, config.k_max, config.budget, config.subset,
                            config.prune, tasks, on_critical=confirm)
@@ -722,8 +601,7 @@ def run_pipeline(
         cascades = tuple(confirmations[r.combination]() for r in selected)
 
         matrix = cross_check(all_results, {
-            c.combination.substations: c.canonical.overall
-            for c in cascades if c.canonical.status == "ok"
+            c.combination.substations: c.overall for c in cascades if c.status == "ok"
         })
         ladders = [tasks.later(re_evaluate, r.combination, r.steady_verdict,
                                r.dynamic_verdict)

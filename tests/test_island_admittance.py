@@ -119,7 +119,8 @@ def cancelling_pair() -> GridCase:
 def test_parallel_circuits_whose_admittances_cancel_connect():
     """The one case where the branch list and the nonzero pattern differ:
     the pair connects its buses, though their off-diagonal entry is an
-    exact zero and is not stored."""
+    exact zero and is not stored. ``validate`` refuses such a pair; this
+    pins what the unchecked case does."""
     case = cancelling_pair()
     arr = case.arrays
     assert arr.yft[0] + arr.yft[1] == 0

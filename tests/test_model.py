@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from gridimpact.model import (
     validate,
 )
 
+from test_island_admittance import cancelling_pair
 from toys import two_bus_case
 
 MINIMAL_CASE = """
@@ -84,6 +87,9 @@ class TestValidation:
     def test_clean_case_validates(self):
         assert validate(two_bus_case()) == []
 
+    def test_fixture_validates(self, case118):
+        assert validate(case118) == []
+
     def test_duplicate_bus_id(self):
         case = two_bus_case()
         bad = case.with_(buses=case.buses + (Bus(id=1),))
@@ -117,6 +123,44 @@ class TestValidation:
         case = two_bus_case()
         bad = case.with_(substations=(Substation(id=1, member_buses=frozenset({1})),))
         assert any("belong to no substation" in v for v in validate(bad))
+
+    def test_cancelling_parallel_circuits_refused(self):
+        """Circuits 1-2 at z and -z are an open circuit, which islanding
+        would read as a connection: validate names the pair, and the case
+        does not load."""
+        case = GridCase(
+            base_mva=100.0,
+            buses=(Bus(id=1, kind="slack"), Bus(id=2, load_p=5.0), Bus(id=3, load_p=5.0)),
+            branches=(
+                Branch(from_bus=1, to_bus=2, resistance=0.0, reactance=0.1),
+                Branch(from_bus=1, to_bus=2, resistance=0.0, reactance=-0.1),
+                Branch(from_bus=1, to_bus=3, resistance=0.01, reactance=0.1),
+            ),
+            generators=(Generator(bus=1, p_output=10.0),),
+            substations=(),
+        )
+        message = "branches 1-2: the in-service circuits' admittances cancel exactly"
+        assert validate(case) == [message]
+        assert validate(cancelling_pair()) == [message]
+        with pytest.raises(CaseValidationError, match=message):
+            loads_case(dumps_case(case))
+
+    def test_cancelling_pair_sums_both_orientations(self):
+        """A circuit listed 2->1 adds its to-from entry to the pair's sum;
+        an out-of-service circuit adds nothing, and a pair that does not
+        cancel is accepted."""
+        base = two_bus_case()
+        line = base.branches[0]
+        assert (line.from_bus, line.to_bus) == (1, 2)
+        reversed_negative = Branch(from_bus=2, to_bus=1, resistance=-line.resistance,
+                                   reactance=-line.reactance)
+        bad = base.with_(branches=(line, reversed_negative))
+        assert validate(bad) == [
+            "branches 1-2: the in-service circuits' admittances cancel exactly"
+        ]
+        off = replace(reversed_negative, status=False)
+        assert validate(base.with_(branches=(line, off))) == []
+        assert validate(base.with_(branches=(line, line))) == []
 
     def test_loads_case_raises_on_invalid(self):
         text = MINIMAL_CASE.replace("1 slack", "1 PQ")

@@ -1,4 +1,4 @@
-"""Cross-classification, ordering plans, cascade runs, re-evaluation."""
+"""Cross-classification, cascade runs, re-evaluation."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from gridimpact.model import Branch, Bus, Substation
 from gridimpact.pipeline import (
     CrossCheckRecord,
     DynPolicy,
-    PermutationPlan,
     PipelineConfig,
     cascade_confirm,
     combination_branch_set,
@@ -208,50 +207,6 @@ class TestMatrixCsv:
         assert "p_dyn_critical_given_noncritical," in lines
 
 
-class TestPermutationPlan:
-    def test_auto_resolution_by_factorial(self):
-        plan = PermutationPlan()
-        assert plan.resolve(3) == "exhaustive"
-        assert plan.resolve(7) == "exhaustive"
-        assert plan.resolve(8) == "sample"
-
-    def test_exhaustive_orders(self):
-        plan = PermutationPlan(strategy="exhaustive")
-        pairs = [(5, 9), (1, 2), (3, 4)]
-        orders = list(plan.orders(pairs))
-        assert len(orders) == 6
-        assert len(set(orders)) == 6
-        assert orders[0] == ((1, 2), (3, 4), (5, 9))  # canonical first
-        assert all(sorted(o) == sorted(pairs) for o in orders)
-
-    def test_exhaustive_refused_above_cap(self, monkeypatch):
-        pairs = [(i, i + 1) for i in range(1, 9)]
-        with pytest.raises(ValueError, match=r"8! = 40320 orderings, above 5040"):
-            PermutationPlan(strategy="exhaustive").orders(pairs)
-        monkeypatch.setattr(pipeline, "MAX_EXHAUSTIVE", 40320)
-        assert len(list(PermutationPlan(strategy="exhaustive").orders(pairs))) == 40320
-
-    def test_single_canonical(self):
-        plan = PermutationPlan(strategy="single_canonical")
-        orders = list(plan.orders([(9, 12), (1, 4)]))
-        assert orders == [((1, 4), (9, 12))]
-
-    def test_sampled_orders_distinct_and_seeded(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "SAMPLED_ORDERS", 6)
-        pairs = [(i, i + 1) for i in range(1, 9)]
-        plan = PermutationPlan(strategy="sample")
-        a = list(plan.orders(pairs))
-        b = list(plan.orders(pairs))
-        assert a == b
-        assert len(a) == 6
-        assert len(set(a)) == 6
-        assert a[0] == tuple(sorted(pairs))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PermutationPlan(strategy="clever")
-
-
 class TestBranchSets:
     def test_pocket_feeder_branch_set(self, case118):
         pairs = combination_branch_set(case118, OutageCombination((100,)))
@@ -274,65 +229,49 @@ class TestBranchSets:
 
 class TestCascadeConfirm:
     def test_switching_order_changes_the_verdict(self):
-        """Islanding the deficient machine mid-sequence collapses it, while
-        shedding the load first rides through: 4 of 6 orderings unstable."""
+        """The finding cascade confirmation rests on: islanding the
+        deficient machine mid-sequence collapses it, while shedding the
+        load first rides through."""
         case = two_machine_case()
-        summary = cascade_confirm(case, OutageCombination((1, 3)))
-        assert summary.strategy == "exhaustive"
-        assert len(summary.runs) == 6
-        assert all(r.status == "ok" for r in summary.runs)
-        outcomes = Counter(r.overall for r in summary.runs)
-        assert outcomes == {"islanded_mixed": 4, "stable": 2}
-        assert summary.fraction_unstable == pytest.approx(4 / 6)
-        assert not summary.permutation_invariant
 
-    def test_base_state_built_once_for_all_orderings(self, monkeypatch):
-        """Six orderings share one base power flow and reach the verdicts
-        each ordering reached when it solved its own."""
+        def verdict(order):
+            actions = [OutageAction.open_branch(a, b) for a, b in order]
+            _, v = run_scenario(case, SwitchingSchedule.evenly_spaced(actions, 5.0))
+            return v.overall, v.time_of_first_violation
+
+        overall, t = verdict(((1, 2), (1, 3), (2, 3)))
+        assert overall == "islanded_mixed"
+        assert t == pytest.approx(7.93, abs=1e-9)
+        assert verdict(((1, 3), (2, 3), (1, 2))) == ("stable", None)
+
+    def test_one_canonical_run_from_one_base_state(self, monkeypatch):
+        """A confirmation is one run, in sorted branch order, from one base
+        power flow."""
         solves = []
         solve = dynamics.solve_newton
         monkeypatch.setattr(dynamics, "solve_newton",
                             lambda *a, **k: solves.append(1) or solve(*a, **k))
-        summary = cascade_confirm(two_machine_case(), OutageCombination((1, 3)))
+        combo = OutageCombination((1, 3))
+        run = cascade_confirm(two_machine_case(), combo)
         assert len(solves) == 1
-        assert [(r.order, r.overall) for r in summary.runs] == [
-            (((1, 2), (1, 3), (2, 3)), "islanded_mixed"),
-            (((1, 2), (2, 3), (1, 3)), "islanded_mixed"),
-            (((1, 3), (1, 2), (2, 3)), "islanded_mixed"),
-            (((1, 3), (2, 3), (1, 2)), "stable"),
-            (((2, 3), (1, 2), (1, 3)), "islanded_mixed"),
-            (((2, 3), (1, 3), (1, 2)), "stable"),
-        ]
-        assert [r.time_of_first_violation for r in summary.runs] == pytest.approx(
-            [7.93, 8.87, 7.93, None, 8.86, None], abs=1e-9
-        )
+        assert (run.combination, run.order, run.status, run.overall) == (
+            combo, ((1, 2), (1, 3), (2, 3)), "ok", "islanded_mixed")
+        assert run.time_of_first_violation == pytest.approx(7.93, abs=1e-9)
+        assert run.trace is None
 
-    def test_failed_base_state_fails_every_ordering(self, monkeypatch):
+    def test_failed_base_state_is_an_error_run(self, monkeypatch):
         def no_base(case, models):
             raise ValueError("base-case power flow did not converge")
 
         monkeypatch.setattr(pipeline, "initial_state", no_base)
-        summary = cascade_confirm(two_machine_case(), OutageCombination((1, 3)))
-        assert len(summary.runs) == 6
-        assert {(r.status, r.detail) for r in summary.runs} == {
-            ("error", "base-case power flow did not converge")
-        }
-        assert summary.fraction_unstable is None
-
-    def test_order_invariant_set_reports_invariant(self):
-        case = two_machine_case()
-        summary = cascade_confirm(case, OutageCombination((3,)))
-        assert summary.strategy == "exhaustive"
-        assert [r.overall for r in summary.runs] == ["stable", "stable"]
-        assert summary.fraction_unstable == 0.0
-        assert summary.permutation_invariant
+        run = cascade_confirm(two_machine_case(), OutageCombination((1, 3)))
+        assert (run.order, run.status, run.overall, run.detail) == (
+            ((1, 2), (1, 3), (2, 3)), "error", None,
+            "base-case power flow did not converge")
 
     def test_canonical_run_equals_direct_scenario(self):
         case = two_machine_case()
-        plan = PermutationPlan(strategy="single_canonical")
-        summary = cascade_confirm(case, OutageCombination((3,)), plan=plan)
-        assert len(summary.runs) == 1
-        run = summary.canonical
+        run = cascade_confirm(case, OutageCombination((3,)))
 
         actions = [OutageAction.open_branch(1, 3), OutageAction.open_branch(2, 3)]
         schedule = SwitchingSchedule.evenly_spaced(actions, interval=5.0)
@@ -340,35 +279,24 @@ class TestCascadeConfirm:
         assert run.overall == direct.overall
         assert run.time_of_first_violation == direct.time_of_first_violation
 
-    def test_kept_trace_is_the_canonical_one_only(self):
-        case = two_machine_case()
-        kept = cascade_confirm(case, OutageCombination((1, 3)), trace_every=1)
-        plain = cascade_confirm(case, OutageCombination((1, 3)))
-        assert kept.strategy == "exhaustive"
-        assert len(kept.runs) == 6
-        assert kept.runs[0].trace is not None
-        assert [r.trace for r in kept.runs[1:]] == [None] * 5
-        assert [(r.order, r.status, r.overall, r.time_of_first_violation)
-                for r in kept.runs] == [
-            (r.order, r.status, r.overall, r.time_of_first_violation)
-            for r in plain.runs
-        ]
-
-    def test_only_the_kept_canonical_run_records_a_trace(self, monkeypatch):
-        """The canonical run records every trace_every-th sample when
-        trace_every is set; every other ordering records none."""
+    def test_kept_trace_leaves_the_outcome_alone(self, monkeypatch):
+        """With trace_every set the run records every trace_every-th
+        sample and keeps that trace; without it, it records none. The
+        outcome is the same either way."""
         seen = _spy_trace_every(monkeypatch)
         case, combo = two_machine_case(), OutageCombination((1, 3))
         kept = cascade_confirm(case, combo, trace_every=4)
-        assert seen == [4] + [None] * 5
-        assert kept.canonical.trace is not None
+        assert seen == [4]
+        assert kept.trace is not None
         seen.clear()
-        cascade_confirm(case, combo)
-        assert seen == [None] * 6
+        plain = cascade_confirm(case, combo)
+        assert seen == [None]
+        assert plain.trace is None
+        assert kept == plain
 
     def test_empty_branch_set_recorded_as_error(self, monkeypatch):
-        """The one error run of an empty branch set needs no base state,
-        so none is built."""
+        """The error run of an empty branch set needs no base state, so
+        none is built."""
         # a combination of nothing in service can only be provoked
         # artificially: here by opening every branch of substation 3
         case = two_machine_case()
@@ -383,13 +311,10 @@ class TestCascadeConfirm:
 
         monkeypatch.setattr(pipeline, "initial_state", initial_state)
         cut = apply_branch_outages(case, [(1, 3), (2, 3)])
-        summary = cascade_confirm(cut, OutageCombination((3,)), trace_every=1)
-        assert [(r.order, r.status, r.overall, r.trace) for r in summary.runs] == [
-            ((), "error", None, None)
-        ]
+        run = cascade_confirm(cut, OutageCombination((3,)), trace_every=1)
+        assert (run.order, run.status, run.overall, run.trace) == ((), "error", None, None)
         assert builds == []
-        assert "no in-service branch" in summary.canonical.detail
-        assert summary.fraction_unstable is None
+        assert "no in-service branch" in run.detail
 
 
 class TestReEvaluate:
@@ -679,20 +604,13 @@ class TestTraceFiles:
     """Each verified combination's trace file is written as soon as its
     cascade returns, and the report keeps no trace."""
 
-    @pytest.mark.parametrize("strategy", ["single_canonical", "exhaustive"])
-    def test_trace_files_match_independent_runs(self, strategy, tmp_path, monkeypatch):
+    def test_trace_files_match_independent_runs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "TRACE_EVERY", 3)
         case = two_machine_case()
-        cfg = PipelineConfig(
-            k_max=1,
-            policy=DynPolicy(noncritical_fraction=1.0),
-            plan=PermutationPlan(strategy=strategy),
-        )
+        cfg = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=1.0))
         report = run_pipeline(case, cfg, run_dir=tmp_path)
         assert len(report.verified) >= 2
-        assert [r.trace for c in report.cascades for r in c.runs] == [None] * sum(
-            len(c.runs) for c in report.cascades
-        )
+        assert [c.trace for c in report.cascades] == [None] * len(report.cascades)
 
         files = sorted(p.name for p in (tmp_path / "traces").iterdir())
         assert files == sorted(
@@ -710,21 +628,19 @@ class TestTraceFiles:
 
 class TestOperatingPoint:
     """Dynamic verification runs at one operating point: its step,
-    switching interval, machine models, ordering budget and trace
-    decimation are constants that no caller can set."""
+    switching interval, machine models and trace decimation are
+    constants that no caller can set."""
 
     def test_constants(self):
         assert pipeline.TRACE_EVERY == 10  # 0.1 s at the 10 ms step
         assert ScenarioOptions().dt == 0.01
         assert pipeline.SWITCH_INTERVAL == 5.0
-        assert pipeline.MAX_EXHAUSTIVE == 5040  # 7!
-        assert pipeline.SAMPLED_ORDERS == 20
 
     @pytest.mark.parametrize("name, keyword", [
         ("PipelineConfig", "trace_decimate"), ("PipelineConfig", "dt"),
-        ("PermutationPlan", "interval"), ("PermutationPlan", "cap"),
-        ("PermutationPlan", "samples"), ("PermutationPlan", "seed"),
+        ("PipelineConfig", "plan"),
         ("cascade_confirm", "models"), ("cascade_confirm", "options"),
+        ("cascade_confirm", "plan"),
         ("re_evaluate", "models"), ("re_evaluate", "interval"), ("re_evaluate", "dt"),
         ("run_pipeline", "models"), ("run_screening", "options"),
     ])
@@ -732,7 +648,6 @@ class TestOperatingPoint:
         case, combo = two_machine_case(), OutageCombination((1,))
         call = {
             "PipelineConfig": PipelineConfig,
-            "PermutationPlan": PermutationPlan,
             "cascade_confirm": partial(cascade_confirm, case, combo),
             "re_evaluate": partial(re_evaluate, case, combo, "critical", "stable"),
             "run_pipeline": partial(run_pipeline, case),
@@ -741,29 +656,32 @@ class TestOperatingPoint:
         with pytest.raises(TypeError, match=keyword):
             call(**{keyword: None})
 
-    def test_exhaustive_plan_above_the_limit_is_a_dynamics_error(self, tmp_path,
-                                                                   monkeypatch):
-        """An exhaustive plan with more orderings than MAX_EXHAUSTIVE
-        records one error run, on the canonical order and without a base
-        state, and every report is still written."""
-        monkeypatch.setattr(pipeline, "MAX_EXHAUSTIVE", 1)
-        monkeypatch.setattr(pipeline, "initial_state", None)  # never built
+    def test_base_state_that_raises_is_a_dynamics_error(self, tmp_path, monkeypatch):
+        """When the base state cannot be built, every selected combination
+        is reported failed with that error, and every report is still
+        written."""
+        def no_base(case, models):
+            raise ValueError("base-case power flow did not converge")
+
+        monkeypatch.setattr(pipeline, "initial_state", no_base)
         case = two_machine_case()
-        cfg = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=1.0),
-                             plan=PermutationPlan("exhaustive"))
+        cfg = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=1.0))
         report = run_pipeline(case, cfg, run_dir=tmp_path)
         assert report.verified == ()
-        assert len(report.failed) == len(report.cascades) == 3
-        for summary in report.cascades:
-            pairs = combination_branch_set(case, summary.combination)
-            assert summary.strategy == "exhaustive"
-            assert [(r.order, r.status) for r in summary.runs] == [(pairs, "error")]
-            assert summary.canonical.detail.endswith("orderings, above 1")
+        assert report.failed == tuple(
+            (OutageCombination((sub,)), "base-case power flow did not converge")
+            for sub in (1, 2, 3)
+        )
+        assert report.matrix.counts == {}
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "matrix.csv", "reeval.csv", "screening.csv", "summary.txt", "traces",
         ]
-        summary_text = (tmp_path / "summary.txt").read_text()
-        assert summary_text.count(": dynamics error: exhaustive plan over 2 branches") == 3
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "dynamically verified: 0\n" in summary
+        assert "".join(
+            f"  {sub}: dynamics error: base-case power flow did not converge\n"
+            for sub in (1, 2, 3)
+        ) in summary
 
 
 def test_workers_variable_is_not_read_by_the_library(monkeypatch):

@@ -379,7 +379,7 @@ def test_reassigned_box_is_honoured_by_step_and_rhs():
 
 
 def test_shared_state_is_not_mutated_by_runs():
-    """The initial state that cascade_confirm shares across orderings
+    """The initial state that re_evaluate shares across its dynamic rungs
     comes out of every run as it went in, so a run from a shared state
     equals a run from a freshly built one."""
     case = two_machine_case()

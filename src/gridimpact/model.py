@@ -16,6 +16,7 @@ its own single-bus substation, which matches the common usage where
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -496,12 +497,26 @@ def _ascii_int(tok: str) -> int:
     return int(tok)
 
 
+class _NotFinite(ValueError):
+    """A number token that float() reads as nan or an infinity."""
+
+
+def _finite_float(tok: str) -> float:
+    """A number token as a finite float; raises ``ValueError`` for others,
+    and ``_NotFinite`` for ``nan``, ``inf`` or ``1e999``, which float()
+    reads."""
+    x = float(tok)
+    if not math.isfinite(x):
+        raise _NotFinite(tok)
+    return x
+
+
 # A column's declared type (a string under postponed annotations) -> how a
 # token converts to it, what a bad token was expected to be, and how a value
 # is written back.
 _TYPES = {
     "int": (_ascii_int, "an integer", str),
-    "float": (float, "a number", lambda x: repr(float(x))),
+    "float": (_finite_float, "a number", lambda x: repr(float(x))),
     "bool": ({"0": False, "1": True}.__getitem__, "0/1 flag", lambda x: str(int(x))),
     "str": (str, "a name", str),
 }
@@ -516,8 +531,11 @@ def _parse(type_: str, tok: str, line_no: int):
     convert, expected, _ = _TYPES[type_]
     try:
         return convert(tok)
+    except _NotFinite:
+        expected = "a finite number"
     except (ValueError, KeyError):
-        raise CaseFormatError(line_no, f"expected {expected}, got {tok!r}") from None
+        pass
+    raise CaseFormatError(line_no, f"expected {expected}, got {tok!r}")
 
 
 def _substation_id(tok: str) -> SubstationId:

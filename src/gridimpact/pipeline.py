@@ -25,7 +25,6 @@ from .dynamics import (
     DynamicState,
     DynamicTrace,
     ScenarioOptions,
-    StabilityVerdict,
     SwitchingSchedule,
     _csv_lines,
     default_machine_models,
@@ -50,7 +49,6 @@ from .screening import (
 from .topology import OutageAction, outage_masks
 
 __all__ = [
-    "CrossCheckRecord",
     "CrossCheckMatrix",
     "cross_check",
     "matrix_csv",
@@ -70,27 +68,6 @@ __all__ = [
 # --- cross-check matrix -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossCheckRecord:
-    """One combination's pair of verdicts.
-
-    ``dynamic_verdict`` is the overall stability kind from the
-    time-domain run, or None when the combination was not selected for
-    dynamic verification.
-    """
-
-    combination: OutageCombination
-    steady_verdict: str  # critical | non_critical
-    dynamic_verdict: str | None  # stable | transient_unstable | ... | None
-
-    @property
-    def dyn_critical(self) -> bool | None:
-        """Dynamically critical means any verdict other than stable."""
-        if self.dynamic_verdict is None:
-            return None
-        return self.dynamic_verdict != "stable"
-
-
 # The steady classes and the dynamic classes of a verified combination, in
 # report order.
 _STEADY = ("critical", "non_critical")
@@ -106,20 +83,13 @@ class CrossCheckMatrix:
     of *dynamically verified* combinations into dyn-critical (any
     instability) / dyn-stable. Masses at each level sum to one; a
     conditional is None when its steady class has no verified member.
-    Only the records and the verified counts are stored; every total,
-    mass and conditional is computed from them.
+    Only counts are stored; every mass and conditional is computed from
+    them.
     """
 
-    records: tuple[CrossCheckRecord, ...]
+    total: int  # screened combinations
+    n_critical_steady: int
     counts: dict[tuple[str, str], int]  # (steady, dyn) -> verified count
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_critical_steady(self) -> int:
-        return sum(1 for r in self.records if r.steady_verdict == "critical")
 
     @property
     def n_noncritical_steady(self) -> int:
@@ -160,44 +130,33 @@ class CrossCheckMatrix:
 
 def cross_check(
     screen_results: Iterable[ScreeningResult],
-    dynamic_verdicts: Mapping[tuple, str | StabilityVerdict],
+    dynamic_verdicts: Mapping[tuple, str],
 ) -> CrossCheckMatrix:
     """Cross-tabulate steady and dynamic verdicts per combination.
 
     ``dynamic_verdicts`` maps a combination's substation tuple to its
-    overall stability kind (or the StabilityVerdict itself). Every key
-    must correspond to a screened combination.
+    overall stability kind; any kind but ``stable`` is dyn-critical.
+    Every key must be a screened combination's.
     """
-    results = list(screen_results)
-    by_subs = {r.combination.substations: r for r in results}
-    if len(by_subs) != len(results):
-        raise ValueError("duplicate combinations in screening results")
-    unmatched = [k for k in dynamic_verdicts if tuple(k) not in by_subs]
+    screened: set[tuple] = set()
+    n_critical = 0
+    counts: dict[tuple[str, str], int] = {}
+    for r in screen_results:
+        subs = r.combination.substations
+        if subs in screened:
+            raise ValueError("duplicate combinations in screening results")
+        screened.add(subs)
+        n_critical += r.verdict == "critical"
+        overall = dynamic_verdicts.get(subs)
+        if overall is not None:
+            key = (r.verdict, "dyn_stable" if overall == "stable" else "dyn_critical")
+            counts[key] = counts.get(key, 0) + 1
+    unmatched = [k for k in dynamic_verdicts if k not in screened]
     if unmatched:
         raise ValueError(f"dynamic verdicts for unscreened combinations: {unmatched}")
-    if not results:
+    if not screened:
         raise ValueError("cross_check needs at least one screening result")
-
-    overall: dict[tuple, str] = {}
-    for key, v in dynamic_verdicts.items():
-        overall[tuple(key)] = v.overall if isinstance(v, StabilityVerdict) else str(v)
-
-    records = tuple(
-        CrossCheckRecord(
-            combination=r.combination,
-            steady_verdict=r.verdict,
-            dynamic_verdict=overall.get(r.combination.substations),
-        )
-        for r in results
-    )
-    counts: dict[tuple[str, str], int] = {}
-    for r in records:
-        if r.dynamic_verdict is None:
-            continue
-        dyn = "dyn_critical" if r.dyn_critical else "dyn_stable"
-        key = (r.steady_verdict, dyn)
-        counts[key] = counts.get(key, 0) + 1
-    return CrossCheckMatrix(records=records, counts=counts)
+    return CrossCheckMatrix(len(screened), n_critical, counts)
 
 
 def _fmt_prob(x: float | None) -> str:
@@ -237,7 +196,6 @@ class CascadeRun:
     """One combination's dynamic outcome (overall kind, or an error)."""
 
     combination: OutageCombination
-    order: tuple[tuple[int, int], ...]
     status: str  # ok | error
     overall: str | None
     time_of_first_violation: float | None = None
@@ -295,7 +253,7 @@ def _run_order(
     as an error; with ``trace_every`` set, a finished run keeps its trace
     of every ``trace_every``-th sample, and without it records none."""
     if not order:
-        return CascadeRun(combination, order, "error", None,
+        return CascadeRun(combination, "error", None,
                           detail="the combination touches no in-service branch")
     actions = [OutageAction.open_branch(a, b) for a, b in order]
     schedule = SwitchingSchedule.evenly_spaced(actions, interval)
@@ -305,8 +263,8 @@ def _run_order(
         trace, verdict = run_scenario(case, schedule, options=ScenarioOptions(dt=dt),
                                       state=state, trace_every=trace_every)
     except Exception as exc:  # isolate a failed run
-        return CascadeRun(combination, order, "error", None, detail=str(exc))
-    return CascadeRun(combination, order, "ok", verdict.overall,
+        return CascadeRun(combination, "error", None, detail=str(exc))
+    return CascadeRun(combination, "ok", verdict.overall,
                       verdict.time_of_first_violation,
                       trace=None if trace_every is None else trace)
 
@@ -537,7 +495,7 @@ def _confirm(case: GridCase, combination: OutageCombination,
         import logging
 
         logging.getLogger(__name__).exception("confirming %s raised", combination)
-        return CascadeRun(combination, (), "error", None, detail=str(exc))
+        return CascadeRun(combination, "error", None, detail=str(exc))
     return replace(run, trace=None)
 
 
@@ -565,7 +523,9 @@ def run_pipeline(
     combination is known to be selected: when it is pruned, ahead of its
     level's sweep when it is critical from its islands alone (a pre-pass
     made only on a pool), when its screen returns critical, and after
-    the last level for the non-critical sample. The report holds the
+    the last level for the non-critical sample. Confirmations are read
+    in selection order, and a disagreement's re-evaluation ladder is
+    queued as soon as its confirmation is read. The report holds the
     cascades in selection order and the re-evaluations in matrix order,
     so identical inputs (including seed) give byte-identical files on
     any number of workers: nothing time- or host-dependent is emitted.
@@ -598,18 +558,22 @@ def run_pipeline(
             traces_dir.mkdir(parents=True, exist_ok=True)
         for result in selected:
             confirm(result.combination)
-        cascades = tuple(confirmations[r.combination]() for r in selected)
+        cascades: list[CascadeRun] = []
+        ladders: dict[OutageCombination, Callable[[], ReEvaluationRecord]] = {}
+        for r in selected:
+            run = confirmations[r.combination]()
+            cascades.append(run)
+            if run.status == "ok" and (r.verdict == "critical") != (run.overall != "stable"):
+                ladders[r.combination] = tasks.later(re_evaluate, r.combination, r.verdict,
+                                                     run.overall)
 
         matrix = cross_check(all_results, {
             c.combination.substations: c.overall for c in cascades if c.status == "ok"
         })
-        ladders = [tasks.later(re_evaluate, r.combination, r.steady_verdict,
-                               r.dynamic_verdict)
-                   for r in matrix.records if r.dynamic_verdict is not None
-                   and (r.steady_verdict == "critical") != r.dyn_critical]
-        reevaluations = tuple(ladder() for ladder in ladders)
+        reevaluations = tuple(ladders[r.combination]() for r in all_results
+                              if r.combination in ladders)  # in matrix order
 
-    report = PipelineReport(config=config, screening=screening, cascades=cascades,
+    report = PipelineReport(config=config, screening=screening, cascades=tuple(cascades),
                             matrix=matrix, reevaluations=reevaluations)
     if run_dir is not None:
         (run_dir / "screening.csv").write_text(screening_report_csv(screening))

@@ -19,6 +19,7 @@ from gridimpact.model import (
 )
 
 from conftest import CASE_PATH
+from toys import two_bus_case
 
 MINIMAL_CASE = """
 base_mva 100.0
@@ -171,3 +172,41 @@ def test_schedule_bus_ids_read_by_the_id_rule(token):
     with pytest.raises(ValueError) as err:
         parse_schedule(f"0.5 open_branch 1 2\n{line}\n")
     assert str(err.value) == f"line 2: bad bus id in {line!r}"
+
+
+# (line, column, token) of a number in the two-bus toy's dump, replaced by
+# a token float() reads but no case may hold
+NON_FINITE = [
+    (1, 1, "nan"),  # base_mva
+    (6, 5, "nan"),  # a bus's load_mw
+    (10, 2, "nan"),  # resistance
+    (10, 3, "inf"),  # reactance
+    (10, 3, "-inf"),
+    (10, 3, "1e999"),
+    (10, 4, "inf"),  # charging
+    (10, 5, "nan"),  # rating
+    (10, 6, "nan"),  # tap ratio
+    (14, 1, "nan"),  # a generator's p_mw
+]
+
+
+def with_token(text: str, line: int, column: int, token: str) -> str:
+    """``text`` with the ``column``-th token of line ``line`` (both from
+    1 and 0) replaced by ``token``."""
+    lines = text.splitlines()
+    toks = lines[line - 1].split()
+    toks[column] = token
+    lines[line - 1] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("line, column, token", NON_FINITE)
+def test_non_finite_numbers_refused_at_their_line(line, column, token, check):
+    """``nan`` and the infinities are refused where the token is read,
+    with its line, whether or not the case is then validated."""
+    text = dumps_case(two_bus_case())
+    float(text.splitlines()[line - 1].split()[column])  # the token replaced is a number
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(with_token(text, line, column, token), check=check)
+    assert str(err.value) == f"line {line}: expected a finite number, got {token!r}"

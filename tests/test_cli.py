@@ -26,6 +26,17 @@ def toy_case_file(tmp_path):
 
 
 class TestLoad:
+    def test_non_finite_number_is_an_error(self, tmp_path, capsys):
+        from toys import two_bus_case
+
+        path = tmp_path / "nan.grid"
+        path.write_text(dumps_case(two_bus_case()).replace("1 2 0.01 ", "1 2 nan "))
+        assert main(["load", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gridimpact: error: line 10: expected a finite number, got 'nan'\n")
+
     def test_prints_summary(self, capsys):
         assert main(["load", CASE_PATH]) == 0
         out = capsys.readouterr().out

@@ -1,11 +1,11 @@
 """The cross-check matrix's derived values equal the stored ones they replaced.
 
-``CrossCheckMatrix`` stores its records and counts and computes its
-marginals and conditionals. The reference below is the code it replaced:
-``cross_check`` storing all eight values, ``matrix_csv`` writing each row
-by hand and the summary's hand-written probability lines. On generated
-verdict tables, the rendered bytes must be equal and every value equal
-by ``==``.
+``CrossCheckMatrix`` stores its counts and computes its marginals and
+conditionals. The reference below is the code it replaced: ``cross_check``
+storing all eight values, computed from the (steady, dynamic) verdict
+rows, ``matrix_csv`` writing each row by hand and the summary's
+hand-written probability lines. On generated verdict tables, the
+rendered bytes must be equal and every value equal by ``==``.
 """
 
 from __future__ import annotations
@@ -39,16 +39,17 @@ VALUES = (
 )
 
 
-def reference_values(records) -> dict:
-    """The eight values as the replaced ``cross_check`` stored them."""
-    n_crit = sum(1 for r in records if r.steady_verdict == "critical")
-    n_non = len(records) - n_crit
+def reference_values(rows) -> dict:
+    """The eight values as the replaced ``cross_check`` stored them, from
+    (steady verdict, dynamic verdict or None) rows."""
+    n_crit = sum(1 for steady, _ in rows if steady == "critical")
+    n_non = len(rows) - n_crit
     counts: dict[tuple[str, str], int] = {}
-    for r in records:
-        if r.dynamic_verdict is None:
+    for steady, overall in rows:
+        if overall is None:
             continue
-        dyn = "dyn_critical" if r.dyn_critical else "dyn_stable"
-        key = (r.steady_verdict, dyn)
+        dyn = "dyn_stable" if overall == "stable" else "dyn_critical"
+        key = (steady, dyn)
         counts[key] = counts.get(key, 0) + 1
 
     def conditionals(steady):
@@ -66,8 +67,8 @@ def reference_values(records) -> dict:
         counts=counts,
         n_critical_steady=n_crit,
         n_noncritical_steady=n_non,
-        p_critical_steady=n_crit / len(records),
-        p_noncritical_steady=n_non / len(records),
+        p_critical_steady=n_crit / len(rows),
+        p_noncritical_steady=n_non / len(rows),
         p_dyn_critical_given_critical=p_cc,
         p_dyn_stable_given_critical=p_cs,
         p_dyn_critical_given_noncritical=p_nc,
@@ -143,7 +144,7 @@ def test_derived_matrix_equals_the_stored_one(rows):
         for i, (sv, _) in enumerate(rows, 1)
     )
     m = cross_check(screened, {(i,): dv for i, (_, dv) in enumerate(rows, 1) if dv is not None})
-    want = reference_values(m.records)
+    want = reference_values(rows)
 
     assert m.total == want["total"]
     assert m.counts == want["counts"]

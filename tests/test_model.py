@@ -24,6 +24,7 @@ from gridimpact.model import (
 )
 
 from test_island_admittance import cancelling_pair
+import toys
 from toys import two_bus_case
 
 MINIMAL_CASE = """
@@ -178,6 +179,12 @@ class TestRoundTrip:
     def test_fixture_round_trip(self, case118):
         again = loads_case(dumps_case(case118))
         assert again == case118
+
+    @pytest.mark.parametrize("name", ["two_bus_case", "two_island_case", "star_case",
+                                      "two_machine_case"])
+    def test_every_toy_round_trips(self, name):
+        case = getattr(toys, name)()
+        assert loads_case(dumps_case(case)) == case
 
     @given(
         load_p=st.floats(0.0, 500.0, allow_nan=False),

@@ -8,7 +8,7 @@ import subprocess
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
+from functools import partial, wraps
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 from gridimpact import dynamics, pipeline
 from gridimpact.dynamics import (
     ScenarioOptions,
-    StabilityVerdict,
     SwitchingSchedule,
     run_scenario,
     trace_to_csv,
 )
 from gridimpact.model import Branch, Bus, Substation
 from gridimpact.pipeline import (
-    CrossCheckRecord,
+    CascadeRun,
     DynPolicy,
     PipelineConfig,
+    ReEvaluationRecord,
     cascade_confirm,
     combination_branch_set,
     cross_check,
@@ -116,16 +116,6 @@ class TestCrossCheck:
         assert m.p_dyn_critical_given_noncritical is None
         assert m.p_dyn_stable_given_noncritical is None
 
-    def test_accepts_verdict_objects(self):
-        screened = [_screened((1,), "non_critical")]
-        verdict = StabilityVerdict(
-            overall="stable",
-            per_island={1: "stable"},
-            time_of_first_violation=None,
-        )
-        m = cross_check(screened, {(1,): verdict})
-        assert m.cell("non_critical", "dyn_stable") == 1
-
     def test_unscreened_key_rejected(self):
         screened = [_screened((1,), "non_critical")]
         with pytest.raises(ValueError, match="unscreened"):
@@ -181,13 +171,19 @@ class TestCrossCheck:
             else:
                 assert p_c == pytest.approx(crit / (crit + stab))
 
-    def test_record_tristate(self):
-        rec = CrossCheckRecord(OutageCombination((1,)), "critical", None)
-        assert rec.dyn_critical is None
-        rec = CrossCheckRecord(OutageCombination((1,)), "critical", "stable")
-        assert rec.dyn_critical is False
-        rec = CrossCheckRecord(OutageCombination((1,)), "critical", "islanded_mixed")
-        assert rec.dyn_critical is True
+    @pytest.mark.parametrize("overall, cell", [
+        (None, None),
+        ("stable", ("critical", "dyn_stable")),
+        ("islanded_mixed", ("critical", "dyn_critical")),
+    ])
+    def test_disagreement_rule(self, overall, cell):
+        """A missing dynamic verdict is counted in no cell; ``stable`` is
+        dyn-stable and any other kind dyn-critical, so a steady-critical
+        combination that runs ``stable`` is the disagreement."""
+        screened = [_screened((1,), "critical"), _screened((2,), "non_critical")]
+        m = cross_check(screened, {} if overall is None else {(1,): overall})
+        assert (m.total, m.n_critical_steady) == (2, 1)
+        assert m.counts == ({} if cell is None else {cell: 1})
 
 
 class TestMatrixCsv:
@@ -254,8 +250,8 @@ class TestCascadeConfirm:
         combo = OutageCombination((1, 3))
         run = cascade_confirm(two_machine_case(), combo)
         assert len(solves) == 1
-        assert (run.combination, run.order, run.status, run.overall) == (
-            combo, ((1, 2), (1, 3), (2, 3)), "ok", "islanded_mixed")
+        assert combination_branch_set(two_machine_case(), combo) == ((1, 2), (1, 3), (2, 3))
+        assert (run.combination, run.status, run.overall) == (combo, "ok", "islanded_mixed")
         assert run.time_of_first_violation == pytest.approx(7.93, abs=1e-9)
         assert run.trace is None
 
@@ -264,10 +260,11 @@ class TestCascadeConfirm:
             raise ValueError("base-case power flow did not converge")
 
         monkeypatch.setattr(pipeline, "initial_state", no_base)
-        run = cascade_confirm(two_machine_case(), OutageCombination((1, 3)))
-        assert (run.order, run.status, run.overall, run.detail) == (
-            ((1, 2), (1, 3), (2, 3)), "error", None,
-            "base-case power flow did not converge")
+        case, combo = two_machine_case(), OutageCombination((1, 3))
+        run = cascade_confirm(case, combo)
+        assert combination_branch_set(case, combo) == ((1, 2), (1, 3), (2, 3))
+        assert (run.combination, run.status, run.overall, run.detail) == (
+            combo, "error", None, "base-case power flow did not converge")
 
     def test_canonical_run_equals_direct_scenario(self):
         case = two_machine_case()
@@ -312,7 +309,8 @@ class TestCascadeConfirm:
         monkeypatch.setattr(pipeline, "initial_state", initial_state)
         cut = apply_branch_outages(case, [(1, 3), (2, 3)])
         run = cascade_confirm(cut, OutageCombination((3,)), trace_every=1)
-        assert (run.order, run.status, run.overall, run.trace) == ((), "error", None, None)
+        assert combination_branch_set(cut, OutageCombination((3,))) == ()
+        assert (run.status, run.overall, run.trace) == ("error", None, None)
         assert builds == []
         assert "no in-service branch" in run.detail
 
@@ -498,7 +496,9 @@ class TestRunPipeline:
         assert report.failed == ((broken, "solver blew up"),)
         assert [str(c) for c, _ in report.verified] == ["1", "3"]
         m = report.matrix
-        assert {r.combination: r.dynamic_verdict for r in m.records}[broken] is None
+        assert (m.total, m.n_critical_steady) == (3, 0)
+        assert m.counts == {("non_critical", "dyn_critical"): 1,
+                            ("non_critical", "dyn_stable"): 1}
         assert sum(m.counts.values()) == len(report.verified)
         assert not (tmp_path / "traces" / "combo_2.csv").exists()
         assert "  2: dynamics error: solver blew up\n" in (tmp_path / "summary.txt").read_text()
@@ -751,6 +751,69 @@ class _RecordingPool:
     def map(self, task, combos):
         self.log.append(("screen", [str(c) for c in combos]))
         return self.tasks.map(task, combos)
+
+
+class _ReadRecordingPool(_RecordingPool):
+    """A ``_RecordingPool`` that also logs each task's result as it is
+    read."""
+
+    def later(self, task, *args):
+        result = super().later(task, *args)
+
+        def read():
+            value = result()
+            self.log.append(("read " + task.__name__, str(args[0])))
+            return value
+
+        return read
+
+
+@pytest.mark.parametrize("workers", [
+    1, pytest.param(2, marks=pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                                reason="a pool needs two CPUs")),
+])
+def test_ladders_queued_as_read_and_reported_in_matrix_order(workers, tmp_path, monkeypatch):
+    """On the two-machine toy at k=2, stubbed confirmations make the
+    steady-non-critical 2 and the steady-critical 1+2 disagree. Selection
+    reads 1+2 before 2, so 1+2's ladder is queued first, before the last
+    confirmation is read; the report and reeval.csv list the two in
+    matrix order, level 1 first."""
+    flipped = {OutageCombination((2,)): "islanded_mixed",
+               OutageCombination((1, 2)): "stable"}
+
+    def cascade_confirm(case, combination, **kwargs):
+        return CascadeRun(combination, "ok", flipped.get(combination, "stable"))
+
+    @wraps(pipeline.re_evaluate)  # a pool task pickles by its module and name
+    def re_evaluate(case, combination, steady_verdict, dynamic_verdict):
+        return ReEvaluationRecord(combination, steady_verdict, (dynamic_verdict,),
+                                  "persistent")
+
+    log = []
+    real = pipeline._worker_pool
+
+    @contextmanager
+    def recording(case, workers):
+        with real(case, workers) as tasks:
+            yield _ReadRecordingPool(tasks, log)
+
+    monkeypatch.setattr(pipeline, "cascade_confirm", cascade_confirm)
+    monkeypatch.setattr(pipeline, "re_evaluate", re_evaluate)
+    monkeypatch.setattr(pipeline, "_worker_pool", recording)
+    cfg = PipelineConfig(k_max=2, workers=workers, policy=DynPolicy(noncritical_fraction=1.0))
+    report = run_pipeline(two_machine_case(), cfg, run_dir=tmp_path)
+
+    assert [str(c.combination) for c in report.cascades] == [
+        "1", "1+2", "1+3", "2", "2+3", "3"]
+    assert [entry for entry in log if entry[0] == "re_evaluate"] == [
+        ("re_evaluate", "1+2"), ("re_evaluate", "2")]
+    last_read = max(i for i, entry in enumerate(log) if entry[0] == "read _confirm")
+    assert log.index(("re_evaluate", "1+2")) < last_read
+    assert [str(r.combination) for r in report.reevaluations] == ["2", "1+2"]
+    assert (tmp_path / "reeval.csv").read_text() == (
+        "combination,kind,adjustments,resolution\n"
+        "2,non_critical,islanded_mixed,persistent\n"
+        "1+2,critical,stable,persistent\n")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")

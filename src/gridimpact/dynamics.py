@@ -911,6 +911,78 @@ class _Monitor:
         )
 
 
+class _Run:
+    """A run in progress: the engine at time ``t``, the monitors, the event
+    log and the trace buffers of ``capacity`` rows, filled row by row (a
+    halted run never touches their tail)."""
+
+    def __init__(self, engine: _Engine, sample_every: int, trace_every: int | None, capacity: int):
+        self.engine, self.monitor, self.t = engine, _Monitor(), 0.0
+        self.sample_every, self.trace_every = sample_every, trace_every
+        self.n_samples = 0  # judged by the monitors
+        self.n_rows = 0  # recorded in the trace
+        self.events: list[EventRecord] = []
+        self.times, self.volts = np.empty(capacity), np.empty((capacity, engine.nb))
+        self.angles = np.empty((capacity, engine.nm))
+        self.mach_isl = np.empty((capacity, engine.nm), dtype=int)
+        self.island_freq: dict[int, np.ndarray] = {}  # NaN before formation, after death
+
+    def advance(self, t_stop: float, n_steps: int) -> bool:
+        """Take ``n_steps`` equal steps to ``t_stop``, judging a sample after
+        every ``sample_every``-th step and the last; True at a halt, with
+        ``t`` at the sample that fired."""
+        engine, t_a = self.engine, self.t
+        h = (t_stop - t_a) / n_steps
+        for k in range(1, n_steps + 1):
+            engine.step(engine.y, h)
+            if k % self.sample_every == 0 or k == n_steps:
+                self.t = t_a + k * h
+                if self.sample(self.t):
+                    return True
+        self.t = t_stop
+        return False
+
+    def apply(self, t: float, action: OutageAction) -> None:
+        """Execute one switching action, re-detect the islands and log it."""
+        ok, cause = self.engine.apply_event(action)
+        n_isl = self.engine.refresh_topology() if ok else None
+        self.events.append(EventRecord(t, action, "executed" if ok else "skipped", cause, n_isl))
+
+    def sample(self, t: float) -> str | None:
+        """Judge the sample at t, and record it when it falls on the trace's
+        grid (samples 0, ``trace_every``, 2 ``trace_every``, ...); returns
+        the verdict of a monitor that fired."""
+        engine, i = self.engine, self.n_rows
+        keep = self.trace_every is not None and self.n_samples % self.trace_every == 0
+        self.n_samples += 1
+        if keep:
+            np.abs(engine.bus_voltages(engine.emf(engine.y)), out=self.volts[i])
+            self.volts[i, engine.bus_dead] = 0.0
+            self.angles[i].fill(np.nan)
+            self.times[i] = t
+            self.mach_isl[i] = engine.mach_island
+            self.n_rows += 1
+        delta, omega = engine._yb[:2]
+        fired = None
+        for key, members, w, w_sum, rel in engine.island_members:
+            delta.take(members, out=rel)
+            coi = float(np.dot(w, rel) / w_sum)
+            np.subtract(rel, coi, out=rel)
+            np.degrees(rel, out=rel)
+            if keep:
+                self.angles[i, members] = rel
+            spread = float(rel.max() - rel.min()) if members.size > 1 else 0.0
+            omega.take(members, out=rel)
+            f_isl = F_NOMINAL * (1.0 + float(np.dot(w, rel) / w_sum))
+            freq = self.island_freq.get(key)
+            if freq is None:
+                freq = self.island_freq[key] = np.full(len(self.times), np.nan)
+            if keep:
+                freq[i] = f_isl
+            fired = self.monitor.update(t, key, spread, f_isl) or fired
+        return fired
+
+
 def run_scenario(
     case: GridCase,
     schedule: SwitchingSchedule,
@@ -921,12 +993,14 @@ def run_scenario(
 ) -> tuple[DynamicTrace, StabilityVerdict]:
     """Integrate a switching scenario and judge per-island stability.
 
-    Events land exactly on integration step boundaries. After every
-    event the island pattern is re-detected; islands without a
-    generating unit are de-energized immediately. The run halts at the
-    first instability verdict and the remaining events are marked
-    skipped. A run from ``state`` uses the models the state was built
-    for; ``models``, when given as well, must equal them.
+    Events land exactly on integration step boundaries: the run reaches
+    each event time, and then ``t_end``, in the fewest equal steps no
+    longer than ``options.dt``. After every event the island pattern is
+    re-detected; islands without a generating unit are de-energized
+    immediately. The run halts at the first instability verdict and the
+    remaining events are marked skipped. A run from ``state`` uses the
+    models the state was built for; ``models``, when given as well, must
+    equal them.
 
     The monitors judge every sample, but the trace records only samples
     0, ``trace_every``, 2 ``trace_every``, ... (the rows
@@ -943,123 +1017,48 @@ def run_scenario(
         raise ValueError("models differ from the ones the state was initialized for")
     options = options or ScenarioOptions()
 
-    t_end = options.t_end
-    if t_end is None:
-        t_end = schedule.end_time + 10.0
+    t_end = schedule.end_time + 10.0 if options.t_end is None else options.t_end
     if schedule.events and schedule.end_time > t_end:
         raise ValueError("t_end must reach the last scheduled event")
 
-    engine = _Engine(case, state.models, state)
-    monitor = _Monitor()
-
-    # timeline segments between events, each with its step count; the
-    # counts size the trace buffers for the samples kept, which are
-    # filled row by row, so a halted run never touches their tail
-    stops = [t for t, _ in schedule.events if t > 0.0]
-    if not stops or stops[-1] < t_end:
-        stops = stops + [t_end]
-    segments = [(t_a, t_b, max(1, round((t_b - t_a) / options.dt)))
-                for t_a, t_b in zip([0.0] + stops, stops) if t_a < t_end]
-
-    every = options.sample_every
-    n_total = 1 + sum(-(-n_steps // every) for _, _, n_steps in segments)
+    # the legs: to every event time after 0, then to t_end, each in the
+    # fewest equal steps no longer than dt (a ratio above an integer by
+    # float noise counts as that integer: 0.07 / 0.01 is 7.000000000000001)
+    stops = sorted({t_end, *(t for t, _ in schedule.events)} - {0.0})
+    legs = [(t_b, max(1, math.ceil((t_b - t_a) / options.dt - 1e-9)))
+            for t_a, t_b in zip([0.0, *stops], stops)]
+    # the buffers hold every sample an unhalted run records
+    n_total = 1 + sum(-(-n_steps // options.sample_every) for _, n_steps in legs)
     capacity = 0 if trace_every is None else -(-n_total // trace_every)
-    nm, nb = engine.nm, engine.nb
-    times = np.empty(capacity)
-    angles = np.empty((capacity, nm))
-    mach_isl = np.empty((capacity, nm), dtype=int)
-    volts = np.empty((capacity, nb))
-    island_freq: dict[int, np.ndarray] = {}  # NaN before formation, after death
-    n_samples = 0  # judged by the monitors
-    n_rows = 0  # recorded in the trace
-    events_log: list[EventRecord] = []
+    run = _Run(_Engine(case, state.models, state), options.sample_every, trace_every, capacity)
 
-    y = engine.y  # advanced in place by engine.step
-    delta, omega = y[:nm], y[nm : 2 * nm]
+    # the t = 0 sample opens the trace at the pre-event equilibrium; the
+    # events at t = 0 apply after it, even when it fired, and an event at
+    # t_end applies after the last step
     pending = list(schedule.events)
-
-    def record_sample(t: float) -> str | None:
-        """Judge the sample at t, and record it when it falls on the
-        trace's grid; returns the verdict of a monitor that fired."""
-        nonlocal n_samples, n_rows
-        keep = trace_every is not None and n_samples % trace_every == 0
-        n_samples += 1
-        i = n_rows
-        if keep:
-            V = engine.bus_voltages(engine.emf(y))
-            np.abs(V, out=volts[i])
-            volts[i, engine.bus_dead] = 0.0
-            angles[i].fill(np.nan)
-            times[i] = t
-            mach_isl[i] = engine.mach_island
-            n_rows += 1
-        fired = None
-        for key, members, w, w_sum, rel in engine.island_members:
-            delta.take(members, out=rel)
-            coi = float(np.dot(w, rel) / w_sum)
-            np.subtract(rel, coi, out=rel)
-            np.degrees(rel, out=rel)
-            if keep:
-                angles[i, members] = rel
-            spread = float(rel.max() - rel.min()) if members.size > 1 else 0.0
-            omega.take(members, out=rel)
-            f_isl = F_NOMINAL * (1.0 + float(np.dot(w, rel) / w_sum))
-            freq = island_freq.get(key)
-            if freq is None:
-                freq = island_freq[key] = np.full(capacity, np.nan)
-            if keep:
-                freq[i] = f_isl
-            v = monitor.update(t, key, spread, f_isl)
-            fired = fired or v
-        return fired
-
-    def apply_events(until: float) -> None:
-        """Apply the pending events scheduled at or before ``until``."""
-        while pending and pending[0][0] <= until:
-            t_ev, action = pending.pop(0)
-            ok, cause = engine.apply_event(action)
-            n_isl = engine.refresh_topology() if ok else None
-            events_log.append(
-                EventRecord(t_ev, action, "executed" if ok else "skipped", cause, n_isl)
-            )
-
-    # events at t=0 apply before integration starts; the t=0 sample is
-    # recorded first so the trace opens at the pre-event equilibrium
-    halted = bool(record_sample(0.0))
-    apply_events(0.0)
-
-    for t_a, t_b, n_steps in segments:
+    halted = run.sample(0.0)
+    for t_stop, n_steps in [(0.0, 0), *legs]:
+        if n_steps and (halted := run.advance(t_stop, n_steps)):
+            break
+        while pending and pending[0][0] <= t_stop:
+            run.apply(*pending.pop(0))
         if halted:
             break
-        h = (t_b - t_a) / n_steps
-        for k in range(n_steps):
-            engine.step(y, h)
-            t = t_a + (k + 1) * h
-            if (k + 1) % every == 0 or k == n_steps - 1:
-                if record_sample(t):
-                    halted = True
-                    break
-        if halted:
-            break
-        apply_events(t_b + 1e-9)  # the events scheduled at this boundary
-
     for t_ev, action in pending:
-        events_log.append(
-            EventRecord(t_ev, action, "skipped", "instability_halt", None)
-        )
+        run.events.append(EventRecord(t_ev, action, "skipped", "instability_halt", None))
 
-    n = n_rows  # a halted run's buffers end in rows it never wrote
+    n = run.n_rows  # a halted run's buffers end in rows it never wrote
     trace = DynamicTrace(
-        times=times[:n],
+        times=run.times[:n],
         machine_buses=tuple(m.bus for m in state.models),
-        angles_deg=angles[:n],
-        machine_island=mach_isl[:n],
-        island_freq={key: freq[:n] for key, freq in island_freq.items()},
-        voltages=volts[:n],
+        angles_deg=run.angles[:n],
+        machine_island=run.mach_isl[:n],
+        island_freq={key: freq[:n] for key, freq in run.island_freq.items()},
+        voltages=run.volts[:n],
         bus_ids=tuple(case.bus_index),
-        events=tuple(events_log),
+        events=tuple(run.events),
     )
-    return trace, monitor.verdict()
+    return trace, run.monitor.verdict()
 
 
 def trace_to_csv(trace: DynamicTrace, decimate: int = 1) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -473,7 +474,14 @@ def _summary_text(report: PipelineReport, case: GridCase) -> str:
 
 
 def _combo_slug(combination: OutageCombination) -> str:
-    return "-".join(str(s) for s in combination.substations)
+    """The substation ids joined by ``-``: an int id as it prints, a name
+    with every character outside ``[A-Za-z0-9_]`` (``%`` too) percent-
+    encoded, so a name holds no raw ``-`` or ``/`` and never reads as an
+    int, and distinct combinations get distinct file names."""
+    def encoded(name: str) -> str:
+        return re.sub("[^A-Za-z0-9_]", lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), name)
+
+    return "-".join(str(s) if isinstance(s, int) else encoded(s) for s in combination.substations)
 
 
 def _confirm(case: GridCase, combination: OutageCombination,

@@ -460,7 +460,9 @@ class TestTraceBuffers:
         trace, verdict = run_scenario(two_machine_case(), sched, options=options)
         assert verdict.overall == "stable"
         assert trace.events[0].status == "executed"
-        steps = [round(0.73 / 0.01), round((2.005 - 0.73) / 0.01)]  # 73, 127
+        # (2.005 - 0.73) / 0.01 is 127.49999999999999: 127 steps would each
+        # be longer than dt
+        steps = [73, 128]
         n = 1 + sum(-(-k // every) for k in steps)
         assert trace.times.shape[0] == n == self._capacity(trace)
         assert trace.times[-1] == pytest.approx(2.005)
@@ -522,6 +524,69 @@ class TestTraceBuffers:
                   trace.voltages, *trace.island_freq.values())
         assert trace.times.shape[0] == 801
         assert peak <= 1.5 * sum(a.nbytes for a in arrays)
+
+
+@pytest.fixture(scope="module")
+def toy_state():
+    case = two_machine_case()
+    return initial_state(case, default_machine_models(case))
+
+
+_TOY_ACTIONS = (
+    OutageAction.open_branch(1, 2),
+    OutageAction.open_branch(1, 3),
+    OutageAction.open_branch(2, 3),
+    OutageAction.remove_substation(3),
+)
+
+
+class TestStepRule:
+    """Each leg of a run, from one event time to the next or to t_end,
+    takes the fewest equal steps no longer than dt."""
+
+    @settings(max_examples=60)
+    @given(
+        gaps=st.lists(st.floats(0.0005, 0.3), min_size=0, max_size=4),
+        first=st.floats(0.0, 0.05),
+        tail=st.floats(0.0, 0.3),
+        picks=st.lists(st.sampled_from(_TOY_ACTIONS), min_size=4, max_size=4),
+    )
+    def test_samples_are_at_most_dt_apart_and_events_are_samples(
+        self, toy_state, gaps, first, tail, picks
+    ):
+        dt = 0.01
+        times = np.cumsum([first, *gaps]).tolist()
+        sched = SwitchingSchedule(tuple(zip(times, picks)))
+        options = ScenarioOptions(dt=dt, t_end=times[-1] + tail, sample_every=1)
+        trace, _ = run_scenario(two_machine_case(), sched, options=options,
+                                state=toy_state)
+        assert np.all(np.diff(trace.times) <= dt * (1 + 1e-9))
+        for ev in trace.events:
+            if ev.status == "executed":
+                assert np.min(np.abs(trace.times - ev.time)) <= 1e-12
+
+    @pytest.mark.parametrize("t_ev, t_end, dt, want", [
+        (None, 0.025, 0.01, [0.0, 0.025 / 3, 0.05 / 3, 0.025]),  # not 2 of 12.5 ms
+        (0.0149, 0.0149, 0.01, [0.0, 0.00745, 0.0149]),  # not 1 of 14.9 ms
+    ])
+    def test_off_grid_legs(self, toy_state, t_ev, t_end, dt, want):
+        events = () if t_ev is None else ((t_ev, OutageAction.open_branch(1, 2)),)
+        trace, _ = run_scenario(two_machine_case(), SwitchingSchedule(events),
+                                options=ScenarioOptions(dt=dt, t_end=t_end),
+                                state=toy_state)
+        assert trace.times.tolist() == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("t_end, dt, n_steps", [
+        (0.07, 0.01, 7),  # 0.07 / 0.01 is 7.000000000000001
+        (5.0, 0.005, 1000),
+        (65.0, 0.01, 6500),
+    ])
+    def test_float_noise_adds_no_step(self, toy_state, t_end, dt, n_steps):
+        trace, _ = run_scenario(two_machine_case(), SwitchingSchedule(()),
+                                options=ScenarioOptions(dt=dt, t_end=t_end),
+                                state=toy_state)
+        assert len(trace.times) == n_steps + 1
+        assert trace.times[-1] == pytest.approx(t_end)
 
 
 @pytest.fixture(scope="module")

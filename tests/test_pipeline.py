@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import subprocess
 from collections import Counter
 from contextlib import contextmanager
@@ -21,7 +22,7 @@ from gridimpact.dynamics import (
     run_scenario,
     trace_to_csv,
 )
-from gridimpact.model import Branch, Bus, Substation
+from gridimpact.model import Branch, Bus, Substation, _substation_id, loads_case
 from gridimpact.pipeline import (
     CascadeRun,
     DynPolicy,
@@ -38,11 +39,13 @@ from gridimpact.pipeline import (
 from gridimpact.screening import (
     OutageCombination,
     ScreeningResult,
+    _sub_key,
     run_screening,
     screening_report_csv,
 )
 from gridimpact.topology import OutageAction
 
+from conftest import REPO_ROOT
 from toys import two_bus_case, two_machine_case
 
 SUB_UNIVERSE = (80, 92, 94, 95, 96, 98, 99, 100, 101, 102)
@@ -624,6 +627,42 @@ class TestTraceFiles:
             slug = "-".join(map(str, combo.substations))
             written = (tmp_path / "traces" / f"combo_{slug}.csv").read_bytes()
             assert written == trace_to_csv(trace, decimate=3).encode()
+
+    @given(st.lists(st.lists(st.text(alphabet=st.characters(blacklist_categories=("Z", "C")),
+                                     min_size=1, max_size=4),
+                             min_size=1, max_size=3, unique=True),
+                    min_size=1, max_size=8))
+    def test_distinct_combinations_get_distinct_file_names(self, token_lists):
+        """Over id tokens as a .grid file spells them (an ASCII integer is an
+        int id, any other token a name), each slug is one file name of
+        ``[A-Za-z0-9_%-]`` and no two combinations share one."""
+        combos = {OutageCombination(tuple(sorted({_substation_id(t) for t in tokens},
+                                                 key=_sub_key)))
+                  for tokens in token_lists}
+        slugs = {pipeline._combo_slug(c) for c in combos}
+        assert len(slugs) == len(combos)
+        assert all(re.fullmatch("[A-Za-z0-9_%-]+", slug) for slug in slugs)
+
+    @pytest.mark.parametrize("name", ["1-2", "x/y"])
+    def test_named_substations_get_their_own_files(self, tmp_path, name):
+        """A substation named "1-2" shares no file with combination 1+2,
+        and one named "x/y" writes no subdirectory: at k=2 on three
+        substations, six verified combinations write six trace files
+        inside traces/, the same on one worker and on two."""
+        text = (REPO_ROOT / "tests" / "data" / "named_substations.grid").read_text()
+        case = loads_case(text.replace("\n1-2 3\n", f"\n{name} 3\n"))
+        assert {s.id for s in case.substations} == {1, 2, name}
+        runs = {}
+        for workers in (1, 2):
+            run_dir = tmp_path / str(workers)
+            cfg = PipelineConfig(k_max=2, policy=DynPolicy(1.0, 0), workers=workers)
+            report = run_pipeline(case, cfg, run_dir=run_dir)
+            assert not report.failed and len(report.verified) == 6
+            files = _files(run_dir)
+            assert len([f for f in files if f.startswith("traces/")]) == 6
+            assert all(p.parent.name == "traces" for p in (run_dir / "traces").rglob("*"))
+            runs[workers] = files
+        assert runs[1] == runs[2]
 
 
 class TestOperatingPoint:

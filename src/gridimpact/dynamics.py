@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -880,7 +880,12 @@ class _Monitor:
         spread_deg: float,
         freq_hz: float,
     ) -> str | None:
-        """Feed one island sample; returns a verdict when one fires."""
+        """Feed one island sample; returns a verdict when one fires. A
+        sample whose angle spread or frequency is not finite raises
+        ValueError: a state the step could not follow is an error, never
+        a verdict."""
+        if not (math.isfinite(spread_deg) and math.isfinite(freq_hz)):
+            raise ValueError(f"non-finite state at t={t:.6g} s in island {island_key}")
         self.per_island.setdefault(island_key, "stable")
         if self.per_island[island_key] != "stable":
             return None
@@ -1069,11 +1074,6 @@ def trace_to_csv(trace: DynamicTrace, decimate: int = 1) -> str:
     """
     if decimate < 1:
         raise ValueError("decimate must be >= 1")
-    return "".join(_csv_lines(trace, decimate))
-
-
-def _csv_lines(trace: DynamicTrace, decimate: int) -> Iterator[str]:
-    """The lines of ``trace_to_csv``, header first, one at a time."""
     keys = sorted(trace.island_freq)
     header = (
         ["time"]
@@ -1081,11 +1081,9 @@ def _csv_lines(trace: DynamicTrace, decimate: int) -> Iterator[str]:
         + [f"freq_{k}" for k in keys]
         + [f"v_{b}" for b in trace.bus_ids]
     )
-    yield ",".join(header) + "\n"
     columns = [trace.times, trace.angles_deg,
                *(trace.island_freq[k] for k in keys), trace.voltages]
     table = np.column_stack([c[::decimate] for c in columns])
     # '%.6f' prints any NaN as 'nan' and -0.0 as '-0.000000'
     row = "%.4f" + ",%.6f" * (len(header) - 1) + "\n"
-    for r in table:
-        yield row % tuple(r.tolist())
+    return ",".join(header) + "\n" + "".join(row % tuple(r) for r in table.tolist())

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import random
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -27,11 +26,10 @@ from .dynamics import (
     DynamicTrace,
     ScenarioOptions,
     SwitchingSchedule,
-    _csv_lines,
     default_machine_models,
     initial_state,
     run_scenario,
-    trace_to_csv,  # noqa: F401  (gridbench/spans.py wraps pipeline.trace_to_csv)
+    trace_to_csv,
 )
 from .model import GridCase
 from .powerflow import PowerFlowOptions
@@ -40,7 +38,6 @@ from .screening import (
     ScreeningResult,
     ScreeningRun,
     _pool_size,
-    _sub_key,
     _sweep,
     _worker_pool,
     run_screening,  # noqa: F401  (gridbench/spans.py wraps it here)
@@ -370,8 +367,6 @@ class DynPolicy:
             raise ValueError("min_noncritical must be non-negative")
 
     def sample_size(self, n_noncritical: int) -> int:
-        if self.noncritical_fraction == 0.0 and self.min_noncritical == 0:
-            return 0
         target = max(
             self.min_noncritical, round(self.noncritical_fraction * n_noncritical)
         )
@@ -418,7 +413,7 @@ def _select_for_dynamics(
     results: Sequence[ScreeningResult], policy: DynPolicy, seed: int
 ) -> list[ScreeningResult]:
     def combo_key(r: ScreeningResult):
-        return tuple(map(_sub_key, r.combination.substations))
+        return r.combination.key
 
     criticals = sorted(
         (r for r in results if r.verdict == "critical"), key=combo_key
@@ -473,32 +468,20 @@ def _summary_text(report: PipelineReport, case: GridCase) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _combo_slug(combination: OutageCombination) -> str:
-    """The substation ids joined by ``-``: an int id as it prints, a name
-    with every character outside ``[A-Za-z0-9_]`` (``%`` too) percent-
-    encoded, so a name holds no raw ``-`` or ``/`` and never reads as an
-    int, and distinct combinations get distinct file names."""
-    def encoded(name: str) -> str:
-        return re.sub("[^A-Za-z0-9_]", lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), name)
-
-    return "-".join(str(s) if isinstance(s, int) else encoded(s) for s in combination.substations)
-
-
 def _confirm(case: GridCase, combination: OutageCombination,
              traces_dir: Path | None) -> CascadeRun:
     """``cascade_confirm`` of a selected combination. With ``traces_dir``
-    set, the run's trace is written to ``traces_dir/combo_<slug>.csv``
-    and the returned run keeps none. A confirmation that raises becomes
-    an error run (and its traceback is logged)."""
+    set, the run's trace is written to ``traces_dir/combo_<name>.csv``,
+    where the name is the combination as it prints with ``+`` turned into
+    ``-``, and the returned run keeps none. A confirmation that raises
+    becomes an error run (and its traceback is logged)."""
     try:
         run = cascade_confirm(case, combination,
                               trace_every=None if traces_dir is None else TRACE_EVERY)
         if run.trace is None:
             return run
-        traces_dir.mkdir(parents=True, exist_ok=True)
-        path = traces_dir / f"combo_{_combo_slug(combination)}.csv"
-        with path.open("w") as f:
-            f.writelines(_csv_lines(run.trace, 1))
+        name = str(combination).replace("+", "-")
+        (traces_dir / f"combo_{name}.csv").write_text(trace_to_csv(run.trace))
     except Exception as exc:  # isolate failures per combination
         import logging
 
@@ -549,6 +532,8 @@ def run_pipeline(
             not run_dir.is_dir() or any(run_dir.iterdir())):
         raise ValueError(f"run directory {run_dir} is neither new nor empty")
     traces_dir = None if run_dir is None else run_dir / "traces"
+    if traces_dir is not None:  # a run directory holds traces/, even empty
+        traces_dir.mkdir(parents=True)
 
     with _worker_pool(case, nworkers) as tasks:
         confirmations: dict[OutageCombination, Callable[[], CascadeRun]] = {}
@@ -562,8 +547,6 @@ def run_pipeline(
                            config.prune, tasks, on_critical=confirm)
         all_results = [r for pl in screening.levels for r in pl.results]
         selected = _select_for_dynamics(all_results, config.policy, config.seed)
-        if traces_dir is not None:  # a run directory holds traces/, even empty
-            traces_dir.mkdir(parents=True, exist_ok=True)
         for result in selected:
             confirm(result.combination)
         cascades: list[CascadeRun] = []

@@ -22,6 +22,7 @@ import io
 import itertools
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -76,8 +77,23 @@ class OutageCombination:
     def level(self) -> int:
         return len(self.substations)
 
+    @property
+    def key(self) -> tuple:
+        """The order of combinations: element by element, int ids before
+        names, each ordered naturally."""
+        return tuple(map(_sub_key, self.substations))
+
     def __str__(self) -> str:
-        return "+".join(str(s) for s in self.substations)
+        """The substation ids joined by ``+``: an int id as it prints, a
+        name with every character outside ``[A-Za-z0-9_]`` (``%`` too)
+        percent-encoded as UTF-8 bytes. A name then holds no raw ``+``,
+        ``-`` or ``/``, so distinct combinations of a case (whose file reads
+        every ASCII integer id as an int) print distinctly."""
+        def encoded(name: str) -> str:
+            return re.sub("[^A-Za-z0-9_]",
+                          lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), name)
+
+        return "+".join(str(s) if isinstance(s, int) else encoded(s) for s in self.substations)
 
 
 def _sub_key(s: int | str):
@@ -131,11 +147,7 @@ class PriorityList:
     @staticmethod
     def ranked(level: int, results: Iterable[ScreeningResult]) -> "PriorityList":
         def key(r: ScreeningResult):
-            return (
-                0 if r.verdict == "critical" else 1,
-                -r.unserved_mw,
-                tuple(_sub_key(s) for s in r.combination.substations),
-            )
+            return (0 if r.verdict == "critical" else 1, -r.unserved_mw, r.combination.key)
 
         return PriorityList(level, tuple(sorted(results, key=key)))
 
@@ -391,7 +403,6 @@ def _sweep(
     levels: list[PriorityList] = []
     evaluations = 0
     pruned_count = 0
-    classified = 0
     exhausted = False
     notify = on_critical or (lambda combination: None)
 
@@ -432,14 +443,13 @@ def _sweep(
             results.append(replace(anc_result, combination=combo, violations=(),
                                    critical_by=anc_result.combination))
         pruned_count += len(pruned_here)
-        classified += len(solved) + len(pruned_here)
 
         for r in solved:
             if r.verdict == "critical" and r.reason != "error":
                 critical[r.combination.substations] = (len(critical), r)
         levels.append(PriorityList.ranked(k, results))
 
-    coverage = classified / total_enumerable if total_enumerable else 1.0
+    coverage = (evaluations + pruned_count) / total_enumerable if total_enumerable else 1.0
     return ScreeningRun(
         levels=tuple(levels),
         evaluations=evaluations,

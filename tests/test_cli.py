@@ -204,6 +204,15 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("gridimpact: error: ")
 
+    def test_a_run_whose_state_turns_non_finite_is_an_error(self, toy_case_file, tmp_path,
+                                                            capsys):
+        scenario = tmp_path / "subnormal.txt"
+        scenario.write_text("5e-324 open_branch 1 2\n0.5 open_branch 1 3\n")
+        assert main(["simulate", toy_case_file, str(scenario), "--t-end", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gridimpact: error: non-finite state at t=")
+
 
 class TestPipelineAndReport:
     def test_round_trip(self, toy_case_file, tmp_path, capsys):

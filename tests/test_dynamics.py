@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridimpact import dynamics
@@ -360,6 +360,28 @@ class TestDetection:
         assert verdict.overall == "islanded_mixed"
         assert verdict.time_of_first_violation == DWELL_S
 
+    @pytest.mark.parametrize("spread, freq", [(np.nan, F_NOMINAL), (0.0, np.nan),
+                                              (np.inf, F_NOMINAL), (0.0, -np.inf)])
+    def test_non_finite_sample_is_an_error(self, spread, freq):
+        """A comparison with NaN is false, so a NaN sample would pass every
+        limit: the monitor refuses it, on a fired island too."""
+        monitor = dynamics._Monitor()
+        with pytest.raises(ValueError, match="non-finite state at t=0.5 s in island 2"):
+            monitor.update(0.5, 2, spread, freq)
+        monitor.update(1.0, 2, ANGLE_SEPARATION_DEG + 1.0, F_NOMINAL)
+        with pytest.raises(ValueError, match="non-finite state"):
+            monitor.update(1.5, 2, spread, freq)
+
+    def test_a_run_whose_state_turns_non_finite_raises(self, toy_state):
+        """An event at a subnormal time makes a first step whose ``h *
+        gamma`` underflows to 0, and the state turns NaN: the run raises
+        instead of reading stable."""
+        sched = SwitchingSchedule(((5e-324, OutageAction.open_branch(1, 2)),
+                                   (0.5, OutageAction.open_branch(1, 3))))
+        with pytest.raises(ValueError, match="non-finite state at t=4.94066e-324 s"):
+            run_scenario(two_machine_case(), sched, options=ScenarioOptions(t_end=2.0),
+                         state=toy_state)
+
 
 class TestTraceCsv:
     def test_header_and_decimation(self):
@@ -551,15 +573,24 @@ class TestStepRule:
         tail=st.floats(0.0, 0.3),
         picks=st.lists(st.sampled_from(_TOY_ACTIONS), min_size=4, max_size=4),
     )
+    @example(gaps=[0.5], first=5e-324, tail=1.5, picks=list(_TOY_ACTIONS[:2] * 2))
     def test_samples_are_at_most_dt_apart_and_events_are_samples(
         self, toy_state, gaps, first, tail, picks
     ):
+        """Or the run raises the non-finite error, which only a leg shorter
+        than 1e-300 s may cause (``first`` draws subnormals)."""
         dt = 0.01
         times = np.cumsum([first, *gaps]).tolist()
         sched = SwitchingSchedule(tuple(zip(times, picks)))
         options = ScenarioOptions(dt=dt, t_end=times[-1] + tail, sample_every=1)
-        trace, _ = run_scenario(two_machine_case(), sched, options=options,
-                                state=toy_state)
+        try:
+            trace, _ = run_scenario(two_machine_case(), sched, options=options,
+                                    state=toy_state)
+        except ValueError as exc:
+            assert str(exc).startswith("non-finite state at t=")
+            legs = np.diff(sorted({0.0, *times, options.t_end}))
+            assert np.any(legs < 1e-300)
+            return
         assert np.all(np.diff(trace.times) <= dt * (1 + 1e-9))
         for ev in trace.events:
             if ev.status == "executed":

@@ -634,21 +634,29 @@ class TestTraceFiles:
                     min_size=1, max_size=8))
     def test_distinct_combinations_get_distinct_file_names(self, token_lists):
         """Over id tokens as a .grid file spells them (an ASCII integer is an
-        int id, any other token a name), each slug is one file name of
-        ``[A-Za-z0-9_%-]`` and no two combinations share one."""
+        int id, any other token a name), no two combinations print the
+        same, and each trace file name (the print with ``+`` turned into
+        ``-``) is one name of ``[A-Za-z0-9_%-]`` that no other shares."""
         combos = {OutageCombination(tuple(sorted({_substation_id(t) for t in tokens},
                                                  key=_sub_key)))
                   for tokens in token_lists}
-        slugs = {pipeline._combo_slug(c) for c in combos}
-        assert len(slugs) == len(combos)
-        assert all(re.fullmatch("[A-Za-z0-9_%-]+", slug) for slug in slugs)
+        printed = {str(c) for c in combos}
+        assert len(printed) == len(combos)
+        names = {p.replace("+", "-") for p in printed}
+        assert len(names) == len(combos)
+        assert all(re.fullmatch("[A-Za-z0-9_%-]+", name) for name in names)
 
-    @pytest.mark.parametrize("name", ["1-2", "x/y"])
-    def test_named_substations_get_their_own_files(self, tmp_path, name):
-        """A substation named "1-2" shares no file with combination 1+2,
-        and one named "x/y" writes no subdirectory: at k=2 on three
-        substations, six verified combinations write six trace files
-        inside traces/, the same on one worker and on two."""
+    @pytest.mark.parametrize("name, spelled", [("1-2", "1%2D2"), ("x/y", "x%2Fy"),
+                                               ("1+2", "1%2B2")])
+    def test_named_substations_get_their_own_files(self, tmp_path, name, spelled):
+        """A substation named "1-2" or "1+2" shares no file and no report
+        line with combination 1+2, and one named "x/y" writes no
+        subdirectory: at k=2 on three substations, six verified
+        combinations write six trace files inside traces/, named by the
+        combination as it prints with ``+`` turned into ``-``, and print
+        six distinct lines under "dynamically verified" in summary.txt
+        and six distinct rows in screening.csv, the same on one worker and
+        on two."""
         text = (REPO_ROOT / "tests" / "data" / "named_substations.grid").read_text()
         case = loads_case(text.replace("\n1-2 3\n", f"\n{name} 3\n"))
         assert {s.id for s in case.substations} == {1, 2, name}
@@ -659,8 +667,16 @@ class TestTraceFiles:
             report = run_pipeline(case, cfg, run_dir=run_dir)
             assert not report.failed and len(report.verified) == 6
             files = _files(run_dir)
-            assert len([f for f in files if f.startswith("traces/")]) == 6
+            assert {f for f in files if f.startswith("traces/")} == {
+                f"traces/combo_{n}.csv"
+                for n in ("1", "2", spelled, "1-2", f"1-{spelled}", f"2-{spelled}")}
             assert all(p.parent.name == "traces" for p in (run_dir / "traces").rglob("*"))
+            lines = files["summary.txt"].decode().splitlines()
+            at = lines.index("dynamically verified: 6")
+            verified = [line.split(":")[0] for line in lines[at + 1:at + 7]]
+            assert len(set(verified)) == 6
+            rows = files["screening.csv"].decode().splitlines()[1:]
+            assert len(rows) == 6 and len({row.split(",")[1] for row in rows}) == 6
             runs[workers] = files
         assert runs[1] == runs[2]
 
@@ -721,6 +737,21 @@ class TestOperatingPoint:
             f"  {sub}: dynamics error: base-case power flow did not converge\n"
             for sub in (1, 2, 3)
         ) in summary
+
+    def test_run_whose_state_turns_non_finite_is_a_dynamics_error(self, tmp_path,
+                                                                  monkeypatch):
+        """Branches opened a subnormal interval apart make a step whose
+        ``h * gamma`` underflows, and the state turns NaN: each
+        confirmation is reported failed, not stable."""
+        monkeypatch.setattr(pipeline, "SWITCH_INTERVAL", 5e-324)
+        cfg = PipelineConfig(k_max=1, policy=DynPolicy(noncritical_fraction=1.0))
+        report = run_pipeline(two_machine_case(), cfg, run_dir=tmp_path)
+        assert report.verified == ()
+        assert [c.substations for c, _ in report.failed] == [(1,), (2,), (3,)]
+        assert all(d.startswith("non-finite state at t=") for _, d in report.failed)
+        assert "  1: dynamics error: non-finite state at t=" in (
+            tmp_path / "summary.txt").read_text()
+        assert list((tmp_path / "traces").iterdir()) == []
 
 
 def test_workers_variable_is_not_read_by_the_library(monkeypatch):

@@ -165,8 +165,7 @@ class CaseArrays:
     evenly), rating and status. A zero-impedance branch has NaN entries.
 
     ``admittance`` sums the branch stamps into an admittance matrix, over
-    every bus or one island's; ``ybus``, the one over the in-service
-    branches, is built on first use.
+    every bus or one island's.
     """
 
     load_p: np.ndarray
@@ -236,11 +235,6 @@ class CaseArrays:
         Y = sp.csr_matrix((data[stored], cols[stored].astype(np.intc), indptr), shape=(m, m))
         Y.has_canonical_format = True
         return Y
-
-    @cached_property
-    def ybus(self) -> sp.csr_matrix:
-        """``admittance`` over the in-service branches; read-only."""
-        return self.admittance(self.status)
 
 
 def _pi_entries(br: Branch) -> tuple[complex, complex, complex, complex]:
@@ -439,8 +433,15 @@ def validate(case: GridCase) -> list[str]:
             out.append(f"{tag}: condenser must have zero active output")
 
     covered: set[int] = set()
+    sub_ids: set[SubstationId] = set()
     for s in case.substations:
         tag = f"substation {s.id}"
+        if s.id in sub_ids:
+            out.append(f"{tag}: duplicate id")
+        sub_ids.add(s.id)
+        if isinstance(s.id, str) and _substation_id(s.id) != s.id:
+            # it would print as, and load back as, the int id
+            out.append(f"substation {s.id!r}: a name must not read as an integer")
         if not s.member_buses:
             out.append(f"{tag}: member bus set is empty")
         unknown = s.member_buses - ids

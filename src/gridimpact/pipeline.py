@@ -525,7 +525,7 @@ def run_pipeline(
     if config.budget is not None and config.budget < 1:
         raise ValueError(f"budget must be at least 1, got {config.budget}: "
                          "the cross-check needs a screened combination")
-    nworkers = _pool_size(config.k_max, config.budget, config.workers)
+    nworkers = _pool_size(case, config.k_max, config.budget, config.subset, config.workers)
     run_dir = None if run_dir is None else Path(run_dir)
     # a second run into one directory would leave the first run's traces
     if run_dir is not None and run_dir.exists() and (

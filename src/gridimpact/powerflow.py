@@ -53,7 +53,7 @@ def build_admittance(
     arr = case.arrays
     on = arr.status if in_service is None else np.asarray(in_service, dtype=bool)
     _reject_zero_impedance(case, on)
-    return arr.ybus.copy() if in_service is None else arr.admittance(on)
+    return arr.admittance(on)
 
 
 def _reject_zero_impedance(case: GridCase, on: np.ndarray) -> None:
@@ -325,8 +325,9 @@ def solve_newton(
     :func:`solve_islands` for possibly-islanded cases. Non-convergence
     (iteration cap, singular Jacobian, numerical blow-up) is reported in
     the returned solution, never raised. An in-service branch with zero
-    impedance raises ``ValueError`` when the solve holds it: with
-    ``island``, when both its ends are in the island.
+    impedance raises ``ValueError`` when the solve holds it, that is when
+    both its ends are among the solve's buses; that check comes before a
+    case without a slack bus returns cause ``no_slack``.
 
     Args:
         case: The network.
@@ -340,24 +341,23 @@ def solve_newton(
     The solve sums its buses' admittance once, over the branches it sees.
     """
     arr = case.arrays
-    on = arr.status if partition is None or partition.in_service is None else partition.in_service
+    on = arr.status if partition is None else partition.in_service
     nb = len(case.buses)
+    take = np.arange(nb) if island is None else island.at
+    # only the branches this solve sees: those with both ends among its buses
+    inside = np.zeros(nb, dtype=bool)
+    inside[take] = True
+    _reject_zero_impedance(case, on & inside[arr.f] & inside[arr.t])
     if island is None:
-        take = np.arange(nb)
-        _reject_zero_impedance(case, on)
         slacks = np.flatnonzero(arr.kind == "slack")
         if not slacks.size:
             return PowerFlowSolution(False, 0, np.inf, tuple(case.bus_index), np.zeros(nb),
                                      np.zeros(nb), np.zeros(nb, dtype=bool), on,
                                      cause="no_slack")
-        islack = int(slacks[0])
+        slack = int(slacks[0])
     else:
-        take = island.at
-        # only the branches this island's Newton sees: those with both ends in it
-        inside = np.zeros(nb, dtype=bool)
-        inside[take] = True
-        _reject_zero_impedance(case, on & inside[arr.f] & inside[arr.t])
-        islack = int(np.flatnonzero(take == case.bus_index[island.slack_bus])[0])
+        slack = case.bus_index[island.slack_bus]
+    islack = int(np.flatnonzero(take == slack)[0])
     n = take.size
     base = case.base_mva
     pd, qd = arr.load_p[take], arr.load_q[take]
@@ -498,7 +498,6 @@ def solve_islands(
     """
     if partition is None:
         partition = find_islands(case)
-    arr = case.arrays
     nb = len(case.buses)
     vm = np.zeros(nb)
     va = np.zeros(nb)
@@ -527,7 +526,6 @@ def solve_islands(
         energized[at] = True
     servable = any(isl.servable for isl in partition.islands)
     all_ok &= servable
-    on = arr.status if partition.in_service is None else partition.in_service
     merged = PowerFlowSolution(
         converged=all_ok,
         iterations=iters,
@@ -536,7 +534,7 @@ def solve_islands(
         vm=vm,
         va=va,
         energized=energized,
-        in_service=on,
+        in_service=partition.in_service,
         cause=None if all_ok else "island_divergence" if servable else "dead_system",
         islands=tuple(records),
     )

@@ -190,6 +190,14 @@ def enumerate_combinations(
     """
     if k < 1:
         raise ValueError("outage level must be at least 1")
+    for combo in itertools.combinations(_universe(case, subset), k):
+        yield OutageCombination(combo)
+
+
+def _universe(case: GridCase, subset: Sequence[int | str] | None) -> list[int | str]:
+    """The substation ids that combinations draw from, in combination
+    order: the case's, or ``subset``'s; raises ValueError for an unknown
+    or repeated id in ``subset``."""
     if subset is None:
         universe = [s.id for s in case.substations]
     else:
@@ -201,9 +209,7 @@ def enumerate_combinations(
         repeated = sorted({s for s in universe if universe.count(s) > 1}, key=_sub_key)
         if repeated:
             raise ValueError(f"repeated substations in filter: {repeated}")
-    universe.sort(key=_sub_key)
-    for combo in itertools.combinations(universe, k):
-        yield OutageCombination(combo)
+    return sorted(universe, key=_sub_key)
 
 
 def screen_combination(case: GridCase, combo: OutageCombination,
@@ -339,7 +345,8 @@ def _worker_pool(case: GridCase, workers: int) -> Iterator[_Tasks]:
         pool.shutdown(cancel_futures=True)
 
 
-def _pool_size(k_max: int, budget: int | None, workers: int) -> int:
+def _pool_size(case: GridCase, k_max: int, budget: int | None,
+               subset: Sequence[int | str] | None, workers: int) -> int:
     """Checks a sweep's arguments before any work, and returns the number
     of processes it screens on: ``workers``, at most ``os.cpu_count()``."""
     if k_max < 1:
@@ -348,6 +355,10 @@ def _pool_size(k_max: int, budget: int | None, workers: int) -> int:
         raise ValueError(f"budget must not be negative, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    n_universe = len(case.substations) if subset is None else len(subset)
+    for k in range(1, k_max + 1):
+        count_combinations(n_universe, k)  # raises for a level above the universe
+    _universe(case, subset)
     return min(workers, os.cpu_count() or 1)
 
 
@@ -370,10 +381,11 @@ def run_screening(
     ``coverage`` reports the classified fraction. All levels screen on
     one task runner (``_worker_pool``): with one worker in this process,
     with more on one pool of forked workers, at most ``os.cpu_count()``.
-    Raises ``ValueError`` for a ``k_max`` or ``workers`` below 1 or a
-    negative ``budget``.
+    Raises ``ValueError`` for a ``k_max`` or ``workers`` below 1, a
+    negative ``budget``, a ``k_max`` above the number of substations
+    screened, or an unknown or repeated id in ``subset``.
     """
-    with _worker_pool(case, _pool_size(k_max, budget, workers)) as tasks:
+    with _worker_pool(case, _pool_size(case, k_max, budget, subset, workers)) as tasks:
         return _sweep(case, k_max, budget, subset, prune, tasks)
 
 

@@ -88,12 +88,12 @@ class Island:
 @dataclass(frozen=True)
 class IslandPartition:
     """Disjoint islands covering all in-service buses, ordered by
-    smallest member bus id. ``in_service``, the branches they were read
-    off, serves the island solves and takes no part in comparisons
-    (without it: the case's in-service branches)."""
+    smallest member bus id. ``in_service``, the mask over the case's
+    branches they were read off, serves the island solves and takes no
+    part in comparisons."""
 
     islands: tuple[Island, ...]
-    in_service: np.ndarray | None = field(default=None, compare=False, repr=False)
+    in_service: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.islands)

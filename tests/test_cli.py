@@ -234,6 +234,16 @@ class TestPipelineAndReport:
         assert main(["pipeline", toy_case_file, "--out", str(run_dir)]) == 1
         assert "neither new nor empty" in capsys.readouterr().err
 
+    def test_refused_level_leaves_no_run_directory(self, toy_case_file, tmp_path, capsys):
+        """A refused --k leaves nothing behind, so a rerun into --out runs."""
+        run_dir = tmp_path / "run"
+        assert main(["pipeline", toy_case_file, "--k", "4", "--out", str(run_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "gridimpact: error: cannot choose 4 of 3 substations\n")
+        assert not run_dir.exists()
+        assert main(["pipeline", toy_case_file, "--k", "1", "--out", str(run_dir)]) == 0
+        assert (run_dir / "summary.txt").is_file()
+
     def test_report_missing_artifact(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -23,6 +23,7 @@ from gridimpact.model import (
     validate,
 )
 
+from conftest import REPO_ROOT
 from test_island_admittance import cancelling_pair
 import toys
 from toys import two_bus_case
@@ -124,6 +125,27 @@ class TestValidation:
         case = two_bus_case()
         bad = case.with_(substations=(Substation(id=1, member_buses=frozenset({1})),))
         assert any("belong to no substation" in v for v in validate(bad))
+
+    def test_repeated_substation_id_refused(self):
+        """The named-substation case with its "1-2" substation renamed 1
+        lists substation 1 twice, whose combinations would print alike."""
+        text = (REPO_ROOT / "tests" / "data" / "named_substations.grid").read_text()
+        assert "\n1-2 3\n" in text
+        with pytest.raises(CaseValidationError, match="^substation 1: duplicate id$"):
+            loads_case(text.replace("\n1-2 3\n", "\n1 3\n"))
+
+    def test_substation_name_that_reads_as_an_integer_refused(self):
+        """A substation named "1" beside id 1 prints as it does, and a case
+        file reads it back as the same id."""
+        case = two_bus_case()
+        bad = case.with_(substations=(case.substations[0],
+                                      Substation(id="1", member_buses=frozenset({2}))))
+        assert validate(bad) == ["substation '1': a name must not read as an integer"]
+        with pytest.raises(CaseValidationError, match="^substation 1: duplicate id$"):
+            loads_case(dumps_case(bad))
+        named = case.with_(substations=(case.substations[0],
+                                        Substation(id="1a", member_buses=frozenset({2}))))
+        assert validate(named) == []
 
     def test_cancelling_parallel_circuits_refused(self):
         """Circuits 1-2 at z and -z are an open circuit, which islanding

@@ -579,6 +579,24 @@ class TestRunPipelineErrors:
         with pytest.raises(ValueError, match="neither new nor empty"):
             run_pipeline(two_machine_case(), again, run_dir=run_dir / "summary.txt")
 
+    @pytest.mark.parametrize("config, message", [
+        pytest.param(PipelineConfig(k_max=200), "cannot choose 119 of 118 substations",
+                     id="level_above_the_case"),
+        pytest.param(PipelineConfig(k_max=2, subset=(1,)), "cannot choose 2 of 1 substations",
+                     id="level_above_the_subset"),
+        pytest.param(PipelineConfig(subset=(999,)),
+                     re.escape("unknown substations in filter: [999]"), id="unknown_substation"),
+    ])
+    def test_refused_sweep_leaves_no_run_directory(self, config, message, case118,
+                                                   tmp_path):
+        """A level above the substations screened and an unknown substation
+        are refused before the run directory is made, so a rerun into it is
+        not refused as not new."""
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_pipeline(case118, config, run_dir=run_dir)
+        assert not run_dir.exists()
+
     def test_combination_without_in_service_branch_is_a_dynamics_error(self, tmp_path):
         """A verified combination that opens no branch is recorded as a
         dynamics error, and every report is still written."""

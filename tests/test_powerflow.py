@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from gridimpact.powerflow import (
     solve_newton,
 )
 from gridimpact.screening import OutageCombination, screen_combination
-from gridimpact.topology import apply_branch_outages
+from gridimpact.topology import apply_branch_outages, find_islands
 
 from reference_gs import gauss_seidel_solve
 from toys import star_case, two_bus_case, two_island_case
@@ -225,6 +227,63 @@ class TestIslands:
         sol, part = solve_islands(case)
         assert not sol.converged
         assert islands_with(sol, part, "dead_island") == [frozenset({1, 2})]
+
+
+def zero_impedance_at_3_4(case: GridCase) -> GridCase:
+    """``case`` with its 3-4 branch at zero impedance, in service."""
+    return case.with_(branches=tuple(
+        replace(br, resistance=0.0, reactance=0.0) if br.endpoints == (3, 4) else br
+        for br in case.branches
+    ))
+
+
+def without_slack(case: GridCase) -> GridCase:
+    return case.with_(buses=tuple(
+        replace(b, kind="PV") if b.kind == "slack" else b for b in case.buses
+    ))
+
+
+class TestOnePrologue:
+    """A whole-network solve and an island solve share one prologue: the
+    zero-impedance check over the branches the solve sees, then the slack."""
+
+    def test_no_slack_bus(self):
+        case = without_slack(two_bus_case())
+        sol = solve_newton(case)
+        assert (sol.converged, sol.iterations, sol.cause) == (False, 0, "no_slack")
+        assert sol.max_mismatch == np.inf
+        assert not sol.energized.any() and not sol.vm.any() and not sol.va.any()
+        assert np.array_equal(sol.in_service, case.arrays.status)
+
+    @pytest.mark.parametrize("slack", [True, False])
+    def test_whole_network_solve_rejects_zero_impedance(self, slack):
+        """The branch raises before a case without a slack returns no_slack."""
+        case = zero_impedance_at_3_4(two_island_case())
+        case = case if slack else without_slack(case)
+        with pytest.raises(ValueError, match="branch 3-4: zero impedance in service"):
+            solve_newton(case)
+
+    def test_island_solve_ignores_zero_impedance_outside_it(self):
+        """Island {1, 2} solves as it does beside a sound 3-4 branch;
+        island {3, 4}, which holds the branch, raises."""
+        case = zero_impedance_at_3_4(two_island_case())
+        part = find_islands(case)
+        clean = two_island_case()
+        clean_part = find_islands(clean)
+        got = solve_newton(case, island=part.islands[0], partition=part)
+        want = solve_newton(clean, island=clean_part.islands[0], partition=clean_part)
+        assert got.converged and got.iterations == want.iterations
+        assert got.vm.tobytes() == want.vm.tobytes()
+        assert got.va.tobytes() == want.va.tobytes()
+        with pytest.raises(ValueError, match="branch 3-4: zero impedance in service"):
+            solve_newton(case, island=part.islands[1], partition=part)
+
+    def test_build_admittance_is_the_status_mask_admittance(self, case118):
+        arr = case118.arrays
+        got, want = build_admittance(case118), arr.admittance(arr.status)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
 
 
 class TestViolations:

@@ -177,7 +177,7 @@ def reference_find_islands(case: GridCase) -> IslandPartition:
             slack_bus=slack,
             at=np.array([case.bus_index[b] for b in sorted(comp)], dtype=int),
         ))
-    return IslandPartition(islands=tuple(islands))
+    return IslandPartition(islands=tuple(islands), in_service=on)
 
 
 def assert_matches_reference(case: GridCase) -> IslandPartition:
@@ -231,7 +231,7 @@ class TestIslandsFromAdmittance:
 
     def test_empty_and_branchless_cases(self):
         empty = GridCase(base_mva=100.0, buses=(), branches=(), generators=(), substations=())
-        assert find_islands(empty) == IslandPartition(islands=())
+        assert find_islands(empty) == IslandPartition(islands=(), in_service=np.zeros(0, bool))
         lone = GridCase(base_mva=100.0, buses=(Bus(id=4, kind="slack", load_p=5.0), Bus(id=2)),
                         branches=(), generators=(Generator(bus=4, p_output=5.0),),
                         substations=())
